@@ -27,7 +27,7 @@ from .sweep import (Mode, Scenario, beampattern_csv_text, beampattern_grid,
                     config_hash, lb_capacity, mc_capacity, resolve_k,
                     scenario_from_config, scenario_to_config, sweep_bandwidth,
                     sweep_delta, sweep_power, sweep_rate, validate_fixtures,
-                    write_run)
+                    write_run, write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,),
@@ -42,6 +42,29 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError(f"grid upper bound {hi} below lower bound {lo}")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return [round(lo + i * step, 10) for i in range(count)]
+
+
+def _number_in(lo: float, hi: float):
+    "argparse type: a float in the closed interval [lo, hi] (NaN is rejected)."
+    def number(text: str) -> float:
+        value = float(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"must be in [{lo:g}, {hi:g}], got {text}")
+        return value
+    return number
+
+
+# scenario flag (argparse dest) -> the configuration key it overrides
+_FLAG_PATHS = {
+    "m": "array.M", "f0_hz": "array.f0_hz", "delta_f_hz": "array.delta_f_hz",
+    "spacing_m": "array.spacing",
+    "bob_r_m": "bob.r_m", "bob_theta_deg": "bob.theta_deg",
+    "eve_r_m": "eve.r_m", "eve_theta_deg": "eve.theta_deg",
+    "dr_m": "region.dr_m", "dtheta_deg": "region.dtheta_deg",
+    "pt_dbm": "power.pt_dbm", "sigma_b2_dbm": "power.sigma_b2_dbm",
+    "sigma_e2_dbm": "power.sigma_e2_dbm", "delta": "power.delta",
+    "rs_bits": "rs_bits", "mode": "mode",
+}
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
@@ -81,41 +104,11 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
 
-    def section(name: str) -> dict:
-        return cfg.setdefault(name, {})
-
-    if args.m is not None:
-        section("array")["M"] = args.m
-    if args.f0_hz is not None:
-        section("array")["f0_hz"] = args.f0_hz
-    if args.delta_f_hz is not None:
-        section("array")["delta_f_hz"] = args.delta_f_hz
-    if args.spacing_m is not None:
-        section("array")["spacing"] = {"meters": args.spacing_m}
-    if args.bob_r_m is not None:
-        section("bob")["r_m"] = args.bob_r_m
-    if args.bob_theta_deg is not None:
-        section("bob")["theta_deg"] = args.bob_theta_deg
-    if args.eve_r_m is not None:
-        section("eve")["r_m"] = args.eve_r_m
-    if args.eve_theta_deg is not None:
-        section("eve")["theta_deg"] = args.eve_theta_deg
-    if args.dr_m is not None:
-        section("region")["dr_m"] = args.dr_m
-    if args.dtheta_deg is not None:
-        section("region")["dtheta_deg"] = args.dtheta_deg
-    if args.pt_dbm is not None:
-        section("power")["pt_dbm"] = args.pt_dbm
-    if args.sigma_b2_dbm is not None:
-        section("power")["sigma_b2_dbm"] = args.sigma_b2_dbm
-    if args.sigma_e2_dbm is not None:
-        section("power")["sigma_e2_dbm"] = args.sigma_e2_dbm
-    if args.delta is not None:
-        section("power")["delta"] = args.delta
-    if args.rs_bits is not None:
-        cfg["rs_bits"] = args.rs_bits
-    if args.mode is not None:
-        cfg["mode"] = args.mode
+    for dest, path in _FLAG_PATHS.items():
+        value = getattr(args, dest)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (cfg.setdefault(section, {}) if section else cfg)[key] = value
 
     if args.k_target is not None and args.fixture_label is not None:
         raise ConfigError("--k-target and --fixture-label are mutually exclusive")
@@ -197,17 +190,13 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
         math.degrees(s.bob.theta_rad - 3 * s.region.dtheta_rad)
     theta_hi = args.theta_max_deg if args.theta_max_deg is not None else \
         math.degrees(s.bob.theta_rad + 3 * s.region.dtheta_rad)
-    theta_values = [math.radians(t) for t in _grid(theta_lo, theta_hi, args.theta_step_deg)]
-    rows = beampattern_grid(s, r_values, theta_values)
+    theta_deg = _grid(theta_lo, theta_hi, args.theta_step_deg)
+    rows = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
     payload = {"config": scenario_to_config(s),
-               "grid": {"r": r_values, "theta_deg": _grid(theta_lo, theta_hi,
-                                                          args.theta_step_deg)}}
-    run_dir = Path(args.out) / f"beampattern-{config_hash(payload)}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "result.csv").write_text(beampattern_csv_text(rows))
-    payload["tool_version"] = VERSION
-    (run_dir / "manifest.json").write_text(json.dumps(payload, sort_keys=True,
-                                                      indent=2) + "\n")
+               "grid": {"r": r_values, "theta_deg": theta_deg}}
+    run_dir = write_run_dir(Path(args.out) / f"beampattern-{config_hash(payload)}",
+                            beampattern_csv_text(rows),
+                            {**payload, "tool_version": VERSION})
     print(run_dir)
     return 0
 
@@ -281,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mmin", help="minimum element count for a region")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
     p.add_argument("--dtheta-deg", type=float, required=True)
     p.add_argument("--theta-b-deg", type=float, required=True)
     p.add_argument("--dr-m", type=float)
@@ -291,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mmin, m=None)
 
     p = sub.add_parser("kmin", help="minimum squared frequency-spread norm")
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
     p.add_argument("--dr-m", type=float, required=True)
     p.add_argument("--m-min", type=float)
     p.add_argument("--dtheta-deg", type=float)
@@ -303,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", help="confinement ellipse and resource minima")
     _add_scenario_flags(p)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
     p.add_argument("--k-norm2", type=float,
                    help="squared norm of k (default: from the scenario's k source)")
     p.set_defaults(handler=_cmd_region)
@@ -329,10 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="secrecy capacity for one scenario")
     _add_scenario_flags(p)
     p.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
-    p.add_argument("--beta", type=float, help="override the boundary correlation")
+    p.add_argument("--beta", type=_number_in(0.0, 1.0),
+                   help="override the boundary correlation")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; no effect, trials run serially")
     p.add_argument("--beta-seeds", type=int, default=100)
     p.set_defaults(handler=_cmd_capacity)
 
@@ -342,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; no effect, trials run serially")
     p.add_argument("--beta-seeds", type=int, default=100)
     p.add_argument("--out", default="out")
     p.add_argument("--svg", action="store_true")
@@ -352,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=float, default=0.05)
     p.add_argument("--delta-max", type=float, default=0.95)
     p.add_argument("--delta-step", type=float, default=0.05)
-    p.add_argument("--rs", type=float, help="single-rate grid")
-    p.add_argument("--rs-min", type=float, default=0.5)
+    p.add_argument("--rs", type=_number_in(0.0, math.inf), help="single-rate grid")
+    p.add_argument("--rs-min", type=_number_in(0.0, math.inf), default=0.5)
     p.add_argument("--rs-max", type=float, default=6.0)
     p.add_argument("--rs-step", type=float, default=0.5)
     p.add_argument("--fixed-eta", type=float,

@@ -8,7 +8,8 @@ manifest carrying the fully resolved configuration and its content hash.
 
 Reproducibility contract: every random quantity is drawn from a counter-based
 stream keyed by (master seed, trial index), so results are bit-identical for
-a given seed regardless of how many workers execute the trials.
+a given seed.  Trials run serially; the ``workers`` argument of the Monte
+Carlo entry points is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -28,7 +28,8 @@ from .arraymodel import (ArrayConfig, FrequencyVector, Location, correlation2,
                          half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity, c_an_lb, c_lb, eta)
-from .errors import ConfigError, FixtureError, InfeasibleRateError, RetryRequiredError
+from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
+                     RetryRequiredError)
 from .freqdesign import FIXTURE_LABELS, generate_k, load_frequency_table
 from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
@@ -122,6 +123,17 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _finite(value, where: str) -> float:
+    "A configuration number as a float; NaN, infinities and non-numbers are rejected."
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
     """Build a scenario from a configuration mapping.
 
@@ -138,9 +150,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if "array" in cfg:
         sec = cfg["array"]
         _check_keys(sec, {"M", "f0_hz", "delta_f_hz", "spacing"}, "array")
-        m = int(sec.get("M", array.n_elements))
-        f0 = float(sec.get("f0_hz", array.f0_hz))
-        df = float(sec.get("delta_f_hz", array.delta_f_hz))
+        m = _finite(sec.get("M", array.n_elements), "array.M")
+        if not m.is_integer():
+            raise ConfigError(f"array.M must be an integer, got {m!r}")
+        f0 = _finite(sec.get("f0_hz", array.f0_hz), "array.f0_hz")
+        df = _finite(sec.get("delta_f_hz", array.delta_f_hz), "array.delta_f_hz")
         spacing = sec.get("spacing", "half_wavelength")
         if spacing == "half_wavelength":
             d = half_wavelength_spacing(f0)
@@ -148,40 +162,42 @@ def scenario_from_config(cfg: dict) -> Scenario:
             _check_keys(spacing, {"meters"}, "array.spacing")
             if "meters" not in spacing:
                 raise ConfigError("array.spacing object needs a 'meters' key")
-            d = float(spacing["meters"])
+            d = _finite(spacing["meters"], "array.spacing.meters")
         elif isinstance(spacing, (int, float)):
-            d = float(spacing)
+            d = _finite(spacing, "array.spacing")
         else:
             raise ConfigError(f"array.spacing must be 'half_wavelength', a number "
                               f"or {{'meters': value}}, got {spacing!r}")
-        array = ArrayConfig(m, f0, df, d)
+        array = ArrayConfig(int(m), f0, df, d)
 
     def location(section_name: str, fallback: Location) -> Location:
         if section_name not in cfg:
             return fallback
         sec = cfg[section_name]
         _check_keys(sec, {"r_m", "theta_deg"}, section_name)
-        return Location(float(sec.get("r_m", fallback.r_m)),
-                        math.radians(float(sec.get("theta_deg",
-                                                   math.degrees(fallback.theta_rad)))))
+        return Location(_finite(sec.get("r_m", fallback.r_m), f"{section_name}.r_m"),
+                        math.radians(_finite(sec.get("theta_deg",
+                                                     math.degrees(fallback.theta_rad)),
+                                             f"{section_name}.theta_deg")))
 
     region = base.region
     if "region" in cfg:
         sec = cfg["region"]
         _check_keys(sec, {"dr_m", "dtheta_deg"}, "region")
         region = SecrecyRegion(
-            float(sec.get("dr_m", region.dr_m)),
-            math.radians(float(sec.get("dtheta_deg", math.degrees(region.dtheta_rad)))))
+            _finite(sec.get("dr_m", region.dr_m), "region.dr_m"),
+            math.radians(_finite(sec.get("dtheta_deg", math.degrees(region.dtheta_rad)),
+                                 "region.dtheta_deg")))
 
     power = base.power
     if "power" in cfg:
         sec = cfg["power"]
         _check_keys(sec, {"pt_dbm", "sigma_b2_dbm", "sigma_e2_dbm", "delta"}, "power")
         power = PowerConfig(
-            float(sec.get("pt_dbm", power.pt_dbm)),
-            float(sec.get("sigma_b2_dbm", power.sigma_b2_dbm)),
-            float(sec.get("sigma_e2_dbm", power.sigma_e2_dbm)),
-            float(sec.get("delta", power.delta)))
+            _finite(sec.get("pt_dbm", power.pt_dbm), "power.pt_dbm"),
+            _finite(sec.get("sigma_b2_dbm", power.sigma_b2_dbm), "power.sigma_b2_dbm"),
+            _finite(sec.get("sigma_e2_dbm", power.sigma_e2_dbm), "power.sigma_e2_dbm"),
+            _finite(sec.get("delta", power.delta), "power.delta"))
 
     k_source: GeneratedK | FixtureK = base.k_source
     if "k_source" in cfg:
@@ -192,7 +208,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             _check_keys(sec, {"type", "k_target", "method", "seed"}, "k_source")
             if "k_target" not in sec:
                 raise ConfigError("generated k_source needs 'k_target'")
-            k_source = GeneratedK(float(sec["k_target"]),
+            k_source = GeneratedK(_finite(sec["k_target"], "k_source.k_target"),
                                   str(sec.get("method", "projection")),
                                   int(sec.get("seed", 0)))
         elif sec["type"] == "fixture":
@@ -209,11 +225,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
         except ValueError:
             raise ConfigError(f"mode must be 'lb' or 'mc', got {cfg['mode']!r}") from None
 
+    rs_bits = _finite(cfg.get("rs_bits", base.rs_bits), "rs_bits")
+    if rs_bits < 0:
+        raise ConfigError(f"rs_bits must be >= 0, got {rs_bits!r}")
     try:
         return Scenario(array=array, bob=location("bob", base.bob),
                         eve=location("eve", base.eve), region=region, power=power,
-                        rs_bits=float(cfg.get("rs_bits", base.rs_bits)),
-                        k_source=k_source, mode=mode)
+                        rs_bits=rs_bits, k_source=k_source, mode=mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -309,12 +327,15 @@ def _trial_capacity(s: Scenario, scheme: Scheme, fixed_k: FrequencyVector | None
     if power.delta < 1.0:
         h_bob = steering_vector(s.array, k, s.bob)
         h_eve = steering_vector(s.array, k, s.eve)
-        while True:
+        for _ in range(64):
             try:
                 w = an_vector(h_bob, complex_gaussian(rng, s.array.n_elements))
                 break
             except RetryRequiredError:
                 continue
+        else:
+            raise ConvergenceError(f"trial {trial}: 64 AN draws in a row were parallel "
+                                   f"to the intended channel")
         an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
     return secrecy_capacity(capacity_bob(power), capacity_eve_an(power, corr2, an2))
 
@@ -324,24 +345,16 @@ def mc_capacity(s: Scenario, trials: int, seed: int, scheme: Scheme | None = Non
     """Monte Carlo mean secrecy capacity and its standard error.
 
     Each trial draws a fresh frequency vector (generated source only) and a
-    fresh AN realization from its own stream keyed by (seed, trial); identical
-    inputs give bit-identical output for any ``workers`` count.
+    fresh AN realization from its own stream keyed by (seed, trial), so
+    identical inputs give bit-identical output.  Trials run serially;
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     scheme = _effective_scheme(s, scheme)
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
-    values = np.empty(trials)
-
-    def run(t: int) -> None:
-        values[t] = _trial_capacity(s, scheme, fixed_k, seed, t)
-
-    if workers <= 1:
-        for t in range(trials):
-            run(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(trials)))
+    values = np.array([_trial_capacity(s, scheme, fixed_k, seed, t)
+                       for t in range(trials)])
     mean = float(values.mean())
     if trials == 1 or values.max() == values.min():
         stderr = 0.0
@@ -404,18 +417,23 @@ def read_result_csv(path: str | Path) -> SweepResult:
     return SweepResult(header[0], axis, series)
 
 
+def write_run_dir(run_dir: Path, csv_text: str, manifest: dict) -> Path:
+    "Write ``result.csv`` and a sorted-key ``manifest.json`` into ``run_dir``."
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "result.csv").write_text(csv_text)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2)
+                                           + "\n")
+    return run_dir
+
+
 def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
     """Write ``result.csv`` and ``manifest.json`` under ``out/<run-id>/``.
 
     The run id embeds the configuration hash, so re-running an unchanged
     configuration rewrites the same directory with byte-identical content.
     """
-    run_dir = Path(out_dir) / f"{run_name}-{result.meta['config_hash']}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_result_csv(result, run_dir / "result.csv")
-    manifest = json.dumps(result.meta, sort_keys=True, indent=2) + "\n"
-    (run_dir / "manifest.json").write_text(manifest)
-    return run_dir
+    return write_run_dir(Path(out_dir) / f"{run_name}-{result.meta['config_hash']}",
+                         result_csv_text(result), result.meta)
 
 
 def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme],
@@ -436,60 +454,56 @@ def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme]
     return payload
 
 
-def _evaluate_point(s: Scenario, scheme: Scheme, beta: float | None,
-                    trials: int, point_seed: int, workers: int,
-                    n_seeds: int) -> tuple[float, float | None]:
-    if s.mode is Mode.ANALYTIC_LB:
-        return lb_capacity(s, scheme, beta=beta, n_seeds=n_seeds), None
-    return mc_capacity(s, trials, point_seed, scheme, workers)
+def _sweep_series(schemes: list[Scheme], n_points: int,
+                  evaluate) -> dict[str, list[float | None]]:
+    """Call ``evaluate(scheme, i) -> (value, stderr | None)`` at every grid point
+    of every scheme.  A ``<scheme>_stderr`` column follows a scheme's values
+    when its evaluator reported standard errors."""
+    series: dict[str, list[float | None]] = {}
+    for scheme in schemes:
+        points = [evaluate(scheme, i) for i in range(n_points)]
+        series[scheme.value] = [value for value, _ in points]
+        if any(err is not None for _, err in points):
+            series[f"{scheme.value}_stderr"] = [err for _, err in points]
+    return series
 
 
 def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
-                    vary, schemes, trials, seed, workers, n_seeds) -> SweepResult:
-    # the varied quantity (power or delta) never moves the boundary
-    # correlation, so one beta serves the whole grid in analytic mode
-    grid = [float(g) for g in grid]
+                    points: list[Scenario], schemes, trials: int, seed: int,
+                    workers: int, n_seeds: int, shared_beta: bool = True) -> SweepResult:
+    """Secrecy capacity at each point scenario.  In analytic mode the points share
+    one beta when ``shared_beta``; power and delta never move the boundary correlation."""
     schemes = list(schemes)
-    series: dict[str, list[float | None]] = {}
-    shared_beta = None
-    if s.mode is Mode.ANALYTIC_LB:
-        shared_beta = beta_for_scenario(s, n_seeds)
-    for scheme in schemes:
-        means: list[float | None] = []
-        errs: list[float | None] = []
-        for i, value in enumerate(grid):
-            point = vary(s, value)
-            beta = shared_beta
-            mean, err = _evaluate_point(point, scheme, beta, trials,
-                                        _point_seed(seed, i), workers, n_seeds)
-            means.append(mean)
-            errs.append(err)
-        series[scheme.value] = means
-        if s.mode is Mode.MONTE_CARLO:
-            series[f"{scheme.value}_stderr"] = errs
-    result = SweepResult(axis_name, grid, series,
-                         _sweep_meta(s, kind, grid, schemes, trials, seed))
-    return result
+    beta = (beta_for_scenario(s, n_seeds)
+            if shared_beta and s.mode is Mode.ANALYTIC_LB else None)
+
+    def evaluate(scheme: Scheme, i: int) -> tuple[float, float | None]:
+        if s.mode is Mode.ANALYTIC_LB:
+            return lb_capacity(points[i], scheme, beta=beta, n_seeds=n_seeds), None
+        return mc_capacity(points[i], trials, _point_seed(seed, i), scheme, workers)
+
+    return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
+                       _sweep_meta(s, kind, grid, schemes, trials, seed))
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
                 trials: int = 10000, seed: int = 0, workers: int = 1,
                 n_seeds: int = 100) -> SweepResult:
     "Secrecy capacity versus transmit power (dBm) for each scheme."
-    def vary(base: Scenario, pt: float) -> Scenario:
-        return replace(base, power=replace(base.power, pt_dbm=pt))
-    return _capacity_sweep(s, "power", "pt_dbm", list(grid_dbm), vary, schemes,
-                           trials, seed, workers, n_seeds)
+    grid = [float(pt) for pt in grid_dbm]
+    points = [replace(s, power=replace(s.power, pt_dbm=pt)) for pt in grid]
+    return _capacity_sweep(s, "power", "pt_dbm", grid, points, schemes, trials, seed,
+                           workers, n_seeds)
 
 
 def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
                 trials: int = 10000, seed: int = 0, workers: int = 1,
                 n_seeds: int = 100) -> SweepResult:
     "Secrecy capacity versus the signal power fraction delta."
-    def vary(base: Scenario, delta: float) -> Scenario:
-        return replace(base, power=replace(base.power, delta=delta))
-    return _capacity_sweep(s, "delta", "delta", list(grid_delta), vary, schemes,
-                           trials, seed, workers, n_seeds)
+    grid = [float(delta) for delta in grid_delta]
+    points = [replace(s, power=replace(s.power, delta=delta)) for delta in grid]
+    return _capacity_sweep(s, "delta", "delta", grid, points, schemes, trials, seed,
+                           workers, n_seeds)
 
 
 def sweep_bandwidth(s: Scenario, labels=FIXTURE_LABELS,
@@ -504,22 +518,9 @@ def sweep_bandwidth(s: Scenario, labels=FIXTURE_LABELS,
     order = sorted(labels, key=lambda lab: float(lab.lstrip("K")))
     grid = [float(lab.lstrip("K")) for lab in order]
     path = s.k_source.path if isinstance(s.k_source, FixtureK) else None
-    schemes = list(schemes)
-    series: dict[str, list[float | None]] = {}
-    for scheme in schemes:
-        means: list[float | None] = []
-        errs: list[float | None] = []
-        for i, label in enumerate(order):
-            point = replace(s, k_source=FixtureK(label, path))
-            mean, err = _evaluate_point(point, scheme, None, trials,
-                                        _point_seed(seed, i), workers, n_seeds)
-            means.append(mean)
-            errs.append(err)
-        series[scheme.value] = means
-        if s.mode is Mode.MONTE_CARLO:
-            series[f"{scheme.value}_stderr"] = errs
-    return SweepResult("k_nominal", grid, series,
-                       _sweep_meta(s, "bandwidth", grid, schemes, trials, seed))
+    points = [replace(s, k_source=FixtureK(label, path)) for label in order]
+    return _capacity_sweep(s, "bandwidth", "k_nominal", grid, points, schemes, trials,
+                           seed, workers, n_seeds, shared_beta=False)
 
 
 def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
@@ -532,20 +533,16 @@ def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN)
     """
     grid = [float(g) for g in grid_rs]
     schemes = list(schemes)
-    series: dict[str, list[float | None]] = {}
-    any_feasible = False
-    for scheme in schemes:
-        values: list[float | None] = []
-        for rs in grid:
-            try:
-                values.append(float(solve_m_min(rs, s.power, s.region,
-                                                s.bob.theta_rad, s.array, scheme,
-                                                fixed_eta=fixed_eta)))
-                any_feasible = True
-            except InfeasibleRateError:
-                values.append(None)
-        series[scheme.value] = values
-    if not any_feasible:
+
+    def evaluate(scheme: Scheme, i: int) -> tuple[float | None, None]:
+        try:
+            return float(solve_m_min(grid[i], s.power, s.region, s.bob.theta_rad,
+                                     s.array, scheme, fixed_eta=fixed_eta)), None
+        except InfeasibleRateError:
+            return None, None
+
+    series = _sweep_series(schemes, len(grid), evaluate)
+    if all(value is None for values in series.values() for value in values):
         raise InfeasibleRateError(
             "every grid point is infeasible for the requested scheme(s); "
             "raise the transmit power or lower the rate")

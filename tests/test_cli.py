@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rfda_secrecy.cli import main
+from rfda_secrecy.cli import _scenario_from_args, build_parser, main
+from rfda_secrecy.sweep import scenario_to_config
 from rfda_secrecy.errors import ConvergenceError
 
 MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45"]
@@ -242,6 +243,62 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     code, _, err = run(capsys, "sweep", "rate", "--rs", "1.0")
     assert code == 4
     assert "converge" in err
+
+
+@pytest.mark.parametrize("config, argv", [
+    ('{"array": {"f0_hz": NaN}}', ["capacity"]),
+    ('{"bob": {"r_m": NaN}}', ["capacity"]),
+    ('{"power": {"pt_dbm": Infinity}}', ["capacity"]),
+    ('{"array": {"M": 16.9}}', ["capacity"]),
+    ('{"rs_bits": -3}', ["capacity"]),
+    (None, ["sweep", "rate", "--rs", "-1"]),
+    (None, ["sweep", "rate", "--rs-min", "-1"]),
+    (None, ["mmin", "--beta", "1.7", "--dtheta-deg", "5", "--theta-b-deg", "45"]),
+    (None, ["capacity", "--beta", "-0.1"]),
+    (None, ["region", "--beta", "nan"]),
+])
+def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = [*argv, "--config", "cfg.json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err
+
+
+@pytest.mark.parametrize("argv, path, expected", [
+    (["--m", "12"], "array.M", 12),
+    (["--f0-hz", "2e9"], "array.f0_hz", 2e9),
+    (["--delta-f-hz", "2e6"], "array.delta_f_hz", 2e6),
+    (["--spacing-m", "0.07"], "array.spacing.meters", 0.07),
+    (["--bob-r-m", "90"], "bob.r_m", 90.0),
+    (["--bob-theta-deg", "30"], "bob.theta_deg", 30.0),
+    (["--eve-r-m", "95"], "eve.r_m", 95.0),
+    (["--eve-theta-deg", "33"], "eve.theta_deg", 33.0),
+    (["--dr-m", "6"], "region.dr_m", 6.0),
+    (["--dtheta-deg", "4"], "region.dtheta_deg", 4.0),
+    (["--pt-dbm", "25"], "power.pt_dbm", 25.0),
+    (["--sigma-b2-dbm", "1"], "power.sigma_b2_dbm", 1.0),
+    (["--sigma-e2-dbm", "2"], "power.sigma_e2_dbm", 2.0),
+    (["--delta", "0.7"], "power.delta", 0.7),
+    (["--rs-bits", "1.5"], "rs_bits", 1.5),
+    (["--mode", "mc"], "mode", "mc"),
+    (["--k-target", "150"], "k_source.k_target", 150.0),
+    (["--k-target", "150", "--k-method", "eigen"], "k_source.method", "eigen"),
+    (["--k-target", "150", "--k-seed", "9"], "k_source.seed", 9),
+    (["--fixture-label", "K12905"], "k_source.label", "K12905"),
+    (["--fixture-path", "table.csv"], "k_source.path", "table.csv"),
+])
+def test_scenario_flag_sets_its_config_path(argv, path, expected):
+    args = build_parser().parse_args(["capacity", *argv])
+    value = scenario_to_config(_scenario_from_args(args))
+    for key in path.split("."):
+        value = value[key]
+    if isinstance(expected, float):
+        expected = pytest.approx(expected)
+    assert value == expected
 
 
 def test_help_exits_0(capsys):

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfda_secrecy import (ConfigError, FixtureError, FixtureK, GeneratedK,
-                          InfeasibleRateError, Mode, Scheme, SweepResult,
+from rfda_secrecy import (ConfigError, ConvergenceError, FixtureError, FixtureK,
+                          GeneratedK, InfeasibleRateError, Mode, RetryRequiredError,
+                          Scheme, SweepResult,
                           beampattern_grid, beta_for_scenario, c_lb, capacity_bob,
                           config_hash, default_scenario, fixture_vector,
                           lb_capacity, mc_capacity, read_result_csv, resolve_k,
@@ -142,6 +143,31 @@ def test_mc_capacity_deterministic_and_parallel_invariant():
     ga = mc_capacity(g, 100, seed=3)
     gb = mc_capacity(g, 100, seed=3, workers=3)
     assert ga == gb
+
+
+@pytest.mark.parametrize("failures, raises", [(63, False), (1000, True)])
+def test_an_redraw_loop_is_capped_at_64_attempts(monkeypatch, failures, raises):
+    import rfda_secrecy.sweep as sweep_mod
+
+    real = sweep_mod.an_vector
+    calls = []
+
+    def flaky(h, z):
+        calls.append(None)
+        if len(calls) <= failures:
+            raise RetryRequiredError("noise draw parallel to the channel")
+        return real(h, z)
+
+    monkeypatch.setattr(sweep_mod, "an_vector", flaky)
+    s = default_scenario(mode=Mode.MONTE_CARLO)
+    if raises:
+        with pytest.raises(ConvergenceError):
+            mc_capacity(s, 1, seed=0, scheme=Scheme.WITH_AN)
+        assert len(calls) == 64
+    else:
+        mean, _ = mc_capacity(s, 1, seed=0, scheme=Scheme.WITH_AN)
+        assert math.isfinite(mean)
+        assert len(calls) == 64
 
 
 def test_mc_capacity_fixture_regression():
