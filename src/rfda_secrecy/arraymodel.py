@@ -8,6 +8,7 @@ two locations, and the exact / second-order beampatterns built from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,9 @@ class ArrayConfig:
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
         for name in ("f0_hz", "delta_f_hz", "spacing_m", "wave_speed"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
     @classmethod
     def half_wavelength(cls, n_elements: int, f0_hz: float, delta_f_hz: float,
@@ -58,8 +60,8 @@ class Location:
     theta_rad: float
 
     def __post_init__(self):
-        if self.r_m < 0:
-            raise ValueError(f"range must be >= 0, got {self.r_m}")
+        if not 0 <= self.r_m < math.inf:
+            raise ValueError(f"range must be finite and >= 0, got {self.r_m}")
         if not 0.0 < self.theta_rad < np.pi:
             raise ValueError(f"theta must be in (0, pi), got {self.theta_rad}")
 

@@ -16,12 +16,10 @@ import math
 import sys
 from pathlib import Path
 
-from .arraymodel import ArrayConfig, half_wavelength_spacing
 from .errors import (ConfigError, ConvergenceError, FixtureError,
                      InfeasibleRateError)
 from .freqdesign import generate_k, rho1, rho2
-from .secrecyregion import (Scheme, SecrecyRegion, ellipse_semi_axes, k_min,
-                            m_min)
+from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
 from .sweep import (Mode, Scenario, beampattern_csv_text, beampattern_grid,
                     config_hash, lb_capacity, mc_capacity, resolve_k,
@@ -45,47 +43,59 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _number_in(lo: float, hi: float):
-    "argparse type: a float in the closed interval [lo, hi] (NaN is rejected)."
+    "argparse type: a finite float in the closed interval [lo, hi]."
     def number(text: str) -> float:
         value = float(text)
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(f"must be in [{lo:g}, {hi:g}], got {text}")
+        if not (math.isfinite(value) and lo <= value <= hi):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number in [{lo:g}, {hi:g}], got {text}")
         return value
     return number
 
 
-# scenario flag (argparse dest) -> the configuration key it overrides
-_FLAG_PATHS = {
-    "m": "array.M", "f0_hz": "array.f0_hz", "delta_f_hz": "array.delta_f_hz",
-    "spacing_m": "array.spacing",
-    "bob_r_m": "bob.r_m", "bob_theta_deg": "bob.theta_deg",
-    "eve_r_m": "eve.r_m", "eve_theta_deg": "eve.theta_deg",
-    "dr_m": "region.dr_m", "dtheta_deg": "region.dtheta_deg",
-    "pt_dbm": "power.pt_dbm", "sigma_b2_dbm": "power.sigma_b2_dbm",
-    "sigma_e2_dbm": "power.sigma_e2_dbm", "delta": "power.delta",
-    "rs_bits": "rs_bits", "mode": "mode",
+# scenario number flag -> (type, configuration key it overrides, help)
+_NUMBER_FLAGS = {
+    "--m": (int, "array.M", "number of array elements"),
+    "--f0-hz": (float, "array.f0_hz", "carrier frequency in Hz"),
+    "--delta-f-hz": (float, "array.delta_f_hz", "frequency-increment reference in Hz"),
+    "--spacing-m": (float, "array.spacing",
+                    "element spacing in meters (default: half wavelength)"),
+    "--bob-r-m": (float, "bob.r_m", "intended receiver range"),
+    "--bob-theta-deg": (float, "bob.theta_deg", "intended receiver angle"),
+    "--eve-r-m": (float, "eve.r_m", "eavesdropper probe range"),
+    "--eve-theta-deg": (float, "eve.theta_deg", "eavesdropper probe angle"),
+    "--dr-m": (float, "region.dr_m", "region half-width in range"),
+    "--dtheta-deg": (float, "region.dtheta_deg", "region half-width in angle"),
+    "--pt-dbm": (float, "power.pt_dbm", "transmit power in dBm"),
+    "--sigma-b2-dbm": (float, "power.sigma_b2_dbm", "intended noise floor"),
+    "--sigma-e2-dbm": (float, "power.sigma_e2_dbm", "eavesdropper noise floor"),
+    "--delta": (float, "power.delta", "signal power fraction"),
+    "--rs-bits": (float, "rs_bits", "target secrecy rate"),
 }
+# the array and region flags of the closed-form subcommands mmin and kmin
+_GEOMETRY_FLAGS = ("--dtheta-deg", "--dr-m", "--f0-hz", "--delta-f-hz", "--spacing-m")
+
+
+def _add_number_flags(parser: argparse.ArgumentParser, flags=tuple(_NUMBER_FLAGS),
+                      required=()) -> None:
+    for flag in flags:
+        kind, _, text = _NUMBER_FLAGS[flag]
+        parser.add_argument(flag, type=kind, help=text, required=flag in required)
+
+
+def _flag_config(args: argparse.Namespace, cfg: dict) -> dict:
+    "Write every number flag given on the command line into ``cfg`` at its key."
+    for flag, (_, path, _) in _NUMBER_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return cfg
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--m", type=int, help="number of array elements")
-    parser.add_argument("--f0-hz", type=float, help="carrier frequency in Hz")
-    parser.add_argument("--delta-f-hz", type=float,
-                        help="frequency-increment reference in Hz")
-    parser.add_argument("--spacing-m", type=float,
-                        help="element spacing in meters (default: half wavelength)")
-    parser.add_argument("--bob-r-m", type=float, help="intended receiver range")
-    parser.add_argument("--bob-theta-deg", type=float, help="intended receiver angle")
-    parser.add_argument("--eve-r-m", type=float, help="eavesdropper probe range")
-    parser.add_argument("--eve-theta-deg", type=float, help="eavesdropper probe angle")
-    parser.add_argument("--dr-m", type=float, help="region half-width in range")
-    parser.add_argument("--dtheta-deg", type=float, help="region half-width in angle")
-    parser.add_argument("--pt-dbm", type=float, help="transmit power in dBm")
-    parser.add_argument("--sigma-b2-dbm", type=float, help="intended noise floor")
-    parser.add_argument("--sigma-e2-dbm", type=float, help="eavesdropper noise floor")
-    parser.add_argument("--delta", type=float, help="signal power fraction")
-    parser.add_argument("--rs-bits", type=float, help="target secrecy rate")
+    _add_number_flags(parser)
     parser.add_argument("--k-target", type=float,
                         help="generate k with this squared norm")
     parser.add_argument("--k-method", choices=("projection", "eigen"),
@@ -103,12 +113,9 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             cfg = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
-
-    for dest, path in _FLAG_PATHS.items():
-        value = getattr(args, dest)
-        if value is not None:
-            section, _, key = path.rpartition(".")
-            (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    _flag_config(args, cfg)
+    if args.mode is not None:
+        cfg["mode"] = args.mode
 
     if args.k_target is not None and args.fixture_label is not None:
         raise ConfigError("--k-target and --fixture-label are mutually exclusive")
@@ -123,33 +130,23 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return scenario_from_config(cfg)
 
 
-def _geometry_from_args(args: argparse.Namespace) -> ArrayConfig:
-    "Minimal array geometry for the closed-form subcommands."
-    f0 = args.f0_hz if args.f0_hz is not None else 1e9
-    df = args.delta_f_hz if args.delta_f_hz is not None else 1e6
-    spacing = args.spacing_m if args.spacing_m is not None else half_wavelength_spacing(f0)
-    return ArrayConfig(max(getattr(args, "m", None) or 1, 1), f0, df, spacing)
-
-
 def _cmd_mmin(args: argparse.Namespace) -> int:
-    cfg = _geometry_from_args(args)
-    region = SecrecyRegion(args.dr_m or 1.0, math.radians(args.dtheta_deg))
-    value = m_min(args.beta, region, math.radians(args.theta_b_deg), cfg)
+    s = scenario_from_config(_flag_config(args, {}))
+    value = m_min(args.beta, s.region, math.radians(args.theta_b_deg), s.array)
     print(f"{value:.2f}")
     return 0
 
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
-    cfg = _geometry_from_args(args)
-    region = SecrecyRegion(args.dr_m, math.radians(args.dtheta_deg or 1.0))
+    s = scenario_from_config(_flag_config(args, {}))
     if args.m_min is not None:
         m_value = args.m_min
     else:
         if args.dtheta_deg is None or args.theta_b_deg is None:
             raise ConfigError("kmin needs either --m-min or both "
                               "--dtheta-deg and --theta-b-deg")
-        m_value = m_min(args.beta, region, math.radians(args.theta_b_deg), cfg)
-    print(f"{k_min(args.beta, region, cfg, m_value):.2f}")
+        m_value = m_min(args.beta, s.region, math.radians(args.theta_b_deg), s.array)
+    print(f"{k_min(args.beta, s.region, s.array, m_value):.2f}")
     return 0
 
 
@@ -271,29 +268,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mmin", help="minimum element count for a region")
     p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
-    p.add_argument("--dtheta-deg", type=float, required=True)
     p.add_argument("--theta-b-deg", type=float, required=True)
-    p.add_argument("--dr-m", type=float)
-    p.add_argument("--f0-hz", type=float)
-    p.add_argument("--delta-f-hz", type=float)
-    p.add_argument("--spacing-m", type=float)
-    p.set_defaults(handler=_cmd_mmin, m=None)
+    _add_number_flags(p, _GEOMETRY_FLAGS, required={"--dtheta-deg"})
+    p.set_defaults(handler=_cmd_mmin)
 
     p = sub.add_parser("kmin", help="minimum squared frequency-spread norm")
     p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
-    p.add_argument("--dr-m", type=float, required=True)
-    p.add_argument("--m-min", type=float)
-    p.add_argument("--dtheta-deg", type=float)
+    p.add_argument("--m-min", type=_number_in(0.0, math.inf))
     p.add_argument("--theta-b-deg", type=float)
-    p.add_argument("--f0-hz", type=float)
-    p.add_argument("--delta-f-hz", type=float)
-    p.add_argument("--spacing-m", type=float)
-    p.set_defaults(handler=_cmd_kmin, m=None)
+    _add_number_flags(p, _GEOMETRY_FLAGS, required={"--dr-m"})
+    p.set_defaults(handler=_cmd_kmin)
 
     p = sub.add_parser("region", help="confinement ellipse and resource minima")
     _add_scenario_flags(p)
     p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
-    p.add_argument("--k-norm2", type=float,
+    p.add_argument("--k-norm2", type=_number_in(0.0, math.inf),
                    help="squared norm of k (default: from the scenario's k source)")
     p.set_defaults(handler=_cmd_region)
 

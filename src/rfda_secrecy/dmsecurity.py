@@ -13,6 +13,7 @@ once, inside :class:`PowerConfig`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ class PowerConfig:
     delta: float = 0.6
 
     def __post_init__(self):
+        for name in ("pt_dbm", "sigma_b2_dbm", "sigma_e2_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
 

@@ -36,8 +36,8 @@ class SecrecyRegion:
     dtheta_rad: float
 
     def __post_init__(self):
-        if self.dr_m <= 0 or self.dtheta_rad <= 0:
-            raise ValueError("region half-widths must be strictly positive")
+        if not (0 < self.dr_m < math.inf and 0 < self.dtheta_rad < math.inf):
+            raise ValueError("region half-widths must be strictly positive and finite")
 
 
 class Scheme(Enum):

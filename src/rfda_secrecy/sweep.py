@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -125,113 +126,92 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 def _finite(value, where: str) -> float:
     "A configuration number as a float; NaN, infinities and non-numbers are rejected."
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
 
 
+def _integer(value, where: str) -> int:
+    number = _finite(value, where)
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _section(cfg: dict, name: str, defaults: dict, other_keys=()) -> dict:
+    """The numbers of one configuration section, each read through :func:`_finite`
+    and falling back to ``defaults``.  The section must be a JSON object whose
+    keys are those of ``defaults`` plus ``other_keys``."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    _check_keys(section, {*defaults, *other_keys}, name)
+    return {key: _finite(section.get(key, value), f"{name}.{key}")
+            for key, value in defaults.items()}
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
     """Build a scenario from a configuration mapping.
 
-    Missing sections fall back to the defaults; unknown keys anywhere are
-    rejected.
+    Missing sections and keys fall back to the defaults; unknown keys anywhere
+    are rejected.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_keys(cfg, {"array", "bob", "eve", "region", "power", "rs_bits",
-                      "k_source", "mode"}, "configuration")
-    base = default_scenario()
+    defaults = scenario_to_config(default_scenario())
+    _check_keys(cfg, set(defaults), "configuration")
+    # an absent spacing is half a wavelength of the resolved carrier
+    del defaults["array"]["spacing"]
+    array = _section(cfg, "array", defaults["array"], other_keys={"spacing"})
+    bob, eve, region, power = (_section(cfg, name, defaults[name])
+                               for name in ("bob", "eve", "region", "power"))
+    spacing = cfg.get("array", {}).get("spacing", "half_wavelength")
+    if spacing == "half_wavelength":
+        d = half_wavelength_spacing(array["f0_hz"])
+    elif isinstance(spacing, dict) and set(spacing) == {"meters"}:
+        d = _finite(spacing["meters"], "array.spacing.meters")
+    elif isinstance(spacing, numbers.Real):
+        d = _finite(spacing, "array.spacing")
+    else:
+        raise ConfigError(f"array.spacing must be 'half_wavelength', a number "
+                          f"or {{'meters': value}}, got {spacing!r}")
 
-    array = base.array
-    if "array" in cfg:
-        sec = cfg["array"]
-        _check_keys(sec, {"M", "f0_hz", "delta_f_hz", "spacing"}, "array")
-        m = _finite(sec.get("M", array.n_elements), "array.M")
-        if not m.is_integer():
-            raise ConfigError(f"array.M must be an integer, got {m!r}")
-        f0 = _finite(sec.get("f0_hz", array.f0_hz), "array.f0_hz")
-        df = _finite(sec.get("delta_f_hz", array.delta_f_hz), "array.delta_f_hz")
-        spacing = sec.get("spacing", "half_wavelength")
-        if spacing == "half_wavelength":
-            d = half_wavelength_spacing(f0)
-        elif isinstance(spacing, dict):
-            _check_keys(spacing, {"meters"}, "array.spacing")
-            if "meters" not in spacing:
-                raise ConfigError("array.spacing object needs a 'meters' key")
-            d = _finite(spacing["meters"], "array.spacing.meters")
-        elif isinstance(spacing, (int, float)):
-            d = _finite(spacing, "array.spacing")
-        else:
-            raise ConfigError(f"array.spacing must be 'half_wavelength', a number "
-                              f"or {{'meters': value}}, got {spacing!r}")
-        array = ArrayConfig(int(m), f0, df, d)
+    sec = cfg.get("k_source", defaults["k_source"])
+    if not isinstance(sec, dict) or "type" not in sec:
+        raise ConfigError("k_source must be an object with a 'type' key")
+    if sec["type"] == "generated":
+        _check_keys(sec, {"type", "k_target", "method", "seed"}, "k_source")
+        if "k_target" not in sec:
+            raise ConfigError("generated k_source needs 'k_target'")
+        k_source = GeneratedK(_finite(sec["k_target"], "k_source.k_target"),
+                              str(sec.get("method", "projection")),
+                              _integer(sec.get("seed", 0), "k_source.seed"))
+    elif sec["type"] == "fixture":
+        _check_keys(sec, {"type", "label", "path"}, "k_source")
+        k_source = FixtureK(str(sec.get("label", "K10405")), sec.get("path"))
+    else:
+        raise ConfigError(f"k_source.type must be 'generated' or 'fixture', "
+                          f"got {sec['type']!r}")
 
-    def location(section_name: str, fallback: Location) -> Location:
-        if section_name not in cfg:
-            return fallback
-        sec = cfg[section_name]
-        _check_keys(sec, {"r_m", "theta_deg"}, section_name)
-        return Location(_finite(sec.get("r_m", fallback.r_m), f"{section_name}.r_m"),
-                        math.radians(_finite(sec.get("theta_deg",
-                                                     math.degrees(fallback.theta_rad)),
-                                             f"{section_name}.theta_deg")))
+    try:
+        mode = Mode(cfg.get("mode", defaults["mode"]))
+    except ValueError:
+        raise ConfigError(f"mode must be 'lb' or 'mc', got {cfg['mode']!r}") from None
 
-    region = base.region
-    if "region" in cfg:
-        sec = cfg["region"]
-        _check_keys(sec, {"dr_m", "dtheta_deg"}, "region")
-        region = SecrecyRegion(
-            _finite(sec.get("dr_m", region.dr_m), "region.dr_m"),
-            math.radians(_finite(sec.get("dtheta_deg", math.degrees(region.dtheta_rad)),
-                                 "region.dtheta_deg")))
-
-    power = base.power
-    if "power" in cfg:
-        sec = cfg["power"]
-        _check_keys(sec, {"pt_dbm", "sigma_b2_dbm", "sigma_e2_dbm", "delta"}, "power")
-        power = PowerConfig(
-            _finite(sec.get("pt_dbm", power.pt_dbm), "power.pt_dbm"),
-            _finite(sec.get("sigma_b2_dbm", power.sigma_b2_dbm), "power.sigma_b2_dbm"),
-            _finite(sec.get("sigma_e2_dbm", power.sigma_e2_dbm), "power.sigma_e2_dbm"),
-            _finite(sec.get("delta", power.delta), "power.delta"))
-
-    k_source: GeneratedK | FixtureK = base.k_source
-    if "k_source" in cfg:
-        sec = cfg["k_source"]
-        if not isinstance(sec, dict) or "type" not in sec:
-            raise ConfigError("k_source must be an object with a 'type' key")
-        if sec["type"] == "generated":
-            _check_keys(sec, {"type", "k_target", "method", "seed"}, "k_source")
-            if "k_target" not in sec:
-                raise ConfigError("generated k_source needs 'k_target'")
-            k_source = GeneratedK(_finite(sec["k_target"], "k_source.k_target"),
-                                  str(sec.get("method", "projection")),
-                                  int(sec.get("seed", 0)))
-        elif sec["type"] == "fixture":
-            _check_keys(sec, {"type", "label", "path"}, "k_source")
-            k_source = FixtureK(str(sec.get("label", "K10405")), sec.get("path"))
-        else:
-            raise ConfigError(f"k_source.type must be 'generated' or 'fixture', "
-                              f"got {sec['type']!r}")
-
-    mode = base.mode
-    if "mode" in cfg:
-        try:
-            mode = Mode(cfg["mode"])
-        except ValueError:
-            raise ConfigError(f"mode must be 'lb' or 'mc', got {cfg['mode']!r}") from None
-
-    rs_bits = _finite(cfg.get("rs_bits", base.rs_bits), "rs_bits")
+    rs_bits = _finite(cfg.get("rs_bits", defaults["rs_bits"]), "rs_bits")
     if rs_bits < 0:
         raise ConfigError(f"rs_bits must be >= 0, got {rs_bits!r}")
+    m = _integer(array["M"], "array.M")
     try:
-        return Scenario(array=array, bob=location("bob", base.bob),
-                        eve=location("eve", base.eve), region=region, power=power,
-                        rs_bits=rs_bits, k_source=k_source, mode=mode)
+        return Scenario(
+            array=ArrayConfig(m, array["f0_hz"], array["delta_f_hz"], d),
+            bob=Location(bob["r_m"], math.radians(bob["theta_deg"])),
+            eve=Location(eve["r_m"], math.radians(eve["theta_deg"])),
+            region=SecrecyRegion(region["dr_m"], math.radians(region["dtheta_deg"])),
+            power=PowerConfig(**power), rs_bits=rs_bits, k_source=k_source, mode=mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -281,6 +261,8 @@ def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
     """
     if isinstance(s.k_source, FixtureK):
         return beta_boundary(s.array, resolve_k(s), s.bob, s.region)
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     values = [beta_boundary(s.array, resolve_k(s, _trial_rng(s.k_source.seed, i)),
                             s.bob, s.region)
               for i in range(n_seeds)]
@@ -316,11 +298,7 @@ def lb_capacity(s: Scenario, scheme: Scheme | None = None,
 def _trial_capacity(s: Scenario, scheme: Scheme, fixed_k: FrequencyVector | None,
                     seed: int, trial: int) -> float:
     rng = _trial_rng(seed, trial)
-    if fixed_k is None:
-        src = s.k_source
-        k = generate_k(s.array.n_elements, src.k_target, src.method, seed=rng)
-    else:
-        k = fixed_k
+    k = resolve_k(s, rng) if fixed_k is None else fixed_k
     power = replace(s.power, delta=1.0) if scheme is Scheme.WITHOUT_AN else s.power
     corr2 = correlation2(s.array, k, s.bob, s.eve)
     an2 = 0.0

@@ -256,6 +256,18 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["mmin", "--beta", "1.7", "--dtheta-deg", "5", "--theta-b-deg", "45"]),
     (None, ["capacity", "--beta", "-0.1"]),
     (None, ["region", "--beta", "nan"]),
+    ('{"bob": 5}', ["capacity"]),
+    ('{"array": null}', ["capacity"]),
+    ('{"power": []}', ["capacity"]),
+    ('{"k_source": {"type": "generated", "k_target": 100, "seed": null}}', ["capacity"]),
+    ('{"k_source": {"type": "generated", "k_target": 100, "seed": 1.7}}', ["capacity"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "nan", "--theta-b-deg", "45"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45",
+            "--dr-m", "0"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "nan", "--m-min", "10"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "inf"]),
+    (None, ["region", "--beta", "0.4", "--k-norm2", "nan"]),
+    (None, ["capacity", "--k-target", "10405", "--beta-seeds", "0"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)

@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (ConfigError, ConvergenceError, FixtureError, FixtureK,
-                          GeneratedK, InfeasibleRateError, Mode, RetryRequiredError,
-                          Scheme, SweepResult,
+from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, ConfigError, ConvergenceError,
+                          FixtureError, FixtureK, GeneratedK, InfeasibleRateError,
+                          Location, Mode, PowerConfig, RetryRequiredError, Scenario,
+                          Scheme, SecrecyRegion, SweepResult,
                           beampattern_grid, beta_for_scenario, c_lb, capacity_bob,
                           config_hash, default_scenario, fixture_vector,
                           lb_capacity, mc_capacity, read_result_csv, resolve_k,
@@ -101,6 +103,15 @@ def test_beta_for_scenario_fixture_and_generated():
     b2 = beta_for_scenario(g, n_seeds=20)
     assert b1 == b2
     assert 0.0 < b1 < 1.0
+
+
+def test_beta_for_scenario_needs_a_seed_for_generated_k():
+    g = default_scenario(k_source=GeneratedK(10405.0, "projection", 1))
+    with pytest.raises(ValueError, match="n_seeds"):
+        beta_for_scenario(g, n_seeds=0)
+    # a fixture vector gives one deterministic value and draws no seeds
+    assert beta_for_scenario(default_scenario(), n_seeds=0) == beta_for_scenario(
+        default_scenario())
 
 
 def test_lb_capacity_reference_points():
@@ -340,3 +351,87 @@ def test_line_chart_renders_series_and_gaps():
     assert line_chart(result) == line_chart(result)
     with pytest.raises(ValueError):
         line_chart(SweepResult("x", [0.0, 1.0], {"y": [None, None]}))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: ArrayConfig(16, v, 1e6, 0.15),
+    lambda v: ArrayConfig(16, 1e9, v, 0.15),
+    lambda v: ArrayConfig(16, 1e9, 1e6, v),
+    lambda v: ArrayConfig(16, 1e9, 1e6, 0.15, wave_speed=v),
+    lambda v: Location(v, 1.0),
+    lambda v: Location(100.0, v),
+    lambda v: PowerConfig(v),
+    lambda v: PowerConfig(30.0, sigma_b2_dbm=v),
+    lambda v: PowerConfig(30.0, sigma_e2_dbm=v),
+    lambda v: PowerConfig(30.0, delta=v),
+    lambda v: SecrecyRegion(v, 0.1),
+    lambda v: SecrecyRegion(8.0, v),
+], ids=["f0_hz", "delta_f_hz", "spacing_m", "wave_speed", "r_m", "theta_rad",
+        "pt_dbm", "sigma_b2_dbm", "sigma_e2_dbm", "delta", "dr_m", "dtheta_rad"])
+def test_value_types_reject_non_finite_fields(make, bad):
+    with pytest.raises(ValueError):
+        make(bad)
+
+
+def _finite_floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_scenarios = st.builds(
+    Scenario,
+    array=st.builds(ArrayConfig, st.integers(1, 128), _finite_floats(1e6, 1e11),
+                    _finite_floats(1e3, 1e8), _finite_floats(1e-3, 10.0)),
+    bob=st.builds(Location, _finite_floats(0.0, 1e4), _finite_floats(1e-3, 3.14)),
+    eve=st.builds(Location, _finite_floats(0.0, 1e4), _finite_floats(1e-3, 3.14)),
+    region=st.builds(SecrecyRegion, _finite_floats(1e-3, 1e3), _finite_floats(1e-4, 1.5)),
+    power=st.builds(PowerConfig, _finite_floats(-50.0, 60.0), _finite_floats(-50.0, 30.0),
+                    _finite_floats(-50.0, 30.0), _finite_floats(0.0, 1.0)),
+    rs_bits=_finite_floats(0.0, 20.0),
+    k_source=st.one_of(
+        st.builds(GeneratedK, _finite_floats(1.0, 1e5),
+                  st.sampled_from(["projection", "eigen"]), st.integers(0, 2**32)),
+        st.builds(FixtureK, st.sampled_from(FIXTURE_LABELS),
+                  st.none() | st.just("table.csv"))),
+    mode=st.sampled_from(Mode))
+
+
+def _angles(s):
+    return s.bob.theta_rad, s.eve.theta_rad, s.region.dtheta_rad
+
+
+def _without_angles(s):
+    return replace(s, bob=replace(s.bob, theta_rad=1.0), eve=replace(s.eve, theta_rad=1.0),
+                   region=replace(s.region, dtheta_rad=1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios)
+def test_scenario_config_json_round_trip_property(s):
+    got = scenario_from_config(json.loads(json.dumps(scenario_to_config(s))))
+    # degrees <-> radians is exact for the defaults but not for every angle
+    assert _without_angles(got) == _without_angles(s)
+    assert _angles(got) == pytest.approx(_angles(s), rel=1e-12)
+
+
+def _number_paths(node, path=()):
+    "Key paths of every numeric leaf of a configuration mapping."
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _number_paths(value, (*path, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*path, key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios, st.data())
+def test_scenario_from_config_rejects_a_bad_number_anywhere(s, data):
+    cfg = scenario_to_config(s)
+    *parents, key = data.draw(st.sampled_from(sorted(_number_paths(cfg))))
+    node = cfg
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, None,
+                                           "1", "many"]))
+    with pytest.raises(ConfigError):
+        scenario_from_config(cfg)
