@@ -4,29 +4,26 @@ beamforming, secrecy-capacity bounds, resource minima and experiment sweeps.
 """
 
 from .arraymodel import (ArrayConfig, FrequencyVector, Location, SPEED_OF_LIGHT,
-                         beampattern_exact, beampattern_taylor, correlation2,
-                         half_wavelength_spacing, phase_shift, pq_offsets,
+                         correlation2, half_wavelength_spacing, pq_offsets,
                          steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, c_an_lb, c_lb, capacity_bob,
                          capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
-                         random_qpsk, receive_signal, secrecy_capacity, sinr_eve,
-                         snr_bob, transmit_signal)
+                         secrecy_capacity, sinr_eve, snr_bob)
 from .errors import (ConfigError, ConvergenceError, FixtureError,
                      InfeasibleRateError, RetryRequiredError)
 from .freqdesign import (EigenResult, FIXTURE_LABELS, build_design_matrix,
                          default_fixture_path, generate_k, load_frequency_table,
-                         rho1, rho2, symmetric_eigen, taylor_gram_constant)
+                         rho1, rho2, symmetric_eigen)
 from .secrecyregion import (BEAMWIDTH_CONSTANT_RAD, Scheme, SecrecyRegion,
                             beta_boundary, beta_max_an, beta_max_no_an,
-                            corner_locations, ellipse_residual, ellipse_semi_axes,
-                            k_min, m_min, solve_m_min)
+                            corner_locations, ellipse_semi_axes, k_min, m_min,
+                            solve_m_min)
 from .sweep import (FixtureK, GeneratedK, Mode, Scenario, SweepResult,
                     beta_for_scenario, beampattern_grid, config_hash,
                     default_scenario, fixture_vector, lb_capacity, mc_capacity,
-                    read_result_csv, resolve_k, result_csv_text,
-                    scenario_from_config, scenario_to_config, sweep_bandwidth,
-                    sweep_delta, sweep_power, sweep_rate, validate_fixtures,
-                    write_result_csv, write_run)
+                    resolve_k, result_csv_text, scenario_from_config,
+                    scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
+                    sweep_rate, validate_fixtures, write_run)
 from .version import VERSION as __version__
 
 __all__ = [name for name in dir() if not name.startswith("_")]

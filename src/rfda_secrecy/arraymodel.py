@@ -2,8 +2,8 @@
 
 Each element radiates at its own carrier ``f0 + k_m * delta_f``, which makes
 the transmit beampattern depend on range as well as angle.  This module holds
-the far-field phase model, steering vectors, the squared correlation between
-two locations, and the exact / second-order beampatterns built from it.
+the far-field phase model, steering vectors and the squared correlation between
+two locations.
 """
 
 from __future__ import annotations
@@ -110,23 +110,8 @@ def half_wavelength_spacing(f0_hz: float, wave_speed: float = SPEED_OF_LIGHT) ->
     return wave_speed / (2.0 * f0_hz)
 
 
-def phase_shift(cfg: ArrayConfig, k_m: float, element: int, loc: Location) -> float:
-    """Far-field phase of one element toward ``loc``, in radians.
-
-    ``element`` is 1-based.  The returned value is
-    ``-2*pi*((m-1)*f0*d*cos(theta)/c + k_m*delta_f*r/c)``, the standard
-    narrowband approximation that drops the cross term between the element
-    index and the per-element frequency offset.
-    """
-    if not 1 <= element <= cfg.n_elements:
-        raise ValueError(f"element index {element} out of range 1..{cfg.n_elements}")
-    angle_term = (element - 1) * cfg.f0_hz * cfg.spacing_m * np.cos(loc.theta_rad)
-    range_term = k_m * cfg.delta_f_hz * loc.r_m
-    return float(-2.0 * np.pi * (angle_term + range_term) / cfg.wave_speed)
-
-
 def _phase_profile(cfg: ArrayConfig, k: np.ndarray, loc: Location) -> np.ndarray:
-    "Vector of per-element phases toward ``loc`` (vectorized phase_shift)."
+    "Vector of per-element phases toward ``loc`` (vectorized ``reference.phase_shift``)."
     m = np.arange(cfg.n_elements)
     angle_term = m * cfg.f0_hz * cfg.spacing_m * np.cos(loc.theta_rad)
     range_term = k * cfg.delta_f_hz * loc.r_m
@@ -167,21 +152,3 @@ def correlation2(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     karr = _as_k(k, cfg.n_elements)
     z = _mismatch_phases(cfg, karr, bob, eve)
     return float(np.abs(np.exp(1j * z).mean()) ** 2)
-
-
-def beampattern_exact(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
-    "Transmit beampattern |sum_m e^{j z_m}|^2 at ``eve``; equals M^2 at ``bob``."
-    return cfg.n_elements ** 2 * correlation2(cfg, k, bob, eve)
-
-
-def beampattern_taylor(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
-    """Second-order expansion of the beampattern around the aim point.
-
-    Equals ``sum_{m,n} [1 - (z_m - z_n)^2 / 2]``, evaluated via moments.  It
-    never exceeds :func:`beampattern_exact` (cos x >= 1 - x^2/2) and can go
-    negative far from the aim point, where the expansion has no validity.
-    """
-    karr = _as_k(k, cfg.n_elements)
-    z = _mismatch_phases(cfg, karr, bob, eve)
-    m = cfg.n_elements
-    return float(m * m - m * np.sum(z * z) + np.sum(z) ** 2)

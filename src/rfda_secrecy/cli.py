@@ -21,25 +21,30 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (Mode, Scenario, beampattern_csv_text, beampattern_grid,
-                    config_hash, lb_capacity, mc_capacity, resolve_k,
-                    scenario_from_config, scenario_to_config, sweep_bandwidth,
-                    sweep_delta, sweep_power, sweep_rate, validate_fixtures,
-                    write_run, write_run_dir)
+from .sweep import (Scenario, beampattern_csv_text, beampattern_grid, config_hash,
+                    evaluate_capacity, resolve_k, scenario_from_config,
+                    scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
+                    sweep_rate, validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,),
                    "no-an": (Scheme.WITHOUT_AN,),
                    "both": (Scheme.WITH_AN, Scheme.WITHOUT_AN)}
+_MAX_AXIS_POINTS = 10_000
+_MAX_BEAMPATTERN_POINTS = 1_000_000
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    if not all(math.isfinite(value) for value in (lo, hi, step)):
+        raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ValueError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"grid upper bound {hi} below lower bound {lo}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [round(lo + i * step, 10) for i in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_AXIS_POINTS:
+        raise ValueError(f"grid {lo}:{hi}:{step} has more than {_MAX_AXIS_POINTS} points")
+    return [round(lo + i * step, 10) for i in range(int(math.floor(span)) + 1)]
 
 
 def _number_in(lo: float, hi: float):
@@ -104,6 +109,16 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fixture-label", help="use this fixture-table row as k")
     parser.add_argument("--fixture-path", help="fixture table file")
     parser.add_argument("--mode", choices=("lb", "mc"), help="evaluation mode")
+
+
+def _add_evaluation_flags(parser: argparse.ArgumentParser) -> None:
+    "Flags of the capacity evaluation shared by capacity and sweep."
+    parser.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
+    parser.add_argument("--trials", type=int, default=10000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; no effect, trials run serially")
+    parser.add_argument("--beta-seeds", type=int, default=100)
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -188,6 +203,8 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
     theta_hi = args.theta_max_deg if args.theta_max_deg is not None else \
         math.degrees(s.bob.theta_rad + 3 * s.region.dtheta_rad)
     theta_deg = _grid(theta_lo, theta_hi, args.theta_step_deg)
+    if len(r_values) * len(theta_deg) > _MAX_BEAMPATTERN_POINTS:
+        raise ValueError(f"beampattern grid exceeds {_MAX_BEAMPATTERN_POINTS} points")
     rows = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
     payload = {"config": scenario_to_config(s),
                "grid": {"r": r_values, "theta_deg": theta_deg}}
@@ -200,33 +217,26 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
-    schemes = _SCHEME_CHOICES[args.scheme]
-    for scheme in schemes:
-        if s.mode is Mode.MONTE_CARLO:
-            mean, err = mc_capacity(s, args.trials, args.seed, scheme,
-                                    workers=args.workers)
-            print(f"{scheme.value}={mean:.4f} stderr={err:.4f}")
-        else:
-            value = lb_capacity(s, scheme, beta=args.beta, n_seeds=args.beta_seeds)
-            print(f"{scheme.value}={value:.4f}")
+    for scheme in _SCHEME_CHOICES[args.scheme]:
+        value, err = evaluate_capacity(s, scheme, args.trials, args.seed, args.beta,
+                                       args.beta_seeds)
+        line = f"{scheme.value}={value:.4f}"
+        print(line if err is None else f"{line} stderr={err:.4f}")
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
-    schemes = _SCHEME_CHOICES[args.scheme]
-    common = dict(schemes=schemes, seed=args.seed)
+    common = dict(schemes=_SCHEME_CHOICES[args.scheme], seed=args.seed)
+    evaluation = dict(common, trials=args.trials, n_seeds=args.beta_seeds)
     if args.kind == "power":
         result = sweep_power(s, _grid(args.pt_min, args.pt_max, args.pt_step),
-                             trials=args.trials, workers=args.workers,
-                             n_seeds=args.beta_seeds, **common)
+                             **evaluation)
     elif args.kind == "delta":
         result = sweep_delta(s, _grid(args.delta_min, args.delta_max, args.delta_step),
-                             trials=args.trials, workers=args.workers,
-                             n_seeds=args.beta_seeds, **common)
+                             **evaluation)
     elif args.kind == "bandwidth":
-        result = sweep_bandwidth(s, trials=args.trials, workers=args.workers,
-                                 n_seeds=args.beta_seeds, **common)
+        result = sweep_bandwidth(s, **evaluation)
     else:
         if args.rs is not None:
             grid = [args.rs]
@@ -306,25 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="secrecy capacity for one scenario")
     _add_scenario_flags(p)
-    p.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
+    _add_evaluation_flags(p)
     p.add_argument("--beta", type=_number_in(0.0, 1.0),
                    help="override the boundary correlation")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; no effect, trials run serially")
-    p.add_argument("--beta-seeds", type=int, default=100)
     p.set_defaults(handler=_cmd_capacity)
 
     p = sub.add_parser("sweep", help="run a parameter sweep")
     p.add_argument("kind", choices=("power", "delta", "bandwidth", "rate"))
     _add_scenario_flags(p)
-    p.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; no effect, trials run serially")
-    p.add_argument("--beta-seeds", type=int, default=100)
+    _add_evaluation_flags(p)
     p.add_argument("--out", default="out")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--pt-min", type=float, default=0.0)

@@ -3,9 +3,9 @@
 Signal model: the transmitter beamforms a confidential symbol toward the
 intended receiver and fills the remaining power budget with artificial noise
 (AN) projected into the null space of the intended channel, so the AN is
-invisible at the aim point and degrades everyone else.  This module builds
-that transmit chain and the resulting SNR/SINR, channel capacities and the
-closed-form secrecy-capacity lower bounds with and without AN.
+invisible at the aim point and degrades everyone else.  This module draws
+the AN direction and evaluates the resulting SNR/SINR, channel capacities and
+the closed-form secrecy-capacity lower bounds with and without AN.
 
 All power formulas work on linear ratios; dBm values are converted exactly
 once, inside :class:`PowerConfig`.
@@ -66,11 +66,6 @@ def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def random_qpsk(rng: np.random.Generator, size: int) -> np.ndarray:
-    "Unit-power QPSK symbols."
-    return np.exp(1j * (np.pi / 4 + np.pi / 2 * rng.integers(0, 4, size)))
-
-
 def an_vector(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Unit-norm AN direction: ``z`` projected off the intended channel.
 
@@ -90,19 +85,6 @@ def an_vector(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
     if norm < 1e-14:
         raise RetryRequiredError("noise draw is parallel to the intended channel; redraw")
     return projected / norm
-
-
-def transmit_signal(v: np.ndarray, w: np.ndarray, symbol: complex,
-                    power: PowerConfig) -> np.ndarray:
-    "Per-element transmit vector: scaled signal beam plus scaled AN."
-    pt = power.pt_mw
-    return (np.sqrt(power.delta * pt) * np.asarray(v) * symbol
-            + np.sqrt((1.0 - power.delta) * pt) * np.asarray(w))
-
-
-def receive_signal(h: np.ndarray, x: np.ndarray, noise: complex = 0j) -> complex:
-    "Scalar received sample h^H x + noise."
-    return complex(np.vdot(h, x) + noise)
 
 
 def snr_bob(power: PowerConfig) -> float:

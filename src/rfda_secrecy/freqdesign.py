@@ -39,14 +39,6 @@ def rho2(k) -> float:
     return float(2.0 * (m * (idx @ karr) - idx.sum() * karr.sum()))
 
 
-def taylor_gram_constant(n_elements: int) -> int:
-    "sum_{m,n} (m - n)^2 over an M-element index grid: M^2 (M^2 - 1) / 6."
-    if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
-    m = n_elements
-    return m * m * (m * m - 1) // 6
-
-
 def build_design_matrix(n_elements: int) -> np.ndarray:
     """Symmetric matrix whose top eigenspace holds the ellipse-compatible k.
 
@@ -156,8 +148,8 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
         raise ValueError(
             "generate_k is infeasible for n_elements < 3: no direction is orthogonal "
             "to both the all-ones and the index vector")
-    if k_target <= 0:
-        raise ValueError(f"k_target must be positive, got {k_target}")
+    if not 0 < k_target < np.inf:
+        raise ValueError(f"k_target must be positive and finite, got {k_target}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     if method == "projection":

@@ -83,16 +83,6 @@ def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
     return dr, dtheta
 
 
-def ellipse_residual(bob: Location, probe: Location,
-                     axes: tuple[float, float]) -> float:
-    "Normalized ellipse coordinate; 1 on the boundary, < 1 inside."
-    dr, dtheta = axes
-    if dr <= 0 or dtheta <= 0:
-        raise ValueError("ellipse axes must be positive")
-    return ((probe.r_m - bob.r_m) ** 2 / dr ** 2
-            + (probe.theta_rad - bob.theta_rad) ** 2 / dtheta ** 2)
-
-
 def m_min(beta: float, region: SecrecyRegion, theta_b_rad: float,
           cfg: ArrayConfig) -> float:
     """Minimum element count keeping the angular ellipse axis inside the region.

@@ -14,7 +14,6 @@ Carlo entry points is accepted for compatibility and has no effect.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -141,6 +140,12 @@ def _integer(value, where: str) -> int:
     return int(number)
 
 
+def _string(value, where: str, nullable: bool = False) -> str | None:
+    if isinstance(value, str) or nullable and value is None:
+        return value
+    raise ConfigError(f"{where} must be a string{' or null' * nullable}, got {value!r}")
+
+
 def _section(cfg: dict, name: str, defaults: dict, other_keys=()) -> dict:
     """The numbers of one configuration section, each read through :func:`_finite`
     and falling back to ``defaults``.  The section must be a JSON object whose
@@ -187,11 +192,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if "k_target" not in sec:
             raise ConfigError("generated k_source needs 'k_target'")
         k_source = GeneratedK(_finite(sec["k_target"], "k_source.k_target"),
-                              str(sec.get("method", "projection")),
+                              _string(sec.get("method", "projection"),
+                                      "k_source.method"),
                               _integer(sec.get("seed", 0), "k_source.seed"))
     elif sec["type"] == "fixture":
         _check_keys(sec, {"type", "label", "path"}, "k_source")
-        k_source = FixtureK(str(sec.get("label", "K10405")), sec.get("path"))
+        k_source = FixtureK(_string(sec.get("label", "K10405"), "k_source.label"),
+                            _string(sec.get("path"), "k_source.path", nullable=True))
     else:
         raise ConfigError(f"k_source.type must be 'generated' or 'fixture', "
                           f"got {sec['type']!r}")
@@ -341,6 +348,15 @@ def mc_capacity(s: Scenario, trials: int, seed: int, scheme: Scheme | None = Non
     return mean, stderr
 
 
+def evaluate_capacity(s: Scenario, scheme: Scheme, trials: int, seed: int,
+                      beta: float | None = None,
+                      n_seeds: int = 100) -> tuple[float, float | None]:
+    "Secrecy capacity of one scheme in the scenario's mode, as (value, stderr or None)."
+    if s.mode is Mode.MONTE_CARLO:
+        return mc_capacity(s, trials, seed, scheme)
+    return lb_capacity(s, scheme, beta=beta, n_seeds=n_seeds), None
+
+
 # ---------------------------------------------------------------------------
 # sweep results and serialization
 # ---------------------------------------------------------------------------
@@ -373,26 +389,6 @@ def result_csv_text(result: SweepResult) -> str:
         cells = [_fmt(axis)] + [_fmt(values[i]) for values in result.series.values()]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def write_result_csv(result: SweepResult, path: str | Path) -> None:
-    Path(path).write_text(result_csv_text(result))
-
-
-def read_result_csv(path: str | Path) -> SweepResult:
-    "Load a sweep CSV written by :func:`write_result_csv` (exact round trip)."
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: expected a header and at least one data row")
-    header = rows[0]
-    axis = []
-    series: dict[str, list[float | None]] = {name: [] for name in header[1:]}
-    for row in rows[1:]:
-        axis.append(float(row[0]))
-        for name, cell in zip(header[1:], row[1:]):
-            series[name].append(float(cell) if cell else None)
-    return SweepResult(header[0], axis, series)
 
 
 def write_run_dir(run_dir: Path, csv_text: str, manifest: dict) -> Path:
@@ -448,17 +444,19 @@ def _sweep_series(schemes: list[Scheme], n_points: int,
 
 def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
                     points: list[Scenario], schemes, trials: int, seed: int,
-                    workers: int, n_seeds: int, shared_beta: bool = True) -> SweepResult:
-    """Secrecy capacity at each point scenario.  In analytic mode the points share
-    one beta when ``shared_beta``; power and delta never move the boundary correlation."""
+                    n_seeds: int) -> SweepResult:
+    """Secrecy capacity at each point scenario.  In analytic mode beta is computed
+    once per distinct (array, bob, region, k_source) among the points."""
     schemes = list(schemes)
-    beta = (beta_for_scenario(s, n_seeds)
-            if shared_beta and s.mode is Mode.ANALYTIC_LB else None)
+    betas: dict[tuple, float] = {}
 
     def evaluate(scheme: Scheme, i: int) -> tuple[float, float | None]:
-        if s.mode is Mode.ANALYTIC_LB:
-            return lb_capacity(points[i], scheme, beta=beta, n_seeds=n_seeds), None
-        return mc_capacity(points[i], trials, _point_seed(seed, i), scheme, workers)
+        p = points[i]
+        key = (p.array, p.bob, p.region, p.k_source)
+        if s.mode is Mode.ANALYTIC_LB and key not in betas:
+            betas[key] = beta_for_scenario(p, n_seeds)
+        return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key),
+                                 n_seeds)
 
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
                        _sweep_meta(s, kind, grid, schemes, trials, seed))
@@ -471,7 +469,7 @@ def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_A
     grid = [float(pt) for pt in grid_dbm]
     points = [replace(s, power=replace(s.power, pt_dbm=pt)) for pt in grid]
     return _capacity_sweep(s, "power", "pt_dbm", grid, points, schemes, trials, seed,
-                           workers, n_seeds)
+                           n_seeds)
 
 
 def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
@@ -481,7 +479,7 @@ def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT
     grid = [float(delta) for delta in grid_delta]
     points = [replace(s, power=replace(s.power, delta=delta)) for delta in grid]
     return _capacity_sweep(s, "delta", "delta", grid, points, schemes, trials, seed,
-                           workers, n_seeds)
+                           n_seeds)
 
 
 def sweep_bandwidth(s: Scenario, labels=FIXTURE_LABELS,
@@ -498,7 +496,7 @@ def sweep_bandwidth(s: Scenario, labels=FIXTURE_LABELS,
     path = s.k_source.path if isinstance(s.k_source, FixtureK) else None
     points = [replace(s, k_source=FixtureK(label, path)) for label in order]
     return _capacity_sweep(s, "bandwidth", "k_nominal", grid, points, schemes, trials,
-                           seed, workers, n_seeds, shared_beta=False)
+                           seed, n_seeds)
 
 
 def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),

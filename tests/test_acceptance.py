@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from rfda_secrecy import (ArrayConfig, GeneratedK, Location, Mode, PowerConfig,
-                          Scheme, SecrecyRegion, beampattern_exact,
-                          beampattern_taylor, complex_gaussian, correlation2,
+                          Scheme, SecrecyRegion, complex_gaussian, correlation2,
                           default_scenario, ellipse_semi_axes, eta, generate_k,
                           an_vector, InfeasibleRateError, m_min, mc_capacity,
                           result_csv_text, rho1, rho2, solve_m_min,
                           steering_vector, sweep_bandwidth, sweep_delta,
                           sweep_power, validate_fixtures, write_run)
+from rfda_secrecy.reference import beampattern_exact, beampattern_taylor
 
 THETA_B = math.radians(45.0)
 REGION = SecrecyRegion(8.0, math.radians(5.0))

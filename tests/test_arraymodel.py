@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rfda_secrecy import (ArrayConfig, FrequencyVector, Location, SPEED_OF_LIGHT,
-                          beampattern_exact, beampattern_taylor, correlation2,
-                          half_wavelength_spacing, phase_shift, pq_offsets,
+                          correlation2, half_wavelength_spacing, pq_offsets,
                           steering_vector)
+from rfda_secrecy.reference import beampattern_exact, beampattern_taylor, phase_shift
 
 C = SPEED_OF_LIGHT
 

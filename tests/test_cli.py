@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rfda_secrecy
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
 from rfda_secrecy.sweep import scenario_to_config
 from rfda_secrecy.errors import ConvergenceError
@@ -268,6 +273,14 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "inf"]),
     (None, ["region", "--beta", "0.4", "--k-norm2", "nan"]),
     (None, ["capacity", "--k-target", "10405", "--beta-seeds", "0"]),
+    (None, ["sweep", "power", "--pt-max", "inf"]),
+    (None, ["sweep", "rate", "--rs-max", "inf"]),
+    (None, ["beampattern", "--r-step", "1e-300"]),
+    (None, ["beampattern", "--r-step", "0.01", "--theta-step-deg", "0.01"]),
+    (None, ["gen-k", "--m", "8", "--k-target", "nan"]),
+    (None, ["gen-k", "--m", "8", "--k-target", "inf"]),
+    ('{"k_source": {"type": "fixture", "path": 5}}', ["capacity"]),
+    ('{"k_source": {"type": "fixture", "label": 5}}', ["capacity"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -316,3 +329,13 @@ def test_scenario_flag_sets_its_config_path(argv, path, expected):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["sweep", "--help"]) == 0
+
+
+def test_cli_import_does_not_load_the_reference_module():
+    # the scalar oracles in rfda_secrecy.reference exist for the tests; the
+    # package and the command line must run without them
+    env = {**os.environ, "PYTHONPATH": str(Path(rfda_secrecy.__file__).parents[1])}
+    code = "import sys, rfda_secrecy.cli; print('rfda_secrecy.reference' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -5,9 +5,9 @@ import pytest
 
 from rfda_secrecy import (ArrayConfig, Location, PowerConfig, RetryRequiredError,
                           an_vector, c_an_lb, c_lb, capacity_bob, capacity_eve_an,
-                          complex_gaussian, dbm_to_mw, eta, random_qpsk,
-                          receive_signal, secrecy_capacity, sinr_eve, snr_bob,
-                          steering_vector, transmit_signal)
+                          complex_gaussian, dbm_to_mw, eta, secrecy_capacity,
+                          sinr_eve, snr_bob, steering_vector)
+from rfda_secrecy.reference import random_qpsk, receive_signal, transmit_signal
 
 
 def random_unit_complex(rng, m):

@@ -5,7 +5,8 @@ import pytest
 
 from rfda_secrecy import (ConvergenceError, FixtureError, build_design_matrix,
                           default_fixture_path, generate_k, load_frequency_table,
-                          rho1, rho2, symmetric_eigen, taylor_gram_constant)
+                          rho1, rho2, symmetric_eigen)
+from rfda_secrecy.freqdesign import _feasible_basis
 
 
 def rho1_brute(k):
@@ -16,10 +17,6 @@ def rho1_brute(k):
 def rho2_brute(k):
     k = np.asarray(k, dtype=float)
     return sum((k[m] - k[n]) * (m - n) for m in range(k.size) for n in range(k.size))
-
-
-def gram_brute(m):
-    return sum((a - b) ** 2 for a in range(1, m + 1) for b in range(1, m + 1))
 
 
 def test_rho1_examples():
@@ -42,16 +39,6 @@ def test_rho_closed_forms_match_double_sums():
         assert rho2(k) == pytest.approx(rho2_brute(k), rel=1e-9, abs=1e-9)
 
 
-def test_taylor_gram_constant():
-    assert taylor_gram_constant(1) == 0
-    assert taylor_gram_constant(2) == 2
-    assert taylor_gram_constant(16) == 10880
-    for m in range(1, 101):
-        assert taylor_gram_constant(m) == gram_brute(m)
-    with pytest.raises(ValueError):
-        taylor_gram_constant(0)
-
-
 def test_design_matrix_small_cases():
     with pytest.raises(ValueError):
         build_design_matrix(1)
@@ -70,6 +57,17 @@ def test_design_matrix_symmetric_and_annihilates_infeasible_directions():
         scale = np.abs(a).max()
         assert np.abs(a @ ones).max() < 1e-9 * scale
         assert np.abs(a @ idx).max() < 1e-9 * scale
+
+
+@pytest.mark.parametrize("m", [3, 8, 16, 64])
+def test_design_matrix_is_a_scaled_projector(m):
+    # A = c (I - P) with c = M^3 (M^2 - 1) / 3 and P the orthogonal projector
+    # onto span{ones, index}: its spectrum is {0, c}
+    ones, idx = _feasible_basis(m)
+    c = m ** 3 * (m ** 2 - 1) / 3.0
+    expected = c * (np.eye(m) - np.outer(ones, ones) - np.outer(idx, idx))
+    error = np.linalg.norm(build_design_matrix(m) - expected)
+    assert error <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_design_matrix_top_eigenspace():

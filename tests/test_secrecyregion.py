@@ -5,10 +5,10 @@ import pytest
 
 from rfda_secrecy import (ArrayConfig, ConvergenceError, InfeasibleRateError,
                           Location, PowerConfig, Scheme, SecrecyRegion,
-                          beampattern_taylor, beta_boundary, beta_max_an,
-                          beta_max_no_an, corner_locations, ellipse_residual,
-                          ellipse_semi_axes, fixture_vector, generate_k, k_min,
-                          m_min, solve_m_min)
+                          beta_boundary, beta_max_an, beta_max_no_an,
+                          corner_locations, ellipse_semi_axes, fixture_vector,
+                          generate_k, k_min, m_min, solve_m_min)
+from rfda_secrecy.reference import beampattern_taylor
 
 CFG = ArrayConfig.half_wavelength(16, 1e9, 1e6)
 BOB = Location(100.0, math.radians(45))
@@ -64,18 +64,6 @@ def test_ellipse_semi_axes_values():
         ellipse_semi_axes(CFG, 16, 0.0, 0.4, THETA_B)
     with pytest.raises(ValueError):
         ellipse_semi_axes(CFG, 16, 10405.0, 0.4, 0.0)
-
-
-def test_ellipse_residual():
-    axes = (2.0, 0.1)
-    assert ellipse_residual(BOB, BOB, axes) == 0.0
-    on_axis = Location(BOB.r_m + 2.0, BOB.theta_rad)
-    assert ellipse_residual(BOB, on_axis, axes) == pytest.approx(1.0, rel=1e-12)
-    diagonal = Location(BOB.r_m + 2.0 / math.sqrt(2),
-                        BOB.theta_rad + 0.1 / math.sqrt(2))
-    assert ellipse_residual(BOB, diagonal, axes) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        ellipse_residual(BOB, on_axis, (0.0, 0.1))
 
 
 def test_m_min_values():

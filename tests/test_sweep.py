@@ -12,11 +12,11 @@ from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, ConfigError, ConvergenceE
                           Scheme, SecrecyRegion, SweepResult,
                           beampattern_grid, beta_for_scenario, c_lb, capacity_bob,
                           config_hash, default_scenario, fixture_vector,
-                          lb_capacity, mc_capacity, read_result_csv, resolve_k,
-                          result_csv_text, scenario_from_config,
-                          scenario_to_config, sweep_bandwidth, sweep_delta,
-                          sweep_power, sweep_rate, validate_fixtures,
-                          write_result_csv, write_run)
+                          lb_capacity, mc_capacity, resolve_k, result_csv_text,
+                          scenario_from_config, scenario_to_config,
+                          sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
+                          validate_fixtures, write_run)
+from rfda_secrecy.reference import read_result_csv, write_result_csv
 from rfda_secrecy.svgchart import line_chart
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
