@@ -21,8 +21,8 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (Scenario, beampattern_csv_text, beampattern_grid, config_hash,
-                    evaluate_capacity, resolve_k, scenario_from_config,
+from .sweep import (SEED_LIMIT, Scenario, beampattern_csv_text, beampattern_grid,
+                    config_hash, evaluate_capacity, resolve_k, scenario_from_config,
                     scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
                     sweep_rate, validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
@@ -56,6 +56,14 @@ def _number_in(lo: float, hi: float):
                 f"must be a finite number in [{lo:g}, {hi:g}], got {text}")
         return value
     return number
+
+
+def _seed(text: str) -> int:
+    "argparse type: an integer seed in [0, 2**63)."
+    value = int(text)
+    if not 0 <= value < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**63), got {text}")
+    return value
 
 
 # scenario number flag -> (type, configuration key it overrides, help)
@@ -105,7 +113,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
                         help="generate k with this squared norm")
     parser.add_argument("--k-method", choices=("projection", "eigen"),
                         help="k generation method")
-    parser.add_argument("--k-seed", type=int, help="k generation seed")
+    parser.add_argument("--k-seed", type=_seed, help="k generation seed")
     parser.add_argument("--fixture-label", help="use this fixture-table row as k")
     parser.add_argument("--fixture-path", help="fixture table file")
     parser.add_argument("--mode", choices=("lb", "mc"), help="evaluation mode")
@@ -115,7 +123,7 @@ def _add_evaluation_flags(parser: argparse.ArgumentParser) -> None:
     "Flags of the capacity evaluation shared by capacity and sweep."
     parser.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
     parser.add_argument("--trials", type=int, default=10000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; no effect, trials run serially")
     parser.add_argument("--beta-seeds", type=int, default=100)
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k-target", type=float, required=True)
     p.add_argument("--method", choices=("projection", "eigen"), default="projection")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(handler=_cmd_gen_k)
 
     p = sub.add_parser("beampattern", help="export a beampattern grid as CSV")
@@ -337,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rs-min", type=_number_in(0.0, math.inf), default=0.5)
     p.add_argument("--rs-max", type=float, default=6.0)
     p.add_argument("--rs-step", type=float, default=0.5)
-    p.add_argument("--fixed-eta", type=float,
+    p.add_argument("--fixed-eta", type=_number_in(0.0, 1.0),
                    help="override the element-count feedback in the rate solver")
     p.set_defaults(handler=_cmd_sweep)
 

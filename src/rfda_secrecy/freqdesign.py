@@ -13,6 +13,8 @@ design matrix :func:`build_design_matrix`.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,12 +126,16 @@ def symmetric_eigen(a, tol: float = 1e-10, max_sweeps: int = 100) -> EigenResult
     return EigenResult(eigenvalues[order], v[:, order])
 
 
+@functools.lru_cache
 def _feasible_basis(n_elements: int) -> tuple[np.ndarray, np.ndarray]:
-    "Orthonormal vectors spanning the infeasible directions: ones and centered index."
+    """Orthonormal vectors spanning the infeasible directions: ones and centered
+    index.  Cached, so the arrays are read-only: every caller shares them."""
     ones = np.ones(n_elements) / np.sqrt(n_elements)
     idx = np.arange(1, n_elements + 1, dtype=float)
     idx -= idx.mean()
     idx /= np.linalg.norm(idx)
+    ones.setflags(write=False)
+    idx.setflags(write=False)
     return ones, idx
 
 
@@ -148,8 +154,10 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
         raise ValueError(
             "generate_k is infeasible for n_elements < 3: no direction is orthogonal "
             "to both the all-ones and the index vector")
-    if not 0 < k_target < np.inf:
-        raise ValueError(f"k_target must be positive and finite, got {k_target}")
+    # rho1 = 2*M*K of the drawn vector must be finite too
+    if not (k_target > 0 and math.isfinite(2.0 * n_elements * k_target)):
+        raise ValueError(f"k_target must be positive with 2*M*k_target finite, "
+                         f"got {k_target}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
     if method == "projection":

@@ -1,19 +1,24 @@
 """Scalar reference paths that the tests check the library against: the
 per-element phase, the exact and second-order beampatterns, the symbol-level
-transmit/receive chain and the sweep CSV round trip.  Nothing in the library
-imports this module; only the tests do.
+transmit/receive chain, the sweep CSV round trip and the one-trial Monte Carlo
+capacity.  Nothing in the library imports this module; only the tests do.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import ArrayConfig, Location, _as_k, _mismatch_phases, correlation2
-from .dmsecurity import PowerConfig
-from .sweep import SweepResult, result_csv_text
+from .arraymodel import (ArrayConfig, FrequencyVector, Location, _as_k, _mismatch_phases,
+                         correlation2, steering_vector)
+from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
+                         complex_gaussian, secrecy_capacity)
+from .errors import ConvergenceError, RetryRequiredError
+from .secrecyregion import Scheme
+from .sweep import Scenario, SweepResult, resolve_k, result_csv_text
 
 
 def phase_shift(cfg: ArrayConfig, k_m: float, element: int, loc: Location) -> float:
@@ -85,3 +90,29 @@ def read_result_csv(path: str | Path) -> SweepResult:
         for name, cell in zip(header[1:], row[1:]):
             series[name].append(float(cell) if cell else None)
     return SweepResult(header[0], axis, series)
+
+
+def trial_capacity(s: Scenario, scheme: Scheme, fixed_k: FrequencyVector | None,
+                   seed: int, trial: int) -> float:
+    """Secrecy capacity of one Monte Carlo trial, drawn from a freshly built
+    ``Philox(key=[seed, trial])`` stream; ``fixed_k`` is the fixture vector, or
+    None for a generated source.  ``sweep.mc_capacity`` averages these."""
+    rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
+    k = resolve_k(s, rng) if fixed_k is None else fixed_k
+    power = replace(s.power, delta=1.0) if scheme is Scheme.WITHOUT_AN else s.power
+    corr2 = correlation2(s.array, k, s.bob, s.eve)
+    an2 = 0.0
+    if power.delta < 1.0:
+        h_bob = steering_vector(s.array, k, s.bob)
+        h_eve = steering_vector(s.array, k, s.eve)
+        for _ in range(64):
+            try:
+                w = an_vector(h_bob, complex_gaussian(rng, s.array.n_elements))
+                break
+            except RetryRequiredError:
+                continue
+        else:
+            raise ConvergenceError(f"trial {trial}: 64 AN draws in a row were parallel "
+                                   f"to the intended channel")
+        an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
+    return secrecy_capacity(capacity_bob(power), capacity_eve_an(power, corr2, an2))

@@ -156,8 +156,10 @@ def solve_m_min(rs_bits: float, power: PowerConfig, region: SecrecyRegion,
     on the element count, which feeds back into the admissible ``beta``; the
     map from count to required count is monotone, so iterating from the
     2-element floor converges to the least fixed point.  ``fixed_eta``
-    short-circuits that feedback with a constant leakage factor.
+    short-circuits that feedback with a constant leakage factor in (0, 1].
     """
+    if fixed_eta is not None and not 0.0 < fixed_eta <= 1.0:
+        raise ValueError(f"fixed_eta must be in (0, 1], got {fixed_eta}")
     if scheme is Scheme.WITHOUT_AN:
         beta = beta_max_no_an(power, rs_bits)
         return max(1, math.ceil(m_min(beta, region, theta_b_rad, cfg)))

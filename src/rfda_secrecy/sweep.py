@@ -34,6 +34,8 @@ from .freqdesign import FIXTURE_LABELS, generate_k, load_frequency_table
 from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
 
+SEED_LIMIT = 2 ** 63  # user seeds, master and frequency-vector, lie in [0, SEED_LIMIT)
+
 
 class Mode(Enum):
     "Evaluation mode: closed-form lower bound or Monte Carlo average."
@@ -140,6 +142,14 @@ def _integer(value, where: str) -> int:
     return int(number)
 
 
+def _seed(value, where: str) -> int:
+    "A user seed: an integer in [0, SEED_LIMIT), read exactly (not through a float)."
+    seed = int(value) if isinstance(value, numbers.Integral) else _integer(value, where)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{where} must be an integer in [0, 2**63), got {value!r}")
+    return seed
+
+
 def _string(value, where: str, nullable: bool = False) -> str | None:
     if isinstance(value, str) or nullable and value is None:
         return value
@@ -194,7 +204,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         k_source = GeneratedK(_finite(sec["k_target"], "k_source.k_target"),
                               _string(sec.get("method", "projection"),
                                       "k_source.method"),
-                              _integer(sec.get("seed", 0), "k_source.seed"))
+                              _seed(sec.get("seed", 0), "k_source.seed"))
     elif sec["type"] == "fixture":
         _check_keys(sec, {"type", "label", "path"}, "k_source")
         k_source = FixtureK(_string(sec.get("label", "K10405"), "k_source.label"),
@@ -233,9 +243,22 @@ def config_hash(payload: dict) -> str:
 # frequency-vector resolution and randomness plumbing
 # ---------------------------------------------------------------------------
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    "Independent counter-based stream for one (seed, index) pair."
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+def _trial_streams(seed: int):
+    """``stream(t)`` returns a generator that draws what
+    ``Generator(Philox(key=[seed, t]))`` draws.  One bit generator is reset per
+    trial (key, counter 0, empty buffer), because building a ``Philox`` costs
+    far more: its constructor collects OS entropy that a given key overrides."""
+    bits = np.random.Philox(key=0)
+    rng, state = np.random.Generator(bits), bits.state
+
+    def stream(trial: int) -> np.random.Generator:
+        # np.asarray, as in Philox's own key conversion: a seed >= 2**63 goes
+        # through float64 and loses its low bits, as the recorded runs did
+        state["state"]["key"] = np.asarray([seed, trial]).astype(np.uint64)
+        bits.state = state
+        return rng
+
+    return stream
 
 
 def _point_seed(seed: int, index: int) -> int:
@@ -270,8 +293,8 @@ def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
         return beta_boundary(s.array, resolve_k(s), s.bob, s.region)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
-    values = [beta_boundary(s.array, resolve_k(s, _trial_rng(s.k_source.seed, i)),
-                            s.bob, s.region)
+    stream = _trial_streams(s.k_source.seed)
+    values = [beta_boundary(s.array, resolve_k(s, stream(i)), s.bob, s.region)
               for i in range(n_seeds)]
     return float(np.mean(values))
 
@@ -302,44 +325,51 @@ def lb_capacity(s: Scenario, scheme: Scheme | None = None,
     return c_an_lb(s.power, beta, eta(s.array.n_elements))
 
 
-def _trial_capacity(s: Scenario, scheme: Scheme, fixed_k: FrequencyVector | None,
-                    seed: int, trial: int) -> float:
-    rng = _trial_rng(seed, trial)
-    k = resolve_k(s, rng) if fixed_k is None else fixed_k
-    power = replace(s.power, delta=1.0) if scheme is Scheme.WITHOUT_AN else s.power
-    corr2 = correlation2(s.array, k, s.bob, s.eve)
-    an2 = 0.0
-    if power.delta < 1.0:
-        h_bob = steering_vector(s.array, k, s.bob)
-        h_eve = steering_vector(s.array, k, s.eve)
-        for _ in range(64):
-            try:
-                w = an_vector(h_bob, complex_gaussian(rng, s.array.n_elements))
-                break
-            except RetryRequiredError:
-                continue
-        else:
-            raise ConvergenceError(f"trial {trial}: 64 AN draws in a row were parallel "
-                                   f"to the intended channel")
-        an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
-    return secrecy_capacity(capacity_bob(power), capacity_eve_an(power, corr2, an2))
-
-
 def mc_capacity(s: Scenario, trials: int, seed: int, scheme: Scheme | None = None,
                 workers: int = 1) -> tuple[float, float]:
     """Monte Carlo mean secrecy capacity and its standard error.
 
     Each trial draws a fresh frequency vector (generated source only) and a
-    fresh AN realization from its own stream keyed by (seed, trial), so
-    identical inputs give bit-identical output.  Trials run serially;
-    ``workers`` is accepted for compatibility and has no effect.
+    fresh AN realization from its own stream, ``Philox(key=[seed, trial])``
+    (which keys a seed >= 2**63 through float64, dropping its low bits), so
+    identical inputs give bit-identical output.  When ``k`` is a fixture
+    row and no power goes to AN (signal-only scheme, or delta = 1), no trial
+    draws anything: one trial is evaluated and stands for all of them.
+    Trials run serially; ``workers`` is accepted for compatibility and has
+    no effect.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     scheme = _effective_scheme(s, scheme)
+    power = replace(s.power, delta=1.0) if scheme is Scheme.WITHOUT_AN else s.power
+    cb = capacity_bob(power)
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
-    values = np.array([_trial_capacity(s, scheme, fixed_k, seed, t)
-                       for t in range(trials)])
+    fixed_corr2 = None if fixed_k is None else correlation2(s.array, fixed_k, s.bob, s.eve)
+    stream = _trial_streams(seed)
+
+    def trial(t: int) -> float:
+        rng = stream(t)
+        k = resolve_k(s, rng) if fixed_k is None else fixed_k
+        corr2 = correlation2(s.array, k, s.bob, s.eve) if fixed_k is None else fixed_corr2
+        an2 = 0.0
+        if power.delta < 1.0:
+            h_bob = steering_vector(s.array, k, s.bob)
+            h_eve = steering_vector(s.array, k, s.eve)
+            for _ in range(64):
+                try:
+                    w = an_vector(h_bob, complex_gaussian(rng, s.array.n_elements))
+                    break
+                except RetryRequiredError:
+                    continue
+            else:
+                raise ConvergenceError(f"trial {t}: 64 AN draws in a row were parallel "
+                                       f"to the intended channel")
+            an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
+        return secrecy_capacity(cb, capacity_eve_an(power, corr2, an2))
+
+    draws = fixed_k is None or power.delta < 1.0
+    values = (np.array([trial(t) for t in range(trials)]) if draws
+              else np.full(trials, trial(0)))
     mean = float(values.mean())
     if trials == 1 or values.max() == values.min():
         stderr = 0.0

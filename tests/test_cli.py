@@ -281,6 +281,19 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["gen-k", "--m", "8", "--k-target", "inf"]),
     ('{"k_source": {"type": "fixture", "path": 5}}', ["capacity"]),
     ('{"k_source": {"type": "fixture", "label": 5}}', ["capacity"]),
+    (None, ["capacity", "--mode", "mc", "--seed", "18446744073709551617"]),
+    (None, ["capacity", "--mode", "mc", "--seed", "-1"]),
+    ('{"k_source": {"type": "generated", "k_target": 100, "seed": -1}}', ["capacity"]),
+    (None, ["sweep", "power", "--mode", "mc", "--seed", "-1"]),
+    (None, ["capacity", "--k-target", "100", "--k-seed", "9223372036854775808"]),
+    (None, ["gen-k", "--m", "8", "--k-target", "100", "--seed", "-1"]),
+    ('{"k_source": {"type": "generated", "k_target": 100, "seed": 9223372036854775808}}',
+     ["capacity"]),
+    (None, ["sweep", "rate", "--fixed-eta", "-1"]),
+    (None, ["sweep", "rate", "--fixed-eta", "0"]),
+    (None, ["sweep", "rate", "--fixed-eta", "1.5"]),
+    (None, ["sweep", "rate", "--fixed-eta", "nan"]),
+    (None, ["gen-k", "--m", "8", "--k-target", "1e308"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)

@@ -70,6 +70,14 @@ def test_design_matrix_is_a_scaled_projector(m):
     assert error <= 1e-14 * np.linalg.norm(expected)
 
 
+def test_feasible_basis_is_cached_and_read_only():
+    ones, idx = _feasible_basis(8)
+    assert _feasible_basis(8)[0] is ones
+    for vector in (ones, idx):
+        with pytest.raises(ValueError):
+            vector[0] = 1.0
+
+
 def test_design_matrix_top_eigenspace():
     # top eigenvalue M^3(M^2-1)/3 with multiplicity M-2, orthogonal to the
     # all-ones and index vectors

@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, ConfigError, ConvergenceError,
                           FixtureError, FixtureK, GeneratedK, InfeasibleRateError,
                           Location, Mode, PowerConfig, RetryRequiredError, Scenario,
-                          Scheme, SecrecyRegion, SweepResult,
+                          Scheme, SecrecyRegion, SweepResult, an_vector,
                           beampattern_grid, beta_for_scenario, c_lb, capacity_bob,
-                          config_hash, default_scenario, fixture_vector,
+                          complex_gaussian, config_hash, correlation2,
+                          default_scenario, fixture_vector,
                           lb_capacity, mc_capacity, resolve_k, result_csv_text,
-                          scenario_from_config, scenario_to_config,
+                          scenario_from_config, scenario_to_config, steering_vector,
                           sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
                           validate_fixtures, write_run)
-from rfda_secrecy.reference import read_result_csv, write_result_csv
+from rfda_secrecy.reference import read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.svgchart import line_chart
+from rfda_secrecy.sweep import _point_seed, _trial_streams
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
 
@@ -187,6 +189,76 @@ def test_mc_capacity_fixture_regression():
     mean, err = mc_capacity(s, 10000, seed=0)
     assert mean == pytest.approx(4.761197063001958, rel=1e-9)
     assert err == pytest.approx(0.0046689783671470635, rel=1e-6)
+
+
+POINT_SEED = _point_seed(3, 1)  # >= 2**63: Philox keys it through float64
+
+
+def _mean_stderr(values) -> tuple[float, float]:
+    "The reduction of mc_capacity, written out for the per-trial oracle."
+    values = np.array(values)
+    mean = float(values.mean())
+    if values.size == 1 or values.max() == values.min():
+        return mean, 0.0
+    return mean, float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+_MC_CASES = {
+    "fixture-an": (default_scenario(), Scheme.WITH_AN),
+    "fixture-no-an": (default_scenario(), Scheme.WITHOUT_AN),
+    "fixture-delta-1": (default_scenario(power=PowerConfig(30.0, delta=1.0)), None),
+    "projection": (default_scenario(k_source=GeneratedK(10405.0, "projection", 2)),
+                   Scheme.WITH_AN),
+    "eigen": (default_scenario(k_source=GeneratedK(10405.0, "eigen", 2)), Scheme.WITH_AN),
+    "m3": (default_scenario(array=ArrayConfig.half_wavelength(3, 1e9, 1e6),
+                            k_source=GeneratedK(50.0, "projection", 1)), None),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 53 + 1, POINT_SEED])
+@pytest.mark.parametrize("case", sorted(_MC_CASES))
+def test_mc_capacity_equals_the_per_trial_reference(case, seed):
+    s, scheme = _MC_CASES[case]
+    s = replace(s, mode=Mode.MONTE_CARLO, power=replace(s.power, pt_dbm=20.0))
+    effective = scheme or (Scheme.WITHOUT_AN if s.power.delta == 1.0 else Scheme.WITH_AN)
+    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
+    for trials in (1, 12):
+        values = [trial_capacity(s, effective, fixed_k, seed, t) for t in range(trials)]
+        assert mc_capacity(s, trials, seed, scheme) == _mean_stderr(values)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 53 + 1, POINT_SEED, 2 ** 63 + 1, 2 ** 64 - 2 ** 11])
+def test_trial_streams_draw_what_a_fresh_philox_draws(seed):
+    def draws(rng):
+        return np.concatenate([rng.standard_normal(9), rng.random(3),
+                               rng.integers(0, 2 ** 32, 5, dtype=np.uint32)])
+
+    stream = _trial_streams(seed)
+    for t in (0, 1, 9999):
+        # leave the previous trial's stream advanced, with a 32-bit half buffered
+        stream(t + 5).integers(0, 2 ** 32, 3, dtype=np.uint32)
+        expected = draws(np.random.Generator(np.random.Philox(key=[seed, t])))
+        assert np.array_equal(draws(stream(t)), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 2 ** 12), trial=st.integers(0, 10 ** 6),
+       m=st.integers(3, 40), eve_r=st.floats(0.0, 500.0),
+       eve_theta=st.floats(0.01, math.pi - 0.01))
+def test_an_leakage_never_exceeds_the_signal_free_share(seed, trial, m, eve_r, eve_theta):
+    # per trial, an2 / (1 - corr2) lies in [0, 1]: the unit AN direction is
+    # orthogonal to h_bob, so it sees at most the part of h_eve off h_bob
+    s = default_scenario(array=ArrayConfig.half_wavelength(m, 1e9, 1e6),
+                         eve=Location(eve_r, eve_theta),
+                         k_source=GeneratedK(10405.0, "projection", 0))
+    rng = _trial_streams(seed)(trial)
+    k = resolve_k(s, rng)
+    h_bob = steering_vector(s.array, k, s.bob)
+    h_eve = steering_vector(s.array, k, s.eve)
+    w = an_vector(h_bob, complex_gaussian(rng, m))
+    an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
+    corr2 = correlation2(s.array, k, s.bob, s.eve)
+    assert 0.0 <= an2 <= (1.0 - corr2) * (1.0 + 1e-9) + 1e-12
 
 
 def test_sweep_result_validation():
