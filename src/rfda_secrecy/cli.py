@@ -66,8 +66,8 @@ def _seed(text: str) -> int:
     return value
 
 
-# scenario number flag -> (type, configuration key it overrides, help)
-_NUMBER_FLAGS = {
+# scenario flag -> (type, or a tuple of choices; configuration key it overrides; help)
+_SCENARIO_FLAGS = {
     "--m": (int, "array.M", "number of array elements"),
     "--f0-hz": (float, "array.f0_hz", "carrier frequency in Hz"),
     "--delta-f-hz": (float, "array.delta_f_hz", "frequency-increment reference in Hz"),
@@ -84,39 +84,44 @@ _NUMBER_FLAGS = {
     "--sigma-e2-dbm": (float, "power.sigma_e2_dbm", "eavesdropper noise floor"),
     "--delta": (float, "power.delta", "signal power fraction"),
     "--rs-bits": (float, "rs_bits", "target secrecy rate"),
+    "--k-target": (float, "k_source.k_target", "generate k with this squared norm"),
+    "--k-method": (("projection", "eigen"), "k_source.method", "k generation method"),
+    "--k-seed": (_seed, "k_source.seed", "k generation seed"),
+    "--fixture-label": (str, "k_source.label", "use this fixture-table row as k"),
+    "--fixture-path": (str, "k_source.path", "fixture table file"),
+    "--mode": (("lb", "mc"), "mode", "evaluation mode"),
 }
 # the array and region flags of the closed-form subcommands mmin and kmin
 _GEOMETRY_FLAGS = ("--dtheta-deg", "--dr-m", "--f0-hz", "--delta-f-hz", "--spacing-m")
 
 
-def _add_number_flags(parser: argparse.ArgumentParser, flags=tuple(_NUMBER_FLAGS),
-                      required=()) -> None:
+def _add_flags(parser: argparse.ArgumentParser, flags=tuple(_SCENARIO_FLAGS),
+               required=()) -> None:
     for flag in flags:
-        kind, _, text = _NUMBER_FLAGS[flag]
-        parser.add_argument(flag, type=kind, help=text, required=flag in required)
+        kind, _, text = _SCENARIO_FLAGS[flag]
+        kind = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        parser.add_argument(flag, help=text, required=flag in required, **kind)
 
 
-def _flag_config(args: argparse.Namespace, cfg: dict) -> dict:
-    "Write every number flag given on the command line into ``cfg`` at its key."
-    for flag, (_, path, _) in _NUMBER_FLAGS.items():
+def _flag_config(args: argparse.Namespace, cfg) -> dict:
+    "Write every scenario flag given on the command line into ``cfg`` at its key."
+    for flag, (_, path, _) in _SCENARIO_FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
+            if not isinstance(cfg, dict):
+                raise ConfigError(f"{flag}: the configuration root is not a JSON object")
             section, _, key = path.rpartition(".")
-            (cfg.setdefault(section, {}) if section else cfg)[key] = value
+            target = cfg.setdefault(section, {}) if section else cfg
+            if not isinstance(target, dict):
+                raise ConfigError(f"{flag}: configuration section {section} is not a "
+                                  f"JSON object, got {target!r}")
+            target[key] = value
     return cfg
 
 
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON configuration file")
-    _add_number_flags(parser)
-    parser.add_argument("--k-target", type=float,
-                        help="generate k with this squared norm")
-    parser.add_argument("--k-method", choices=("projection", "eigen"),
-                        help="k generation method")
-    parser.add_argument("--k-seed", type=_seed, help="k generation seed")
-    parser.add_argument("--fixture-label", help="use this fixture-table row as k")
-    parser.add_argument("--fixture-path", help="fixture table file")
-    parser.add_argument("--mode", choices=("lb", "mc"), help="evaluation mode")
+    _add_flags(parser)
 
 
 def _add_evaluation_flags(parser: argparse.ArgumentParser) -> None:
@@ -136,20 +141,20 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             cfg = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
+    fixture = args.fixture_label is not None or args.fixture_path is not None
+    if args.k_target is not None and fixture:
+        raise ConfigError("--k-target excludes --fixture-label and --fixture-path")
+    kind = "generated" if args.k_target is not None else "fixture" if fixture else None
+    if kind and isinstance(cfg, dict):
+        # a flag naming a source type starts a fresh section over one of the other type
+        sec = cfg.setdefault("k_source", {"type": kind})
+        if isinstance(sec, dict) and sec.get("type", kind) != kind:
+            cfg["k_source"] = {"type": kind}
     _flag_config(args, cfg)
-    if args.mode is not None:
-        cfg["mode"] = args.mode
-
-    if args.k_target is not None and args.fixture_label is not None:
-        raise ConfigError("--k-target and --fixture-label are mutually exclusive")
-    if args.k_target is not None:
-        cfg["k_source"] = {"type": "generated", "k_target": args.k_target,
-                           "method": args.k_method or "projection",
-                           "seed": args.k_seed if args.k_seed is not None else 0}
-    elif args.fixture_label is not None or args.fixture_path is not None:
-        cfg["k_source"] = {"type": "fixture",
-                           "label": args.fixture_label or "K10405",
-                           "path": args.fixture_path}
+    for flag, value in (("--k-method", args.k_method), ("--k-seed", args.k_seed)):
+        if value is not None and cfg["k_source"].get("type") != "generated":
+            raise ConfigError(f"{flag} needs a generated k source: give --k-target or "
+                              f"a configuration k_source of type 'generated'")
     return scenario_from_config(cfg)
 
 
@@ -287,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mmin", help="minimum element count for a region")
     p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
     p.add_argument("--theta-b-deg", type=float, required=True)
-    _add_number_flags(p, _GEOMETRY_FLAGS, required={"--dtheta-deg"})
+    _add_flags(p, _GEOMETRY_FLAGS, required={"--dtheta-deg"})
     p.set_defaults(handler=_cmd_mmin)
 
     p = sub.add_parser("kmin", help="minimum squared frequency-spread norm")
     p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
     p.add_argument("--m-min", type=_number_in(0.0, math.inf))
     p.add_argument("--theta-b-deg", type=float)
-    _add_number_flags(p, _GEOMETRY_FLAGS, required={"--dr-m"})
+    _add_flags(p, _GEOMETRY_FLAGS, required={"--dr-m"})
     p.set_defaults(handler=_cmd_kmin)
 
     p = sub.add_parser("region", help="confinement ellipse and resource minima")

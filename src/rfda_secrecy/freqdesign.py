@@ -23,7 +23,14 @@ import numpy as np
 from .arraymodel import FrequencyVector
 from .errors import ConvergenceError, FixtureError
 
-FIXTURE_LABELS = ("K10405", "K12905", "K15405")
+# fixture label -> (nominal squared norm K, nominal increment span in MHz),
+# in increasing K: the bandwidth sweep's axis
+FIXTURES = {
+    "K10405": (10405.0, 90.0),
+    "K12905": (12905.0, 100.0),
+    "K15405": (15405.0, 110.0),
+}
+FIXTURE_LABELS = tuple(FIXTURES)
 
 
 def rho1(k) -> float:
@@ -160,16 +167,10 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
                          f"got {k_target}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
+    # the method picks the map from a standard normal draw to a direction
     if method == "projection":
         ones, idx = _feasible_basis(n_elements)
-        for _ in range(64):
-            g = rng.standard_normal(n_elements)
-            vec = g - (ones @ g) * ones - (idx @ g) * idx
-            norm = np.linalg.norm(vec)
-            if norm > 1e-12:
-                break
-        else:  # pragma: no cover - probability zero
-            raise RuntimeError("could not draw a non-degenerate direction")
+        dim, direction = n_elements, lambda g: g - (ones @ g) * ones - (idx @ g) * idx
     elif method == "eigen":
         # the orthogonality contract (1e-9 * sqrt(K) on the two linear
         # functionals) outruns the default sweep tolerance once M grows, so
@@ -177,18 +178,16 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
         eig = symmetric_eigen(build_design_matrix(n_elements), tol=1e-14)
         lam_max = eig.eigenvalues[0]
         top = eig.eigenvectors[:, eig.eigenvalues >= lam_max - 1e-6 * lam_max]
-        for _ in range(64):
-            coeff = rng.standard_normal(top.shape[1])
-            vec = top @ coeff
-            norm = np.linalg.norm(vec)
-            if norm > 1e-12:
-                break
-        else:  # pragma: no cover - probability zero
-            raise RuntimeError("could not draw a non-degenerate combination")
+        dim, direction = top.shape[1], top.__matmul__
     else:
         raise ValueError(f"unknown method {method!r}, expected 'projection' or 'eigen'")
 
-    return FrequencyVector(vec * np.sqrt(k_target) / norm)
+    for _ in range(64):
+        vec = direction(rng.standard_normal(dim))
+        norm = np.linalg.norm(vec)
+        if norm > 1e-12:
+            return FrequencyVector(vec * np.sqrt(k_target) / norm)
+    raise ConvergenceError(f"64 {method} draws in a row gave a degenerate direction")
 
 
 def default_fixture_path() -> Path:

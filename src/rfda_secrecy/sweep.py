@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity, c_an_lb, c_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                      RetryRequiredError)
-from .freqdesign import FIXTURE_LABELS, generate_k, load_frequency_table
+from .freqdesign import FIXTURES, generate_k, load_frequency_table
 from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
 
@@ -85,7 +85,7 @@ def default_scenario(**overrides) -> Scenario:
         region=SecrecyRegion(8.0, math.radians(5.0)),
         power=PowerConfig(pt_dbm=30.0, sigma_b2_dbm=0.0, sigma_e2_dbm=0.0, delta=0.6),
         rs_bits=1.0,
-        k_source=FixtureK("K10405"),
+        k_source=FixtureK(),
         mode=Mode.ANALYTIC_LB,
     )
     return replace(base, **overrides) if overrides else base
@@ -97,12 +97,7 @@ def default_scenario(**overrides) -> Scenario:
 
 def scenario_to_config(s: Scenario) -> dict:
     "Fully resolved, JSON-serializable configuration."
-    if isinstance(s.k_source, GeneratedK):
-        k_source = {"type": "generated", "k_target": s.k_source.k_target,
-                    "method": s.k_source.method, "seed": s.k_source.seed}
-    else:
-        k_source = {"type": "fixture", "label": s.k_source.label,
-                    "path": s.k_source.path}
+    k_type = "generated" if isinstance(s.k_source, GeneratedK) else "fixture"
     return {
         "array": {"M": s.array.n_elements, "f0_hz": s.array.f0_hz,
                   "delta_f_hz": s.array.delta_f_hz,
@@ -114,7 +109,7 @@ def scenario_to_config(s: Scenario) -> dict:
         "power": {"pt_dbm": s.power.pt_dbm, "sigma_b2_dbm": s.power.sigma_b2_dbm,
                   "sigma_e2_dbm": s.power.sigma_e2_dbm, "delta": s.power.delta},
         "rs_bits": s.rs_bits,
-        "k_source": k_source,
+        "k_source": {"type": k_type, **asdict(s.k_source)},
         "mode": s.mode.value,
     }
 
@@ -156,6 +151,13 @@ def _string(value, where: str, nullable: bool = False) -> str | None:
     raise ConfigError(f"{where} must be a string{' or null' * nullable}, got {value!r}")
 
 
+# k_source type -> (its dataclass, the reader of each key); absent keys take its defaults
+_K_SOURCES = {
+    "generated": (GeneratedK, {"k_target": _finite, "method": _string, "seed": _seed}),
+    "fixture": (FixtureK, {"label": _string, "path": lambda v, at: _string(v, at, True)}),
+}
+
+
 def _section(cfg: dict, name: str, defaults: dict, other_keys=()) -> dict:
     """The numbers of one configuration section, each read through :func:`_finite`
     and falling back to ``defaults``.  The section must be a JSON object whose
@@ -195,23 +197,16 @@ def scenario_from_config(cfg: dict) -> Scenario:
                           f"or {{'meters': value}}, got {spacing!r}")
 
     sec = cfg.get("k_source", defaults["k_source"])
-    if not isinstance(sec, dict) or "type" not in sec:
-        raise ConfigError("k_source must be an object with a 'type' key")
-    if sec["type"] == "generated":
-        _check_keys(sec, {"type", "k_target", "method", "seed"}, "k_source")
-        if "k_target" not in sec:
-            raise ConfigError("generated k_source needs 'k_target'")
-        k_source = GeneratedK(_finite(sec["k_target"], "k_source.k_target"),
-                              _string(sec.get("method", "projection"),
-                                      "k_source.method"),
-                              _seed(sec.get("seed", 0), "k_source.seed"))
-    elif sec["type"] == "fixture":
-        _check_keys(sec, {"type", "label", "path"}, "k_source")
-        k_source = FixtureK(_string(sec.get("label", "K10405"), "k_source.label"),
-                            _string(sec.get("path"), "k_source.path", nullable=True))
-    else:
-        raise ConfigError(f"k_source.type must be 'generated' or 'fixture', "
-                          f"got {sec['type']!r}")
+    # a tuple, so that the type is compared, not hashed: it may be any JSON value
+    if not isinstance(sec, dict) or sec.get("type") not in tuple(_K_SOURCES):
+        raise ConfigError(f"k_source must be an object whose 'type' is 'generated' "
+                          f"or 'fixture', got {sec!r}")
+    kind, readers = _K_SOURCES[sec["type"]]
+    _check_keys(sec, {"type", *readers}, "k_source")
+    if kind is GeneratedK and "k_target" not in sec:
+        raise ConfigError("generated k_source needs 'k_target'")
+    k_source = kind(**{key: read(sec[key], f"k_source.{key}")
+                       for key, read in readers.items() if key in sec})
 
     try:
         mode = Mode(cfg.get("mode", defaults["mode"]))
@@ -441,7 +436,7 @@ def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
 
 
 def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme],
-                trials: int, seed: int, extra: dict | None = None) -> dict:
+                trials: int, seed: int, n_seeds: int, extra: dict | None = None) -> dict:
     sweep_section = {"kind": kind, "grid": list(grid),
                      "schemes": [sch.value for sch in schemes]}
     if extra:
@@ -452,6 +447,7 @@ def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme]
         "seed": seed,
         "mode": s.mode.value,
         "trials": trials if s.mode is Mode.MONTE_CARLO else 0,
+        "beta_seeds": n_seeds if s.mode is Mode.ANALYTIC_LB else 0,
     }
     payload["config_hash"] = config_hash(payload)
     payload["tool_version"] = VERSION
@@ -489,7 +485,7 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
                                  n_seeds)
 
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
-                       _sweep_meta(s, kind, grid, schemes, trials, seed))
+                       _sweep_meta(s, kind, grid, schemes, trials, seed, n_seeds))
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
@@ -512,19 +508,17 @@ def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT
                            n_seeds)
 
 
-def sweep_bandwidth(s: Scenario, labels=FIXTURE_LABELS,
-                    schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
+def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
                     trials: int = 10000, seed: int = 0, workers: int = 1,
                     n_seeds: int = 100) -> SweepResult:
     """Secrecy capacity across the fixture frequency vectors.
 
-    The axis carries each row's nominal squared norm (a bandwidth proxy);
-    rows are evaluated in increasing order.
+    The axis carries each row's nominal squared norm (a bandwidth proxy), in
+    the increasing order of :data:`~rfda_secrecy.freqdesign.FIXTURES`.
     """
-    order = sorted(labels, key=lambda lab: float(lab.lstrip("K")))
-    grid = [float(lab.lstrip("K")) for lab in order]
+    grid = [k_nominal for k_nominal, _ in FIXTURES.values()]
     path = s.k_source.path if isinstance(s.k_source, FixtureK) else None
-    points = [replace(s, k_source=FixtureK(label, path)) for label in order]
+    points = [replace(s, k_source=FixtureK(label, path)) for label in FIXTURES]
     return _capacity_sweep(s, "bandwidth", "k_nominal", grid, points, schemes, trials,
                            seed, n_seeds)
 
@@ -553,20 +547,13 @@ def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN)
             "every grid point is infeasible for the requested scheme(s); "
             "raise the transmit power or lower the rate")
     return SweepResult("rs_bits", grid, series,
-                       _sweep_meta(s, "rate", grid, schemes, 0, seed,
+                       _sweep_meta(s, "rate", grid, schemes, 0, seed, 0,
                                    extra={"fixed_eta": fixed_eta}))
 
 
 # ---------------------------------------------------------------------------
 # fixture validation and beampattern export
 # ---------------------------------------------------------------------------
-
-_FIXTURE_EXPECTATIONS = {
-    "K10405": (10405.0, 90.0),
-    "K12905": (12905.0, 100.0),
-    "K15405": (15405.0, 110.0),
-}
-
 
 def validate_fixtures(path: str | Path | None = None) -> dict:
     """Check every fixture row: squared norm within 0.5 % of its label,
@@ -576,11 +563,11 @@ def validate_fixtures(path: str | Path | None = None) -> dict:
     report_rows = []
     for label, vec in rows:
         entry: dict = {"label": label}
-        if label not in _FIXTURE_EXPECTATIONS:
+        if label not in FIXTURES:
             entry.update(ok=False, reason="unknown label")
             report_rows.append(entry)
             continue
-        k2_expected, span_expected = _FIXTURE_EXPECTATIONS[label]
+        k2_expected, span_expected = FIXTURES[label]
         k = vec.k
         entry["k_squared"] = vec.K
         entry["k_squared_expected"] = k2_expected

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rfda_secrecy import (ArrayConfig, FrequencyVector, Location, SPEED_OF_LIGHT,
                           correlation2, half_wavelength_spacing, pq_offsets,
@@ -240,3 +241,30 @@ def test_taylor_remainder_bound_small_offsets():
         gap = abs(beampattern_exact(cfg, k, bob, eve)
                   - beampattern_taylor(cfg, k, bob, eve))
         assert gap <= bound + 1e-12
+
+
+_angles = st.floats(0.1, math.pi - 0.1)
+
+
+@st.composite
+def _geometries(draw):
+    "An array, a frequency vector and two locations, as random_case draws them."
+    m = draw(st.integers(1, 24))
+    cfg = ArrayConfig.half_wavelength(m, draw(st.floats(5e8, 5e9)), draw(st.floats(1e5, 1e7)))
+    k = draw(st.lists(st.floats(-50.0, 50.0), min_size=m, max_size=m))
+    bob, eve = (Location(draw(st.floats(0.0, 500.0)), draw(_angles)) for _ in range(2))
+    return cfg, k, bob, eve
+
+
+@settings(max_examples=200, deadline=None)
+@given(_geometries())
+def test_correlation2_lies_in_the_unit_interval_property(case):
+    assert -1e-12 <= correlation2(*case) <= 1.0 + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_geometries())
+def test_taylor_pattern_never_exceeds_the_exact_pattern_property(case):
+    # cos x >= 1 - x^2/2 term by term
+    m = case[0].n_elements
+    assert beampattern_taylor(*case) <= beampattern_exact(*case) + 1e-12 * m * m

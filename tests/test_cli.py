@@ -8,7 +8,7 @@ import pytest
 
 import rfda_secrecy
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
-from rfda_secrecy.sweep import scenario_to_config
+from rfda_secrecy.sweep import FixtureK, GeneratedK, scenario_to_config
 from rfda_secrecy.errors import ConvergenceError
 
 MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45"]
@@ -294,6 +294,13 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["sweep", "rate", "--fixed-eta", "1.5"]),
     (None, ["sweep", "rate", "--fixed-eta", "nan"]),
     (None, ["gen-k", "--m", "8", "--k-target", "1e308"]),
+    ('{"bob": 5}', ["capacity", "--bob-r-m", "90"]),
+    ('[1, 2]', ["capacity", "--pt-dbm", "10"]),
+    ('{"k_source": 5}', ["capacity", "--k-seed", "5"]),
+    (None, ["capacity", "--k-seed", "5"]),
+    (None, ["capacity", "--k-method", "eigen"]),
+    (None, ["capacity", "--k-target", "10405", "--fixture-path", "table.csv"]),
+    ('{"k_source": {"type": []}}', ["capacity"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -337,6 +344,66 @@ def test_scenario_flag_sets_its_config_path(argv, path, expected):
     if isinstance(expected, float):
         expected = pytest.approx(expected)
     assert value == expected
+
+
+@pytest.mark.parametrize("config, argv, flag", [
+    ({"bob": 5}, ["--bob-r-m", "90"], "--bob-r-m"),
+    ([1, 2], ["--pt-dbm", "10"], "--pt-dbm"),
+    ({"k_source": 5}, ["--k-seed", "5"], "--k-seed"),
+    (None, ["--k-seed", "5"], "--k-seed"),
+    (None, ["--k-method", "eigen"], "--k-method"),
+    ({"k_source": {"type": "fixture", "label": "K12905"}}, ["--k-seed", "5"], "--k-seed"),
+    (None, ["--k-target", "10405", "--fixture-label", "K12905"], "--k-target"),
+    (None, ["--k-target", "10405", "--fixture-path", "table.csv"], "--k-target"),
+])
+def test_a_flag_that_cannot_apply_is_named_in_the_error(tmp_path, capsys, config, argv,
+                                                          flag):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    code, out, err = run(capsys, "capacity", *argv)
+    assert (code, out) == (2, "")
+    assert flag in err
+
+
+_GENERATED = {"type": "generated", "k_target": 10405.0, "method": "eigen", "seed": 1}
+_FIXTURE = {"type": "fixture", "label": "K12905"}
+
+
+@pytest.mark.parametrize("k_source, argv, expected", [
+    (_GENERATED, ["--k-seed", "5"], GeneratedK(10405.0, "eigen", 5)),
+    (_GENERATED, ["--k-method", "projection"], GeneratedK(10405.0, "projection", 1)),
+    (_GENERATED, ["--k-target", "500"], GeneratedK(500.0, "eigen", 1)),
+    (_GENERATED, ["--fixture-label", "K15405"], FixtureK("K15405")),
+    (_FIXTURE, ["--fixture-path", "table.csv"], FixtureK("K12905", "table.csv")),
+    (_FIXTURE, ["--k-target", "500"], GeneratedK(500.0)),
+    (_FIXTURE, ["--k-target", "500", "--k-seed", "3"], GeneratedK(500.0, seed=3)),
+])
+def test_k_flags_override_one_config_key(tmp_path, k_source, argv, expected):
+    # a flag naming the other source type starts a fresh k_source section;
+    # every other k flag overrides its one key and keeps the rest of the file
+    (tmp_path / "cfg.json").write_text(json.dumps({"k_source": k_source}))
+    args = build_parser().parse_args(["capacity", "--config", str(tmp_path / "cfg.json"),
+                                      *argv])
+    assert _scenario_from_args(args).k_source == expected
+
+
+def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
+    # beta_seeds changes an lb sweep over a generated k, so two counts must not
+    # share a run directory; in mc mode it changes nothing and is recorded as 0
+    def sweep(*argv):
+        code, out, _ = run(capsys, "sweep", "power", "--k-target", "10405", "--pt-max", "2",
+                           *argv, "--out", str(tmp_path))
+        assert code == 0
+        run_dir = Path(out.strip())
+        return run_dir, json.loads((run_dir / "manifest.json").read_text())["beta_seeds"]
+
+    (few_dir, few), (many_dir, many) = sweep("--beta-seeds", "5"), sweep("--beta-seeds", "50")
+    assert (few, many) == (5, 50)
+    assert few_dir != many_dir
+    mc = ("--mode", "mc", "--trials", "20")
+    assert sweep(*mc, "--beta-seeds", "5") == sweep(*mc, "--beta-seeds", "50")
+    assert sweep(*mc)[1] == 0
 
 
 def test_help_exits_0(capsys):

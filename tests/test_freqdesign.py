@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (ConvergenceError, FixtureError, build_design_matrix,
+from rfda_secrecy import (ConvergenceError, EigenResult, FixtureError, build_design_matrix,
                           default_fixture_path, generate_k, load_frequency_table,
                           rho1, rho2, symmetric_eigen)
+from rfda_secrecy import freqdesign
+from rfda_secrecy.cli import main
 from rfda_secrecy.freqdesign import _feasible_basis
 
 
@@ -227,3 +230,23 @@ def test_load_frequency_table_errors(tmp_path):
                          + "\nK10405," + ",".join(["1"] * 15) + ",oops\n")
     with pytest.raises(FixtureError, match="row 2"):
         load_frequency_table(bad_value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(3, 24), k_target=st.floats(1e-3, 1e8),
+       method=st.sampled_from(["projection", "eigen"]), seed=st.integers(0, 2 ** 63 - 1))
+def test_generate_k_ellipse_conditions_property(m, k_target, method, seed):
+    vec = generate_k(m, k_target, method, seed)
+    assert rho1(vec) == pytest.approx(2.0 * m * k_target, rel=1e-9)
+    assert abs(rho2(vec)) < 2.0 * m * 1e-9 * math.sqrt(k_target)
+
+
+def test_exhausted_k_draw_loop_raises_convergence_error(monkeypatch, capsys):
+    # with no usable eigenvector every draw is degenerate: the capped loop
+    # must end in the typed error, which the command line maps to exit 4
+    monkeypatch.setattr(freqdesign, "symmetric_eigen",
+                        lambda a, tol: EigenResult(np.ones(len(a)), np.zeros_like(a)))
+    with pytest.raises(ConvergenceError):
+        generate_k(8, 100.0, "eigen", seed=0)
+    assert main(["gen-k", "--m", "8", "--k-target", "100", "--method", "eigen"]) == 4
+    assert "converge" in capsys.readouterr().err
