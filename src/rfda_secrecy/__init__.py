@@ -4,8 +4,8 @@ beamforming, secrecy-capacity bounds, resource minima and experiment sweeps.
 """
 
 from .arraymodel import (ArrayConfig, FrequencyVector, Location, SPEED_OF_LIGHT,
-                         correlation2, half_wavelength_spacing, pq_offsets,
-                         steering_vector)
+                         correlation2, correlation2_grid, half_wavelength_spacing,
+                         pq_offsets, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, c_an_lb, c_lb, capacity_bob,
                          capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
                          secrecy_capacity, sinr_eve, snr_bob)

@@ -125,21 +125,26 @@ def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
     return np.exp(1j * phases) / np.sqrt(cfg.n_elements)
 
 
+def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):
+    "The offsets of :func:`pq_offsets` toward a range and an angle, or arrays of them."
+    p = 2.0 * np.pi * cfg.delta_f_hz * (r_m - bob.r_m) / cfg.wave_speed
+    q = (2.0 * np.pi * cfg.f0_hz * cfg.spacing_m
+         * (np.cos(theta_rad) - np.cos(bob.theta_rad)) / cfg.wave_speed)
+    return p, q
+
+
 def pq_offsets(cfg: ArrayConfig, bob: Location, eve: Location) -> tuple[float, float]:
     """Range/angle phase offsets (p, q) of ``eve`` relative to ``bob``.
 
     ``p`` scales the frequency increments, ``q`` the element index, so the
     per-element phase mismatch is ``z_m = p*k_m + q*(m-1)``.
     """
-    p = 2.0 * np.pi * cfg.delta_f_hz * (eve.r_m - bob.r_m) / cfg.wave_speed
-    q = (2.0 * np.pi * cfg.f0_hz * cfg.spacing_m
-         * (np.cos(eve.theta_rad) - np.cos(bob.theta_rad)) / cfg.wave_speed)
+    p, q = _pq(cfg, bob, eve.r_m, eve.theta_rad)
     return float(p), float(q)
 
 
-def _mismatch_phases(cfg: ArrayConfig, k: np.ndarray,
-                     bob: Location, eve: Location) -> np.ndarray:
-    p, q = pq_offsets(cfg, bob, eve)
+def _mismatch_phases(cfg: ArrayConfig, k: np.ndarray, p, q) -> np.ndarray:
+    "Phases ``p*k_m + q*(m-1)``; array offsets p and q need a trailing axis of length 1."
     return p * k + q * np.arange(cfg.n_elements)
 
 
@@ -150,5 +155,20 @@ def correlation2(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     receiver at ``eve`` when the transmit vector points at ``bob``.
     """
     karr = _as_k(k, cfg.n_elements)
-    z = _mismatch_phases(cfg, karr, bob, eve)
+    z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
     return float(np.abs(np.exp(1j * z).mean()) ** 2)
+
+
+def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.ndarray:
+    """:func:`correlation2` at every location of the broadcast ``r_m`` and
+    ``theta_rad`` arrays, in an array of their broadcast shape.
+
+    The locations are not checked: callers validate them as :class:`Location`.
+    Each location holds an M-element phase vector while it is evaluated, so
+    callers keep batches small (``beampattern_grid`` passes one range row).
+    """
+    karr = _as_k(k, cfg.n_elements)
+    p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
+    z = _mismatch_phases(cfg, karr, p[..., None], q[..., None])
+    # float_power is libm pow, which the scalar path's ``** 2`` rounds with too
+    return np.float_power(np.abs(np.exp(1j * z).mean(axis=-1)), 2)

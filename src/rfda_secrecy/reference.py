@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .arraymodel import (ArrayConfig, FrequencyVector, Location, _as_k, _mismatch_phases,
-                         correlation2, steering_vector)
+                         correlation2, pq_offsets, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity)
 from .errors import ConvergenceError, RetryRequiredError
@@ -49,7 +49,7 @@ def beampattern_taylor(cfg: ArrayConfig, k, bob: Location, eve: Location) -> flo
     negative far from the aim point, where the expansion has no validity.
     """
     karr = _as_k(k, cfg.n_elements)
-    z = _mismatch_phases(cfg, karr, bob, eve)
+    z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
     m = cfg.n_elements
     return float(m * m - m * np.sum(z * z) + np.sum(z) ** 2)
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arraymodel import ArrayConfig, Location, correlation2
+from .arraymodel import ArrayConfig, Location, correlation2_grid
 from .dmsecurity import PowerConfig, eta
 from .errors import ConvergenceError, InfeasibleRateError
 
@@ -59,8 +59,9 @@ def corner_locations(bob: Location, region: SecrecyRegion) -> list[Location]:
 
 def beta_boundary(cfg: ArrayConfig, k, bob: Location, region: SecrecyRegion) -> float:
     "Largest squared steering correlation over the four region corners."
-    return max(correlation2(cfg, k, bob, corner)
-               for corner in corner_locations(bob, region))
+    corners = corner_locations(bob, region)
+    return float(correlation2_grid(cfg, k, bob, [c.r_m for c in corners],
+                                   [c.theta_rad for c in corners]).max())
 
 
 def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .arraymodel import (ArrayConfig, FrequencyVector, Location, correlation2,
-                         half_wavelength_spacing, steering_vector)
+                         correlation2_grid, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity, c_an_lb, c_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
@@ -376,8 +376,14 @@ def mc_capacity(s: Scenario, trials: int, seed: int, scheme: Scheme | None = Non
 def evaluate_capacity(s: Scenario, scheme: Scheme, trials: int, seed: int,
                       beta: float | None = None,
                       n_seeds: int = 100) -> tuple[float, float | None]:
-    "Secrecy capacity of one scheme in the scenario's mode, as (value, stderr or None)."
+    """Secrecy capacity of one scheme in the scenario's mode, as (value, stderr or None).
+
+    ``beta`` overrides the lower bound's boundary correlation; Monte Carlo
+    mode has no boundary correlation, so it rejects one."""
     if s.mode is Mode.MONTE_CARLO:
+        if beta is not None:
+            raise ValueError("a boundary correlation override (beta) applies to the "
+                             "lower bound only, not to mc mode")
         return mc_capacity(s, trials, seed, scheme)
     return lb_capacity(s, scheme, beta=beta, n_seeds=n_seeds), None
 
@@ -514,11 +520,14 @@ def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
     """Secrecy capacity across the fixture frequency vectors.
 
     The axis carries each row's nominal squared norm (a bandwidth proxy), in
-    the increasing order of :data:`~rfda_secrecy.freqdesign.FIXTURES`.
+    the increasing order of :data:`~rfda_secrecy.freqdesign.FIXTURES`.  The
+    rows are the frequency vectors, so a generated source is rejected.
     """
+    if isinstance(s.k_source, GeneratedK):
+        raise ValueError("the bandwidth sweep runs over the fixture rows; it takes no "
+                         "generated k source (k_target)")
     grid = [k_nominal for k_nominal, _ in FIXTURES.values()]
-    path = s.k_source.path if isinstance(s.k_source, FixtureK) else None
-    points = [replace(s, k_source=FixtureK(label, path)) for label in FIXTURES]
+    points = [replace(s, k_source=FixtureK(label, s.k_source.path)) for label in FIXTURES]
     return _capacity_sweep(s, "bandwidth", "k_nominal", grid, points, schemes, trials,
                            seed, n_seeds)
 
@@ -586,14 +595,24 @@ def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> list[tuple[floa
     """Normalized beampattern samples (r, theta_deg, power / M^2) on a grid.
 
     One frequency vector is drawn (or loaded) for the whole grid, so the rows
-    describe a single realized pattern.
+    describe a single realized pattern.  Every range and angle is checked as a
+    :class:`Location` first, so the first bad value of a row-major walk over
+    the grid raises; then each range row is one :func:`correlation2_grid` call.
     """
     k = resolve_k(s)
+    r_values = [float(r) for r in r_values]
+    thetas = [float(theta) for theta in theta_values_rad]
+    if not r_values or not thetas:
+        return []
+    for theta in thetas:
+        Location(r_values[0], theta)
+    for r in r_values[1:]:
+        Location(r, thetas[0])
+    theta_deg = [math.degrees(theta) for theta in thetas]
     rows = []
     for r in r_values:
-        for theta in theta_values_rad:
-            c2 = correlation2(s.array, k, s.bob, Location(float(r), float(theta)))
-            rows.append((float(r), math.degrees(float(theta)), c2))
+        power = correlation2_grid(s.array, k, s.bob, r, thetas).tolist()
+        rows.extend(zip([r] * len(thetas), theta_deg, power))
     return rows
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (ArrayConfig, FrequencyVector, Location, SPEED_OF_LIGHT,
-                          correlation2, half_wavelength_spacing, pq_offsets,
-                          steering_vector)
+from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, FrequencyVector, Location,
+                          SPEED_OF_LIGHT, SecrecyRegion, beampattern_grid, beta_boundary,
+                          corner_locations, correlation2, correlation2_grid,
+                          default_scenario, fixture_vector, generate_k,
+                          half_wavelength_spacing, pq_offsets, steering_vector)
 from rfda_secrecy.reference import beampattern_exact, beampattern_taylor, phase_shift
 
 C = SPEED_OF_LIGHT
@@ -268,3 +270,98 @@ def test_taylor_pattern_never_exceeds_the_exact_pattern_property(case):
     # cos x >= 1 - x^2/2 term by term
     m = case[0].n_elements
     assert beampattern_taylor(*case) <= beampattern_exact(*case) + 1e-12 * m * m
+
+
+# ---------------------------------------------------------------------------
+# the location-batch kernel against the scalar correlation2
+# ---------------------------------------------------------------------------
+
+_BOB = Location(100.0, math.radians(45))
+# r = 0, Bob's own range and angle, and angles at the edges of (0, pi)
+_GRID_R = [0.0, 37.5, _BOB.r_m, 100.25, 1e4]
+_GRID_THETA = [5e-324, 1e-9, 1e-3, 0.7, _BOB.theta_rad, math.pi / 2, math.pi - 1e-3,
+               math.pi - 1e-9, float(np.nextafter(math.pi, 0.0))]
+
+
+def _vectors(m):
+    "The frequency vectors a differential case runs: fixture rows and generated ones."
+    if m == 16:
+        yield from (fixture_vector(label).k for label in FIXTURE_LABELS)
+    if m >= 3:
+        yield from (generate_k(m, 10405.0, method, seed=3).k
+                    for method in ("projection", "eigen"))
+    else:
+        yield np.array([1.0, -1.0])
+
+
+def _pointwise(cfg, k, bob, r_values, thetas):
+    return np.array([[correlation2(cfg, k, bob, Location(r, theta)) for theta in thetas]
+                     for r in r_values])
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 64])
+def test_correlation2_grid_matches_the_scalar_path(m):
+    cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
+    for k in _vectors(m):
+        want = _pointwise(cfg, k, _BOB, _GRID_R, _GRID_THETA)
+        got = correlation2_grid(cfg, k, _BOB, np.array(_GRID_R)[:, None], _GRID_THETA)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        # one range row, the batch beampattern_grid passes
+        np.testing.assert_allclose(correlation2_grid(cfg, k, _BOB, _BOB.r_m, _GRID_THETA),
+                                   want[2], rtol=1e-12, atol=1e-15)
+        assert correlation2_grid(cfg, k, _BOB, _BOB.r_m, _BOB.theta_rad) == pytest.approx(
+            1.0, rel=1e-12)
+
+
+def test_correlation2_grid_rejects_a_vector_of_the_wrong_length():
+    cfg = ArrayConfig.half_wavelength(4, 1e9, 1e6)
+    with pytest.raises(ValueError):
+        correlation2_grid(cfg, np.zeros(5), _BOB, [100.0], [1.0])
+
+
+@pytest.mark.parametrize("m", [3, 16, 64])
+def test_beta_boundary_is_the_largest_scalar_corner_correlation(m):
+    cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
+    for region in (SecrecyRegion(8.0, math.radians(5)), SecrecyRegion(0.5, 1e-3),
+                   SecrecyRegion(99.0, math.radians(44))):
+        corners = corner_locations(_BOB, region)
+        for k in _vectors(m):
+            want = max(correlation2(cfg, k, _BOB, corner) for corner in corners)
+            assert beta_boundary(cfg, k, _BOB, region) == pytest.approx(want, rel=1e-12)
+
+
+def _pointwise_rows(s, r_values, thetas):
+    "The grid one location at a time, as rows of (r, theta_deg, power)."
+    k = fixture_vector(s.k_source.label)
+    return [(float(r), math.degrees(float(theta)),
+             correlation2(s.array, k, s.bob, Location(float(r), float(theta))))
+            for r in r_values for theta in thetas]
+
+
+def test_beampattern_grid_rows_match_the_pointwise_loop():
+    s = default_scenario()
+    r_values = [0.0, 76.0, 99.75, 100.0, 123.5]
+    thetas = [math.radians(t) for t in (0.001, 30.0, 44.9, 45.0, 60.1, 179.999)]
+    got, want = beampattern_grid(s, r_values, thetas), _pointwise_rows(s, r_values, thetas)
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    np.testing.assert_allclose([row[2] for row in got], [row[2] for row in want],
+                               rtol=1e-12, atol=1e-15)
+    assert beampattern_grid(s, [], thetas) == beampattern_grid(s, r_values, []) == []
+
+
+@pytest.mark.parametrize("r_values, thetas", [
+    ([-1.0, 5.0], [0.0, 1.0]),
+    ([1.0, 5.0], [1.0, 0.0, 4.0]),
+    ([1.0, 5.0, -2.0, math.nan], [1.0, 2.0]),
+    ([1.0, -5.0], [1.0, math.pi]),
+    ([math.inf], [1.0]),
+])
+def test_beampattern_grid_raises_at_the_first_bad_location_of_the_pointwise_loop(
+        r_values, thetas):
+    s = default_scenario()
+    with pytest.raises(ValueError) as want:
+        _pointwise_rows(s, r_values, thetas)
+    with pytest.raises(ValueError) as got:
+        beampattern_grid(s, r_values, thetas)
+    assert str(got.value) == str(want.value)

@@ -15,7 +15,8 @@ import pytest
 from rfda_secrecy.cli import main
 
 _RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-_COMMANDS = ("gen_k_eigen", "sweep_delta", "sweep_rate", "region", "validate_fixtures")
+_COMMANDS = ("gen_k_eigen", "sweep_delta", "sweep_rate", "region", "validate_fixtures",
+             "beampattern")
 _PROGRAM_SEED = 0
 
 

@@ -301,6 +301,11 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--k-method", "eigen"]),
     (None, ["capacity", "--k-target", "10405", "--fixture-path", "table.csv"]),
     ('{"k_source": {"type": []}}', ["capacity"]),
+    (None, ["sweep", "bandwidth", "--k-target", "10405", "--k-seed", "3"]),
+    (None, ["capacity", "--mode", "mc", "--beta", "0.1"]),
+    (None, ["beampattern", "--r-min", "-1", "--r-max", "5", "--r-step", "1"]),
+    (None, ["beampattern", "--theta-min-deg", "0", "--theta-max-deg", "10"]),
+    (None, ["beampattern", "--theta-min-deg", "170", "--theta-max-deg", "181"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
