@@ -30,22 +30,19 @@ class ArrayConfig:
     f0_hz: float
     delta_f_hz: float
     spacing_m: float
-    wave_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.n_elements < 1:
             raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        for name in ("f0_hz", "delta_f_hz", "spacing_m", "wave_speed"):
+        for name in ("f0_hz", "delta_f_hz", "spacing_m"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
 
     @classmethod
-    def half_wavelength(cls, n_elements: int, f0_hz: float, delta_f_hz: float,
-                        wave_speed: float = SPEED_OF_LIGHT) -> "ArrayConfig":
+    def half_wavelength(cls, n_elements: int, f0_hz: float, delta_f_hz: float) -> "ArrayConfig":
         "Construct with element spacing of half the carrier wavelength."
-        return cls(n_elements, f0_hz, delta_f_hz,
-                   half_wavelength_spacing(f0_hz, wave_speed), wave_speed)
+        return cls(n_elements, f0_hz, delta_f_hz, half_wavelength_spacing(f0_hz))
 
 
 @dataclass(frozen=True)
@@ -103,11 +100,11 @@ def _as_k(k, n_elements: int) -> np.ndarray:
     return arr
 
 
-def half_wavelength_spacing(f0_hz: float, wave_speed: float = SPEED_OF_LIGHT) -> float:
+def half_wavelength_spacing(f0_hz: float) -> float:
     "Element spacing equal to half the carrier wavelength, c / (2 f0)."
-    if f0_hz <= 0 or wave_speed <= 0:
-        raise ValueError("f0_hz and wave_speed must be positive")
-    return wave_speed / (2.0 * f0_hz)
+    if f0_hz <= 0:
+        raise ValueError("f0_hz must be positive")
+    return SPEED_OF_LIGHT / (2.0 * f0_hz)
 
 
 def _phase_profile(cfg: ArrayConfig, k: np.ndarray, loc: Location) -> np.ndarray:
@@ -115,7 +112,7 @@ def _phase_profile(cfg: ArrayConfig, k: np.ndarray, loc: Location) -> np.ndarray
     m = np.arange(cfg.n_elements)
     angle_term = m * cfg.f0_hz * cfg.spacing_m * np.cos(loc.theta_rad)
     range_term = k * cfg.delta_f_hz * loc.r_m
-    return -2.0 * np.pi * (angle_term + range_term) / cfg.wave_speed
+    return -2.0 * np.pi * (angle_term + range_term) / SPEED_OF_LIGHT
 
 
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
@@ -127,9 +124,9 @@ def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
 
 def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):
     "The offsets of :func:`pq_offsets` toward a range and an angle, or arrays of them."
-    p = 2.0 * np.pi * cfg.delta_f_hz * (r_m - bob.r_m) / cfg.wave_speed
+    p = 2.0 * np.pi * cfg.delta_f_hz * (r_m - bob.r_m) / SPEED_OF_LIGHT
     q = (2.0 * np.pi * cfg.f0_hz * cfg.spacing_m
-         * (np.cos(theta_rad) - np.cos(bob.theta_rad)) / cfg.wave_speed)
+         * (np.cos(theta_rad) - np.cos(bob.theta_rad)) / SPEED_OF_LIGHT)
     return p, q
 
 

@@ -21,7 +21,7 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (SEED_LIMIT, Scenario, beampattern_csv_text, beampattern_grid,
+from .sweep import (SEED_LIMIT, Mode, Scenario, beampattern_csv_text, beampattern_grid,
                     config_hash, evaluate_capacity, resolve_k, scenario_from_config,
                     scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
                     sweep_rate, validate_fixtures, write_run, write_run_dir)
@@ -58,12 +58,14 @@ def _number_in(lo: float, hi: float):
     return number
 
 
-def _seed(text: str) -> int:
-    "argparse type: an integer seed in [0, 2**63)."
-    value = int(text)
-    if not 0 <= value < SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**63), got {text}")
-    return value
+def _integer_in(lo: int, hi: float):
+    "argparse type: an integer in the half-open interval [lo, hi)."
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value < hi:
+            raise argparse.ArgumentTypeError(f"must be an integer in [{lo}, {hi}), got {text}")
+        return value
+    return integer
 
 
 # scenario flag -> (type, or a tuple of choices; configuration key it overrides; help)
@@ -83,10 +85,9 @@ _SCENARIO_FLAGS = {
     "--sigma-b2-dbm": (float, "power.sigma_b2_dbm", "intended noise floor"),
     "--sigma-e2-dbm": (float, "power.sigma_e2_dbm", "eavesdropper noise floor"),
     "--delta": (float, "power.delta", "signal power fraction"),
-    "--rs-bits": (float, "rs_bits", "target secrecy rate"),
     "--k-target": (float, "k_source.k_target", "generate k with this squared norm"),
     "--k-method": (("projection", "eigen"), "k_source.method", "k generation method"),
-    "--k-seed": (_seed, "k_source.seed", "k generation seed"),
+    "--k-seed": (_integer_in(0, SEED_LIMIT), "k_source.seed", "k generation seed"),
     "--fixture-label": (str, "k_source.label", "use this fixture-table row as k"),
     "--fixture-path": (str, "k_source.path", "fixture table file"),
     "--mode": (("lb", "mc"), "mode", "evaluation mode"),
@@ -127,11 +128,11 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
 def _add_evaluation_flags(parser: argparse.ArgumentParser) -> None:
     "Flags of the capacity evaluation shared by capacity and sweep."
     parser.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
-    parser.add_argument("--trials", type=int, default=10000)
-    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--trials", type=_integer_in(1, math.inf), default=10000)
+    parser.add_argument("--seed", type=_integer_in(0, SEED_LIMIT), default=0)
     parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; no effect, trials run serially")
-    parser.add_argument("--beta-seeds", type=int, default=100)
+    parser.add_argument("--beta-seeds", type=_integer_in(1, math.inf))
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -155,7 +156,10 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         if value is not None and cfg["k_source"].get("type") != "generated":
             raise ConfigError(f"{flag} needs a generated k source: give --k-target or "
                               f"a configuration k_source of type 'generated'")
-    return scenario_from_config(cfg)
+    s = scenario_from_config(cfg)
+    if getattr(args, "beta_seeds", None) is not None and s.mode is Mode.MONTE_CARLO:
+        raise ConfigError("--beta-seeds applies to the lower bound only, not to mc mode")
+    return s
 
 
 def _cmd_mmin(args: argparse.Namespace) -> int:
@@ -232,7 +236,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
     for scheme in _SCHEME_CHOICES[args.scheme]:
         value, err = evaluate_capacity(s, scheme, args.trials, args.seed, args.beta,
-                                       args.beta_seeds)
+                                       args.beta_seeds or 100)
         line = f"{scheme.value}={value:.4f}"
         print(line if err is None else f"{line} stderr={err:.4f}")
     return 0
@@ -241,7 +245,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
     common = dict(schemes=_SCHEME_CHOICES[args.scheme], seed=args.seed)
-    evaluation = dict(common, trials=args.trials, n_seeds=args.beta_seeds)
+    evaluation = dict(common, trials=args.trials, n_seeds=args.beta_seeds or 100)
     if args.kind == "power":
         result = sweep_power(s, _grid(args.pt_min, args.pt_max, args.pt_step),
                              **evaluation)
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k-target", type=float, required=True)
     p.add_argument("--method", choices=("projection", "eigen"), default="projection")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_integer_in(0, SEED_LIMIT), default=0)
     p.set_defaults(handler=_cmd_gen_k)
 
     p = sub.add_parser("beampattern", help="export a beampattern grid as CSV")

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (ArrayConfig, FrequencyVector, Location, _as_k, _mismatch_phases,
-                         correlation2, pq_offsets, steering_vector)
+from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, FrequencyVector, Location, _as_k,
+                         _mismatch_phases, correlation2, pq_offsets, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity)
 from .errors import ConvergenceError, RetryRequiredError
@@ -33,7 +33,7 @@ def phase_shift(cfg: ArrayConfig, k_m: float, element: int, loc: Location) -> fl
         raise ValueError(f"element index {element} out of range 1..{cfg.n_elements}")
     angle_term = (element - 1) * cfg.f0_hz * cfg.spacing_m * np.cos(loc.theta_rad)
     range_term = k_m * cfg.delta_f_hz * loc.r_m
-    return float(-2.0 * np.pi * (angle_term + range_term) / cfg.wave_speed)
+    return float(-2.0 * np.pi * (angle_term + range_term) / SPEED_OF_LIGHT)
 
 
 def beampattern_exact(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .arraymodel import ArrayConfig, Location, correlation2_grid
+from .arraymodel import SPEED_OF_LIGHT, ArrayConfig, Location, correlation2_grid
 from .dmsecurity import PowerConfig, eta
 from .errors import ConvergenceError, InfeasibleRateError
 
@@ -78,8 +78,8 @@ def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
     if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
         raise ValueError("theta_b must lie strictly inside (0, pi)")
     rem = max(1.0 - beta, 0.0)
-    dr = cfg.wave_speed * math.sqrt(n_elements * rem / k_norm2) / (2.0 * math.pi * cfg.delta_f_hz)
-    dtheta = (BEAMWIDTH_CONSTANT_RAD * cfg.wave_speed * math.sqrt(rem)
+    dr = SPEED_OF_LIGHT * math.sqrt(n_elements * rem / k_norm2) / (2.0 * math.pi * cfg.delta_f_hz)
+    dtheta = (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(rem)
               / (n_elements * cfg.spacing_m * cfg.f0_hz * sin_theta))
     return dr, dtheta
 
@@ -96,7 +96,7 @@ def m_min(beta: float, region: SecrecyRegion, theta_b_rad: float,
     if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
         raise ValueError("theta_b must lie strictly inside (0, pi)")
     rem = max(1.0 - beta, 0.0)
-    value = (BEAMWIDTH_CONSTANT_RAD * cfg.wave_speed * math.sqrt(rem)
+    value = (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(rem)
              / (region.dtheta_rad * cfg.spacing_m * cfg.f0_hz * sin_theta))
     return max(value, 1.0)
 
@@ -110,7 +110,7 @@ def k_min(beta: float, region: SecrecyRegion, cfg: ArrayConfig,
     this value.
     """
     rem = max(1.0 - beta, 0.0)
-    scale = cfg.wave_speed / (2.0 * math.pi * cfg.delta_f_hz * region.dr_m)
+    scale = SPEED_OF_LIGHT / (2.0 * math.pi * cfg.delta_f_hz * region.dr_m)
     return scale * scale * rem * m_min_value
 
 

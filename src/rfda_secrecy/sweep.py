@@ -1,15 +1,14 @@
 """Experiment orchestration: scenarios, Monte Carlo estimation, sweeps, output.
 
 A :class:`Scenario` bundles everything one experiment needs (array, the two
-receiver locations, region, powers, rate target, frequency-vector source and
-evaluation mode).  Sweeps vary one axis, evaluate both transmit schemes per
-point and return a :class:`SweepResult` that serializes to a CSV plus a JSON
-manifest carrying the fully resolved configuration and its content hash.
+receiver locations, region, powers, frequency-vector source and evaluation
+mode).  Sweeps vary one axis, evaluate both transmit schemes per point and
+return a :class:`SweepResult` that serializes to a CSV plus a JSON manifest
+carrying the fully resolved configuration and its content hash.
 
 Reproducibility contract: every random quantity is drawn from a counter-based
 stream keyed by (master seed, trial index), so results are bit-identical for
-a given seed.  Trials run serially; the ``workers`` argument of the Monte
-Carlo entry points is accepted for compatibility and has no effect.
+a given seed.  Trials run serially.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ class Scenario:
     eve: Location
     region: SecrecyRegion
     power: PowerConfig
-    rs_bits: float
     k_source: GeneratedK | FixtureK
     mode: Mode
 
@@ -84,7 +82,6 @@ def default_scenario(**overrides) -> Scenario:
         eve=Location(108.0, math.radians(40.0)),
         region=SecrecyRegion(8.0, math.radians(5.0)),
         power=PowerConfig(pt_dbm=30.0, sigma_b2_dbm=0.0, sigma_e2_dbm=0.0, delta=0.6),
-        rs_bits=1.0,
         k_source=FixtureK(),
         mode=Mode.ANALYTIC_LB,
     )
@@ -108,7 +105,6 @@ def scenario_to_config(s: Scenario) -> dict:
                    "dtheta_deg": math.degrees(s.region.dtheta_rad)},
         "power": {"pt_dbm": s.power.pt_dbm, "sigma_b2_dbm": s.power.sigma_b2_dbm,
                   "sigma_e2_dbm": s.power.sigma_e2_dbm, "delta": s.power.delta},
-        "rs_bits": s.rs_bits,
         "k_source": {"type": k_type, **asdict(s.k_source)},
         "mode": s.mode.value,
     }
@@ -213,9 +209,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
     except ValueError:
         raise ConfigError(f"mode must be 'lb' or 'mc', got {cfg['mode']!r}") from None
 
-    rs_bits = _finite(cfg.get("rs_bits", defaults["rs_bits"]), "rs_bits")
-    if rs_bits < 0:
-        raise ConfigError(f"rs_bits must be >= 0, got {rs_bits!r}")
     m = _integer(array["M"], "array.M")
     try:
         return Scenario(
@@ -223,7 +216,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             bob=Location(bob["r_m"], math.radians(bob["theta_deg"])),
             eve=Location(eve["r_m"], math.radians(eve["theta_deg"])),
             region=SecrecyRegion(region["dr_m"], math.radians(region["dtheta_deg"])),
-            power=PowerConfig(**power), rs_bits=rs_bits, k_source=k_source, mode=mode)
+            power=PowerConfig(**power), k_source=k_source, mode=mode)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -320,8 +313,8 @@ def lb_capacity(s: Scenario, scheme: Scheme | None = None,
     return c_an_lb(s.power, beta, eta(s.array.n_elements))
 
 
-def mc_capacity(s: Scenario, trials: int, seed: int, scheme: Scheme | None = None,
-                workers: int = 1) -> tuple[float, float]:
+def mc_capacity(s: Scenario, trials: int, seed: int,
+                scheme: Scheme | None = None) -> tuple[float, float]:
     """Monte Carlo mean secrecy capacity and its standard error.
 
     Each trial draws a fresh frequency vector (generated source only) and a
@@ -330,8 +323,6 @@ def mc_capacity(s: Scenario, trials: int, seed: int, scheme: Scheme | None = Non
     identical inputs give bit-identical output.  When ``k`` is a fixture
     row and no power goes to AN (signal-only scheme, or delta = 1), no trial
     draws anything: one trial is evaluated and stands for all of them.
-    Trials run serially; ``workers`` is accepted for compatibility and has
-    no effect.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -495,8 +486,7 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = 10000, seed: int = 0, workers: int = 1,
-                n_seeds: int = 100) -> SweepResult:
+                trials: int = 10000, seed: int = 0, n_seeds: int = 100) -> SweepResult:
     "Secrecy capacity versus transmit power (dBm) for each scheme."
     grid = [float(pt) for pt in grid_dbm]
     points = [replace(s, power=replace(s.power, pt_dbm=pt)) for pt in grid]
@@ -505,8 +495,7 @@ def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_A
 
 
 def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = 10000, seed: int = 0, workers: int = 1,
-                n_seeds: int = 100) -> SweepResult:
+                trials: int = 10000, seed: int = 0, n_seeds: int = 100) -> SweepResult:
     "Secrecy capacity versus the signal power fraction delta."
     grid = [float(delta) for delta in grid_delta]
     points = [replace(s, power=replace(s.power, delta=delta)) for delta in grid]
@@ -515,8 +504,7 @@ def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT
 
 
 def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                    trials: int = 10000, seed: int = 0, workers: int = 1,
-                    n_seeds: int = 100) -> SweepResult:
+                    trials: int = 10000, seed: int = 0, n_seeds: int = 100) -> SweepResult:
     """Secrecy capacity across the fixture frequency vectors.
 
     The axis carries each row's nominal squared norm (a bandwidth proxy), in
@@ -617,6 +605,14 @@ def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> list[tuple[floa
 
 
 def beampattern_csv_text(rows) -> str:
+    "CSV of ``(r, theta_deg, power)`` rows; each distinct range and angle is formatted once."
+    texts: dict = {}
+
+    def text(value) -> str:
+        if not value or value not in texts:  # 0.0 and -0.0 are one key but print apart
+            texts[value] = _fmt(value)
+        return texts[value]
+
     lines = ["r_m,theta_deg,normalized_power"]
-    lines += [f"{_fmt(r)},{_fmt(t)},{_fmt(p)}" for r, t, p in rows]
+    lines += [f"{text(r)},{text(t)},{_fmt(p)}" for r, t, p in rows]
     return "\n".join(lines) + "\n"

@@ -37,15 +37,14 @@ def random_case(rng, n_max=24):
 
 def test_half_wavelength_spacing_values():
     assert half_wavelength_spacing(1e9) == pytest.approx(0.149896229, rel=1e-12)
-    assert half_wavelength_spacing(1e9, 3e8) == 0.15
     assert half_wavelength_spacing(2e9) == pytest.approx(
         half_wavelength_spacing(1e9) / 2.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("f0,c", [(0.0, C), (-1e9, C), (1e9, 0.0), (1e9, -3e8)])
-def test_half_wavelength_spacing_rejects_nonpositive(f0, c):
+@pytest.mark.parametrize("f0", [0.0, -1e9])
+def test_half_wavelength_spacing_rejects_nonpositive(f0):
     with pytest.raises(ValueError):
-        half_wavelength_spacing(f0, c)
+        half_wavelength_spacing(f0)
 
 
 def test_array_config_validation():
@@ -54,7 +53,7 @@ def test_array_config_validation():
     with pytest.raises(ValueError):
         ArrayConfig(4, 1e9, -1e6, 0.15)
     cfg = ArrayConfig.half_wavelength(4, 1e9, 1e6)
-    assert cfg.spacing_m * cfg.f0_hz == pytest.approx(cfg.wave_speed / 2.0, rel=0)
+    assert cfg.spacing_m * cfg.f0_hz == pytest.approx(SPEED_OF_LIGHT / 2.0, rel=0)
 
 
 def test_location_validation():

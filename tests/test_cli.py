@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rfda_secrecy
-from rfda_secrecy.cli import _scenario_from_args, build_parser, main
+from rfda_secrecy.cli import _SCENARIO_FLAGS, _scenario_from_args, build_parser, main
 from rfda_secrecy.sweep import FixtureK, GeneratedK, scenario_to_config
 from rfda_secrecy.errors import ConvergenceError
 
@@ -219,7 +219,7 @@ def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
 
 def test_config_file_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"power": {"pt_dbm": 10.0}, "rs_bits": 2.0}))
+    cfg.write_text(json.dumps({"power": {"pt_dbm": 10.0}}))
     code, out, _ = run(capsys, "capacity", "--config", str(cfg), "--beta", "0.4",
                        "--pt-dbm", "30", "--scheme", "an")
     assert code == 0
@@ -306,6 +306,15 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["beampattern", "--r-min", "-1", "--r-max", "5", "--r-step", "1"]),
     (None, ["beampattern", "--theta-min-deg", "0", "--theta-max-deg", "10"]),
     (None, ["beampattern", "--theta-min-deg", "170", "--theta-max-deg", "181"]),
+    (None, ["capacity", "--trials", "0"]),
+    (None, ["capacity", "--mode", "mc", "--trials", "-3"]),
+    (None, ["sweep", "power", "--mode", "mc", "--trials", "1.5"]),
+    (None, ["capacity", "--beta-seeds", "0"]),
+    (None, ["sweep", "rate", "--beta-seeds", "-1"]),
+    (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "0"]),
+    (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "-7"]),
+    (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "5"]),
+    (None, ["sweep", "power", "--mode", "mc", "--trials", "5", "--beta-seeds", "5"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -333,7 +342,6 @@ def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     (["--sigma-b2-dbm", "1"], "power.sigma_b2_dbm", 1.0),
     (["--sigma-e2-dbm", "2"], "power.sigma_e2_dbm", 2.0),
     (["--delta", "0.7"], "power.delta", 0.7),
-    (["--rs-bits", "1.5"], "rs_bits", 1.5),
     (["--mode", "mc"], "mode", "mc"),
     (["--k-target", "150"], "k_source.k_target", 150.0),
     (["--k-target", "150", "--k-method", "eigen"], "k_source.method", "eigen"),
@@ -351,6 +359,55 @@ def test_scenario_flag_sets_its_config_path(argv, path, expected):
     assert value == expected
 
 
+_REGION = ["region", "--beta", "0.4", "--k-norm2", "10405"]
+_MC_SIGNAL_ONLY = ["capacity", "--mode", "mc", "--trials", "2", "--scheme", "no-an"]
+_GENERATED_K = ["capacity", "--k-target", "10405", "--beta-seeds", "2"]
+# scenario flag -> (a command, the flag with a value that must change its stdout)
+_LIVE_FLAG_CASES = {
+    "--m": (_REGION, ["--m", "12"]),
+    # half-wavelength spacing holds f0 * d at c / 2, so f0 shows only at a fixed d
+    "--f0-hz": ([*_REGION, "--spacing-m", "0.15"], ["--f0-hz", "2e9"]),
+    "--delta-f-hz": (_REGION, ["--delta-f-hz", "2e6"]),
+    "--spacing-m": (_REGION, ["--spacing-m", "0.1"]),
+    "--bob-r-m": (_MC_SIGNAL_ONLY, ["--bob-r-m", "104"]),
+    "--bob-theta-deg": (_REGION, ["--bob-theta-deg", "60"]),
+    # lb mode reads only bob and the region; the probe location is an mc input
+    "--eve-r-m": (_MC_SIGNAL_ONLY, ["--eve-r-m", "103"]),
+    "--eve-theta-deg": (_MC_SIGNAL_ONLY, ["--eve-theta-deg", "43"]),
+    "--dr-m": (_REGION, ["--dr-m", "4"]),
+    "--dtheta-deg": (_REGION, ["--dtheta-deg", "3"]),
+    "--pt-dbm": (["capacity"], ["--pt-dbm", "20"]),
+    "--sigma-b2-dbm": (["capacity"], ["--sigma-b2-dbm", "3"]),
+    "--sigma-e2-dbm": (["capacity"], ["--sigma-e2-dbm", "3"]),
+    "--delta": (["capacity"], ["--delta", "0.8"]),
+    "--k-target": (["capacity", "--beta-seeds", "2"], ["--k-target", "500"]),
+    "--k-method": (_GENERATED_K, ["--k-method", "eigen"]),
+    "--k-seed": (_GENERATED_K, ["--k-seed", "5"]),
+    "--fixture-label": (["capacity"], ["--fixture-label", "K15405"]),
+    "--fixture-path": (["capacity"], ["--fixture-path", "{table}"]),
+    "--mode": (["capacity", "--trials", "2"], ["--mode", "mc"]),
+}
+
+
+def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
+    # a setting that no computation reads is dead weight: every scenario flag
+    # must move the output of some command
+    assert set(_LIVE_FLAG_CASES) == set(_SCENARIO_FLAGS)
+    table = rfda_secrecy.default_fixture_path().read_text().splitlines()
+    rows = {line.split(",", 1)[0]: line.split(",", 1)[1] for line in table[1:]}
+    # the K10405 row of this table holds the packaged K12905 increments
+    (tmp_path / "table.csv").write_text(f"{table[0]}\nK10405,{rows['K12905']}\n")
+
+    def stdout(argv):
+        code, out, err = run(capsys, *[a.format(table=tmp_path / "table.csv")
+                                       for a in argv])
+        assert code == 0, (argv, err)
+        return out
+
+    for flag, (command, setting) in _LIVE_FLAG_CASES.items():
+        assert stdout(command) != stdout([*command, *setting]), flag
+
+
 @pytest.mark.parametrize("config, argv, flag", [
     ({"bob": 5}, ["--bob-r-m", "90"], "--bob-r-m"),
     ([1, 2], ["--pt-dbm", "10"], "--pt-dbm"),
@@ -360,6 +417,7 @@ def test_scenario_flag_sets_its_config_path(argv, path, expected):
     ({"k_source": {"type": "fixture", "label": "K12905"}}, ["--k-seed", "5"], "--k-seed"),
     (None, ["--k-target", "10405", "--fixture-label", "K12905"], "--k-target"),
     (None, ["--k-target", "10405", "--fixture-path", "table.csv"], "--k-target"),
+    (None, ["--mode", "mc", "--trials", "5", "--beta-seeds", "5"], "--beta-seeds"),
 ])
 def test_a_flag_that_cannot_apply_is_named_in_the_error(tmp_path, capsys, config, argv,
                                                           flag):
@@ -395,7 +453,7 @@ def test_k_flags_override_one_config_key(tmp_path, k_source, argv, expected):
 
 def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     # beta_seeds changes an lb sweep over a generated k, so two counts must not
-    # share a run directory; in mc mode it changes nothing and is recorded as 0
+    # share a run directory; mc mode draws no beta, so it records 0
     def sweep(*argv):
         code, out, _ = run(capsys, "sweep", "power", "--k-target", "10405", "--pt-max", "2",
                            *argv, "--out", str(tmp_path))
@@ -407,7 +465,6 @@ def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     assert (few, many) == (5, 50)
     assert few_dir != many_dir
     mc = ("--mode", "mc", "--trials", "20")
-    assert sweep(*mc, "--beta-seeds", "5") == sweep(*mc, "--beta-seeds", "50")
     assert sweep(*mc)[1] == 0
 
 
