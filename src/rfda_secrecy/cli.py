@@ -68,6 +68,11 @@ def _integer_in(lo: int, hi: float):
     return integer
 
 
+def _except(*unread: str) -> tuple:
+    "The scenario flags other than ``unread``."
+    return tuple(flag for flag in _SCENARIO_FLAGS if flag not in unread)
+
+
 # scenario flag -> (type, or a tuple of choices; configuration key it overrides; help)
 _SCENARIO_FLAGS = {
     "--m": (int, "array.M", "number of array elements"),
@@ -92,16 +97,42 @@ _SCENARIO_FLAGS = {
     "--fixture-path": (str, "k_source.path", "fixture table file"),
     "--mode": (("lb", "mc"), "mode", "evaluation mode"),
 }
-# the array and region flags of the closed-form subcommands mmin and kmin
-_GEOMETRY_FLAGS = ("--dtheta-deg", "--dr-m", "--f0-hz", "--delta-f-hz", "--spacing-m")
+# flag -> its argparse keywords: every scenario flag, and each flag of several commands
+_FLAGS = {
+    **{flag: {"choices" if isinstance(kind, tuple) else "type": kind, "help": text}
+       for flag, (kind, _, text) in _SCENARIO_FLAGS.items()},
+    "--config": dict(help="JSON configuration file"),
+    "--beta": dict(type=_number_in(0.0, 1.0), help="boundary correlation"),
+    "--theta-b-deg": dict(type=float),
+    "--scheme": dict(choices=sorted(_SCHEME_CHOICES), default="both"),
+    "--trials": dict(type=_integer_in(1, math.inf), default=10000),
+    "--seed": dict(type=_integer_in(0, SEED_LIMIT), default=0),
+    "--beta-seeds": dict(type=_integer_in(1, math.inf)),
+    "--out": dict(default="out"),
+    "--svg": dict(action="store_true"),
+}
+_EVALUATION_FLAGS = ("--scheme", "--trials", "--seed", "--beta-seeds")
+
+# the scenario flags each command reads; a command accepts no flag it does not read
+_MMIN_FLAGS = ("--dtheta-deg", "--f0-hz", "--spacing-m")
+_KMIN_FLAGS = (*_MMIN_FLAGS, "--dr-m", "--delta-f-hz")
+_REGION_FLAGS = (*_KMIN_FLAGS, "--m", "--bob-theta-deg", "--k-target", "--fixture-label",
+                 "--fixture-path")
+_BEAMPATTERN_FLAGS = (*_REGION_FLAGS, "--bob-r-m", "--k-method", "--k-seed")
+# the rate solver draws no k and sizes the array itself; bandwidth rows are fixtures
+_RATE_FLAGS = ("--f0-hz", "--spacing-m", "--bob-theta-deg", "--dtheta-deg", "--pt-dbm",
+               "--sigma-b2-dbm", "--sigma-e2-dbm", "--delta")
+_BANDWIDTH_FLAGS = _except("--m", "--k-target", "--k-method", "--k-seed", "--fixture-label")
 
 
-def _add_flags(parser: argparse.ArgumentParser, flags=tuple(_SCENARIO_FLAGS),
-               required=()) -> None:
+def _add_command(sub, name: str, text: str, flags, required=(), **defaults):
+    "The parser of one command, with ``flags`` (``required`` among them) and ``defaults``."
+    # no abbreviated flag: kmin must not read --delta as --delta-f-hz
+    p = sub.add_parser(name, help=text, allow_abbrev=False)
     for flag in flags:
-        kind, _, text = _SCENARIO_FLAGS[flag]
-        kind = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
-        parser.add_argument(flag, help=text, required=flag in required, **kind)
+        p.add_argument(flag, required=flag in required, **_FLAGS[flag])
+    p.set_defaults(**defaults)
+    return p
 
 
 def _flag_config(args: argparse.Namespace, cfg) -> dict:
@@ -120,21 +151,6 @@ def _flag_config(args: argparse.Namespace, cfg) -> dict:
     return cfg
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON configuration file")
-    _add_flags(parser)
-
-
-def _add_evaluation_flags(parser: argparse.ArgumentParser) -> None:
-    "Flags of the capacity evaluation shared by capacity and sweep."
-    parser.add_argument("--scheme", choices=sorted(_SCHEME_CHOICES), default="both")
-    parser.add_argument("--trials", type=_integer_in(1, math.inf), default=10000)
-    parser.add_argument("--seed", type=_integer_in(0, SEED_LIMIT), default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; no effect, trials run serially")
-    parser.add_argument("--beta-seeds", type=_integer_in(1, math.inf))
-
-
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     cfg: dict = {}
     if args.config:
@@ -142,18 +158,19 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             cfg = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
-    fixture = args.fixture_label is not None or args.fixture_path is not None
-    if args.k_target is not None and fixture:
+    k_flags = _flag_config(args, {}).get("k_source", {})
+    fixture = "label" in k_flags or "path" in k_flags
+    if "k_target" in k_flags and fixture:
         raise ConfigError("--k-target excludes --fixture-label and --fixture-path")
-    kind = "generated" if args.k_target is not None else "fixture" if fixture else None
+    kind = "generated" if "k_target" in k_flags else "fixture" if fixture else None
     if kind and isinstance(cfg, dict):
         # a flag naming a source type starts a fresh section over one of the other type
         sec = cfg.setdefault("k_source", {"type": kind})
         if isinstance(sec, dict) and sec.get("type", kind) != kind:
             cfg["k_source"] = {"type": kind}
     _flag_config(args, cfg)
-    for flag, value in (("--k-method", args.k_method), ("--k-seed", args.k_seed)):
-        if value is not None and cfg["k_source"].get("type") != "generated":
+    for flag, key in (("--k-method", "method"), ("--k-seed", "seed")):
+        if key in k_flags and cfg["k_source"].get("type") != "generated":
             raise ConfigError(f"{flag} needs a generated k source: give --k-target or "
                               f"a configuration k_source of type 'generated'")
     s = scenario_from_config(cfg)
@@ -233,33 +250,21 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
-    for scheme in _SCHEME_CHOICES[args.scheme]:
-        value, err = evaluate_capacity(s, scheme, args.trials, args.seed, args.beta,
-                                       args.beta_seeds or 100)
+    s, evaluation = _scenario_from_args(args), _evaluation(args)
+    for scheme in evaluation.pop("schemes"):
+        value, err = evaluate_capacity(s, scheme, beta=args.beta, **evaluation)
         line = f"{scheme.value}={value:.4f}"
         print(line if err is None else f"{line} stderr={err:.4f}")
     return 0
 
 
+def _evaluation(args: argparse.Namespace) -> dict:
+    return dict(schemes=_SCHEME_CHOICES[args.scheme], trials=args.trials, seed=args.seed,
+                n_seeds=getattr(args, "beta_seeds", None) or 100)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
-    common = dict(schemes=_SCHEME_CHOICES[args.scheme], seed=args.seed)
-    evaluation = dict(common, trials=args.trials, n_seeds=args.beta_seeds or 100)
-    if args.kind == "power":
-        result = sweep_power(s, _grid(args.pt_min, args.pt_max, args.pt_step),
-                             **evaluation)
-    elif args.kind == "delta":
-        result = sweep_delta(s, _grid(args.delta_min, args.delta_max, args.delta_step),
-                             **evaluation)
-    elif args.kind == "bandwidth":
-        result = sweep_bandwidth(s, **evaluation)
-    else:
-        if args.rs is not None:
-            grid = [args.rs]
-        else:
-            grid = _grid(args.rs_min, args.rs_max, args.rs_step)
-        result = sweep_rate(s, grid, fixed_eta=args.fixed_eta, **common)
+    result = args.run(_scenario_from_args(args), args)
     run_dir = write_run(result, args.out, f"sweep-{args.kind}")
     if args.svg:
         (run_dir / "plot.svg").write_text(line_chart(result, title=f"{args.kind} sweep"))
@@ -287,80 +292,79 @@ def _cmd_validate_fixtures(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="rfda-secrecy",
+        prog="rfda-secrecy", allow_abbrev=False,
         description="Secrecy-region analysis for random frequency diverse array "
                     "directional modulation")
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mmin", help="minimum element count for a region")
-    p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
-    p.add_argument("--theta-b-deg", type=float, required=True)
-    _add_flags(p, _GEOMETRY_FLAGS, required={"--dtheta-deg"})
-    p.set_defaults(handler=_cmd_mmin)
+    _add_command(sub, "mmin", "minimum element count for a region",
+                 ("--beta", "--theta-b-deg", *_MMIN_FLAGS),
+                 {"--beta", "--theta-b-deg", "--dtheta-deg"}, handler=_cmd_mmin)
 
-    p = sub.add_parser("kmin", help="minimum squared frequency-spread norm")
-    p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
+    p = _add_command(sub, "kmin", "minimum squared frequency-spread norm",
+                     ("--beta", "--theta-b-deg", *_KMIN_FLAGS), {"--beta", "--dr-m"},
+                     handler=_cmd_kmin)
     p.add_argument("--m-min", type=_number_in(0.0, math.inf))
-    p.add_argument("--theta-b-deg", type=float)
-    _add_flags(p, _GEOMETRY_FLAGS, required={"--dr-m"})
-    p.set_defaults(handler=_cmd_kmin)
 
-    p = sub.add_parser("region", help="confinement ellipse and resource minima")
-    _add_scenario_flags(p)
-    p.add_argument("--beta", type=_number_in(0.0, 1.0), required=True)
+    p = _add_command(sub, "region", "confinement ellipse and resource minima",
+                     ("--config", "--beta", *_REGION_FLAGS), {"--beta"}, handler=_cmd_region)
     p.add_argument("--k-norm2", type=_number_in(0.0, math.inf),
                    help="squared norm of k (default: from the scenario's k source)")
-    p.set_defaults(handler=_cmd_region)
 
-    p = sub.add_parser("gen-k", help="draw a frequency-increment vector")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k-target", type=float, required=True)
+    p = _add_command(sub, "gen-k", "draw a frequency-increment vector",
+                     ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k)
     p.add_argument("--method", choices=("projection", "eigen"), default="projection")
-    p.add_argument("--seed", type=_integer_in(0, SEED_LIMIT), default=0)
-    p.set_defaults(handler=_cmd_gen_k)
 
-    p = sub.add_parser("beampattern", help="export a beampattern grid as CSV")
-    _add_scenario_flags(p)
+    p = _add_command(sub, "beampattern", "export a beampattern grid as CSV",
+                     ("--config", *_BEAMPATTERN_FLAGS, "--out"), handler=_cmd_beampattern)
     p.add_argument("--r-min", type=float)
     p.add_argument("--r-max", type=float)
     p.add_argument("--r-step", type=float, default=0.5)
     p.add_argument("--theta-min-deg", type=float)
     p.add_argument("--theta-max-deg", type=float)
     p.add_argument("--theta-step-deg", type=float, default=0.25)
-    p.add_argument("--out", default="out")
-    p.set_defaults(handler=_cmd_beampattern)
 
-    p = sub.add_parser("capacity", help="secrecy capacity for one scenario")
-    _add_scenario_flags(p)
-    _add_evaluation_flags(p)
-    p.add_argument("--beta", type=_number_in(0.0, 1.0),
-                   help="override the boundary correlation")
-    p.set_defaults(handler=_cmd_capacity)
+    _add_command(sub, "capacity", "secrecy capacity for one scenario",
+                 ("--config", *_SCENARIO_FLAGS, *_EVALUATION_FLAGS, "--beta"),
+                 handler=_cmd_capacity)
 
-    p = sub.add_parser("sweep", help="run a parameter sweep")
-    p.add_argument("kind", choices=("power", "delta", "bandwidth", "rate"))
-    _add_scenario_flags(p)
-    _add_evaluation_flags(p)
-    p.add_argument("--out", default="out")
-    p.add_argument("--svg", action="store_true")
+    kinds = _add_command(sub, "sweep", "run a parameter sweep", (), handler=_cmd_sweep
+                         ).add_subparsers(dest="kind", required=True)
+    p = _add_command(kinds, "power", "secrecy capacity versus transmit power",
+                     ("--config", *_except("--pt-dbm"), *_EVALUATION_FLAGS, "--out", "--svg"),
+                     run=lambda s, a: sweep_power(s, _grid(a.pt_min, a.pt_max, a.pt_step),
+                                                  **_evaluation(a)))
     p.add_argument("--pt-min", type=float, default=0.0)
     p.add_argument("--pt-max", type=float, default=30.0)
     p.add_argument("--pt-step", type=float, default=1.0)
+    # read by nothing; kept because the benchmark passes it to this sweep
+    p.add_argument("--workers", type=int, default=1, help="no effect; trials run serially")
+    p = _add_command(kinds, "delta", "secrecy capacity versus the signal power fraction",
+                     ("--config", *_except("--delta"), *_EVALUATION_FLAGS, "--out", "--svg"),
+                     run=lambda s, a: sweep_delta(
+                         s, _grid(a.delta_min, a.delta_max, a.delta_step), **_evaluation(a)))
     p.add_argument("--delta-min", type=float, default=0.05)
     p.add_argument("--delta-max", type=float, default=0.95)
     p.add_argument("--delta-step", type=float, default=0.05)
+    _add_command(kinds, "bandwidth", "secrecy capacity across the fixture vectors",
+                 ("--config", *_BANDWIDTH_FLAGS, "--scheme", "--trials", "--seed", "--out",
+                  "--svg"), run=lambda s, a: sweep_bandwidth(s, **_evaluation(a)))
+    p = _add_command(kinds, "rate", "minimum element count versus the target rate",
+                     ("--config", *_RATE_FLAGS, "--scheme", "--out", "--svg"),
+                     run=lambda s, a: sweep_rate(
+                         s, [a.rs] if a.rs is not None else _grid(a.rs_min, a.rs_max, a.rs_step),
+                         _SCHEME_CHOICES[a.scheme], fixed_eta=a.fixed_eta))
     p.add_argument("--rs", type=_number_in(0.0, math.inf), help="single-rate grid")
     p.add_argument("--rs-min", type=_number_in(0.0, math.inf), default=0.5)
     p.add_argument("--rs-max", type=float, default=6.0)
     p.add_argument("--rs-step", type=float, default=0.5)
     p.add_argument("--fixed-eta", type=_number_in(0.0, 1.0),
                    help="override the element-count feedback in the rate solver")
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("validate-fixtures", help="check the frequency table")
+    p = _add_command(sub, "validate-fixtures", "check the frequency table", (),
+                     handler=_cmd_validate_fixtures)
     p.add_argument("--fixtures", help="fixture CSV path (default: packaged table)")
-    p.set_defaults(handler=_cmd_validate_fixtures)
 
     return parser
 

@@ -433,18 +433,12 @@ def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
 
 
 def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme],
-                trials: int, seed: int, n_seeds: int, extra: dict | None = None) -> dict:
-    sweep_section = {"kind": kind, "grid": list(grid),
-                     "schemes": [sch.value for sch in schemes]}
-    if extra:
-        sweep_section.update(extra)
+                evaluation: dict, **extra) -> dict:
     payload = {
         "config": scenario_to_config(s),
-        "sweep": sweep_section,
-        "seed": seed,
-        "mode": s.mode.value,
-        "trials": trials if s.mode is Mode.MONTE_CARLO else 0,
-        "beta_seeds": n_seeds if s.mode is Mode.ANALYTIC_LB else 0,
+        "sweep": {"kind": kind, "grid": list(grid),
+                  "schemes": [sch.value for sch in schemes], **extra},
+        **evaluation,
     }
     payload["config_hash"] = config_hash(payload)
     payload["tool_version"] = VERSION
@@ -481,8 +475,11 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
         return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key),
                                  n_seeds)
 
+    evaluation = {"seed": seed, "mode": s.mode.value,
+                  "trials": trials if s.mode is Mode.MONTE_CARLO else 0,
+                  "beta_seeds": n_seeds if s.mode is Mode.ANALYTIC_LB else 0}
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
-                       _sweep_meta(s, kind, grid, schemes, trials, seed, n_seeds))
+                       _sweep_meta(s, kind, grid, schemes, evaluation))
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
@@ -521,7 +518,7 @@ def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
 
 
 def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-               seed: int = 0, fixed_eta: float | None = None) -> SweepResult:
+               fixed_eta: float | None = None) -> SweepResult:
     """Minimum element count versus the target secrecy rate for each scheme.
 
     Rates beyond a scheme's feasibility limit appear as explicit gaps (empty
@@ -544,8 +541,7 @@ def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN)
             "every grid point is infeasible for the requested scheme(s); "
             "raise the transmit power or lower the rate")
     return SweepResult("rs_bits", grid, series,
-                       _sweep_meta(s, "rate", grid, schemes, 0, seed, 0,
-                                   extra={"fixed_eta": fixed_eta}))
+                       _sweep_meta(s, "rate", grid, schemes, {}, fixed_eta=fixed_eta))
 
 
 # ---------------------------------------------------------------------------

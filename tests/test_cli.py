@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rfda_secrecy
-from rfda_secrecy.cli import _SCENARIO_FLAGS, _scenario_from_args, build_parser, main
+from rfda_secrecy.cli import _scenario_from_args, build_parser, main
 from rfda_secrecy.sweep import FixtureK, GeneratedK, scenario_to_config
 from rfda_secrecy.errors import ConvergenceError
 
@@ -168,8 +171,7 @@ def test_sweep_mc_workers_identical(tmp_path, capsys):
 
 
 def test_sweep_bandwidth_cli(tmp_path, capsys):
-    code, out, _ = run(capsys, "sweep", "bandwidth", "--beta-seeds", "5",
-                       "--out", str(tmp_path))
+    code, out, _ = run(capsys, "sweep", "bandwidth", "--out", str(tmp_path))
     assert code == 0
     run_dir = tmp_path / out.strip().split("/")[-1]
     lines = (run_dir / "result.csv").read_text().splitlines()
@@ -315,6 +317,21 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "-7"]),
     (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "5"]),
     (None, ["sweep", "power", "--mode", "mc", "--trials", "5", "--beta-seeds", "5"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "10", "--delta", "0.5"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45",
+            "--dr-m", "3"]),
+    (None, ["region", "--beta", "0.4", "--eve-r-m", "90"]),
+    (None, ["beampattern", "--mode", "mc"]),
+    (None, ["sweep", "power", "--pt-dbm", "10"]),
+    (None, ["sweep", "delta", "--delta", "0.5"]),
+    (None, ["sweep", "bandwidth", "--fixture-label", "K12905"]),
+    (None, ["sweep", "rate", "--trials", "5"]),
+    (None, ["sweep", "rate", "--seed", "5"]),
+    (None, ["sweep", "--out", "out", "power"]),
+    (None, ["capacity", "--workers", "2"]),
+    (None, ["sweep", "delta", "--workers", "2"]),
+    (None, ["sweep", "bandwidth", "--workers", "2"]),
+    ('{"k_source": {"type": "generated", "k_target": 10405}}', ["sweep", "bandwidth"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -359,53 +376,107 @@ def test_scenario_flag_sets_its_config_path(argv, path, expected):
     assert value == expected
 
 
-_REGION = ["region", "--beta", "0.4", "--k-norm2", "10405"]
-_MC_SIGNAL_ONLY = ["capacity", "--mode", "mc", "--trials", "2", "--scheme", "no-an"]
-_GENERATED_K = ["capacity", "--k-target", "10405", "--beta-seeds", "2"]
-# scenario flag -> (a command, the flag with a value that must change its stdout)
-_LIVE_FLAG_CASES = {
-    "--m": (_REGION, ["--m", "12"]),
+def _parsers(parser=None, words=()):
+    "Every parser of the command tree, with the command words that select it."
+    parser = parser or build_parser()
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parsers(child, (*words, name))
+
+
+# command -> its flags; each sweep kind is a command of its own
+_COMMAND_FLAGS = {" ".join(words): {flag for action in parser._actions
+                                    if not isinstance(action, argparse._HelpAction)
+                                    for flag in action.option_strings}
+                  for words, parser in _parsers()
+                  if words and not parser._subparsers}
+# --config stands in for the scenario flags, --out only says where a result
+# goes, and --workers has no effect: it stays on sweep power for the benchmark
+_NO_OUTPUT_FLAGS = {"--config", "--out", "--workers"}
+# command -> the arguments every case of it starts from: small grids, few draws
+_BASES = {
+    "mmin": MMIN_ARGS[1:],
+    "kmin": ["--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--theta-b-deg", "45"],
+    "region": ["--beta", "0.4"],
+    "gen-k": ["--m", "8", "--k-target", "100"],
+    "beampattern": ["--r-step", "8", "--theta-step-deg", "5"],
+    "capacity": ["--trials", "2"],
+    "sweep power": ["--pt-max", "2", "--trials", "2"],
+    "sweep delta": ["--delta-max", "0.15", "--trials", "2"],
+    "sweep bandwidth": ["--trials", "2"],
+    "sweep rate": ["--rs-max", "2"],
+    "validate-fixtures": [],
+}
+_MC = (("--mode", "mc"),)
+_GENERATED = (("--k-target", "10405"), ("--beta-seeds", "2"))
+# flag -> the (flag, value) pairs the base needs before the flag can show; a pair
+# whose flag the command does not take is left out
+_NEEDS = {
     # half-wavelength spacing holds f0 * d at c / 2, so f0 shows only at a fixed d
-    "--f0-hz": ([*_REGION, "--spacing-m", "0.15"], ["--f0-hz", "2e9"]),
-    "--delta-f-hz": (_REGION, ["--delta-f-hz", "2e6"]),
-    "--spacing-m": (_REGION, ["--spacing-m", "0.1"]),
-    "--bob-r-m": (_MC_SIGNAL_ONLY, ["--bob-r-m", "104"]),
-    "--bob-theta-deg": (_REGION, ["--bob-theta-deg", "60"]),
-    # lb mode reads only bob and the region; the probe location is an mc input
-    "--eve-r-m": (_MC_SIGNAL_ONLY, ["--eve-r-m", "103"]),
-    "--eve-theta-deg": (_MC_SIGNAL_ONLY, ["--eve-theta-deg", "43"]),
-    "--dr-m": (_REGION, ["--dr-m", "4"]),
-    "--dtheta-deg": (_REGION, ["--dtheta-deg", "3"]),
-    "--pt-dbm": (["capacity"], ["--pt-dbm", "20"]),
-    "--sigma-b2-dbm": (["capacity"], ["--sigma-b2-dbm", "3"]),
-    "--sigma-e2-dbm": (["capacity"], ["--sigma-e2-dbm", "3"]),
-    "--delta": (["capacity"], ["--delta", "0.8"]),
-    "--k-target": (["capacity", "--beta-seeds", "2"], ["--k-target", "500"]),
-    "--k-method": (_GENERATED_K, ["--k-method", "eigen"]),
-    "--k-seed": (_GENERATED_K, ["--k-seed", "5"]),
-    "--fixture-label": (["capacity"], ["--fixture-label", "K15405"]),
-    "--fixture-path": (["capacity"], ["--fixture-path", "{table}"]),
-    "--mode": (["capacity", "--trials", "2"], ["--mode", "mc"]),
+    "--f0-hz": (("--spacing-m", "0.15"),),
+    # the lower bound reads the region around bob, not his range or the probe
+    "--bob-r-m": _MC, "--eve-r-m": _MC, "--eve-theta-deg": _MC,
+    "--trials": _MC, "--seed": _MC,
+    # a fixture vector has 16 entries
+    "--m": _GENERATED,
+    "--k-method": _GENERATED, "--k-seed": _GENERATED, "--beta-seeds": _GENERATED,
+}
+# flag -> a value that differs from the base's (None: a switch)
+_VALUES = {
+    "--m": "12", "--f0-hz": "2e9", "--delta-f-hz": "2e6", "--spacing-m": "0.1",
+    "--bob-r-m": "104", "--bob-theta-deg": "60", "--eve-r-m": "103",
+    "--eve-theta-deg": "43", "--dr-m": "4", "--dtheta-deg": "3", "--pt-dbm": "20",
+    "--sigma-b2-dbm": "3", "--sigma-e2-dbm": "3", "--delta": "0.8", "--k-target": "500",
+    "--k-method": "eigen", "--k-seed": "5", "--fixture-label": "K15405",
+    "--fixture-path": "{table}", "--mode": "mc", "--scheme": "an", "--trials": "3",
+    "--seed": "3", "--beta-seeds": "3", "--beta": "0.5", "--theta-b-deg": "60",
+    "--m-min": "20", "--k-norm2": "500", "--method": "eigen", "--r-min": "90",
+    "--r-max": "110", "--r-step": "4", "--theta-min-deg": "40", "--theta-max-deg": "50",
+    "--theta-step-deg": "2.5", "--pt-min": "1", "--pt-max": "4", "--pt-step": "0.5",
+    "--delta-min": "0.1", "--delta-max": "0.3", "--delta-step": "0.1", "--rs": "1",
+    "--rs-min": "1", "--rs-max": "3", "--rs-step": "1", "--fixed-eta": "0.5",
+    "--svg": None, "--fixtures": "{valid}",
 }
 
 
 def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
-    # a setting that no computation reads is dead weight: every scenario flag
-    # must move the output of some command
-    assert set(_LIVE_FLAG_CASES) == set(_SCENARIO_FLAGS)
+    # a flag that no computation reads is dead weight: every flag of every
+    # command must move its stdout, result.csv or plot.svg
     table = rfda_secrecy.default_fixture_path().read_text().splitlines()
     rows = {line.split(",", 1)[0]: line.split(",", 1)[1] for line in table[1:]}
     # the K10405 row of this table holds the packaged K12905 increments
-    (tmp_path / "table.csv").write_text(f"{table[0]}\nK10405,{rows['K12905']}\n")
+    (tmp_path / "table.csv").write_text(
+        "\n".join([table[0], f"K10405,{rows['K12905']}", *table[2:]]) + "\n")
+    (tmp_path / "valid.csv").write_text(f"{table[0]}\n{table[1]}\n")
+    outputs = {}
 
-    def stdout(argv):
-        code, out, err = run(capsys, *[a.format(table=tmp_path / "table.csv")
-                                       for a in argv])
+    def output(command, argv):
+        argv = [*command.split(), *(a.format(table=tmp_path / "table.csv",
+                                             valid=tmp_path / "valid.csv") for a in argv)]
+        if tuple(argv) in outputs:
+            return outputs[tuple(argv)]
+        writes = "--out" in _COMMAND_FLAGS[command]
+        # each run writes to a directory of its own, so no file of another run shows
+        out_dir = ["--out", str(tmp_path / str(len(outputs)))] if writes else []
+        code, out, err = run(capsys, *argv, *out_dir)
         assert code == 0, (argv, err)
+        if writes:
+            run_dir = Path(out.strip())
+            out = {name: (run_dir / name).read_bytes() for name in ("result.csv", "plot.svg")
+                   if (run_dir / name).exists()}
+        outputs[tuple(argv)] = out
         return out
 
-    for flag, (command, setting) in _LIVE_FLAG_CASES.items():
-        assert stdout(command) != stdout([*command, *setting]), flag
+    assert set(_BASES) == set(_COMMAND_FLAGS)
+    for command, flags in _COMMAND_FLAGS.items():
+        for flag in sorted(flags - _NO_OUTPUT_FLAGS):
+            base = [*_BASES[command], *(word for pair in _NEEDS.get(flag, ())
+                                        if pair[0] in flags for word in pair)]
+            setting = [flag] if _VALUES[flag] is None else [flag, _VALUES[flag]]
+            assert output(command, base) != output(command, [*base, *setting]), \
+                (command, flag)
 
 
 @pytest.mark.parametrize("config, argv, flag", [
@@ -468,9 +539,23 @@ def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     assert sweep(*mc)[1] == 0
 
 
-def test_help_exits_0(capsys):
-    assert main(["--help"]) == 0
-    assert main(["sweep", "--help"]) == 0
+@pytest.mark.parametrize("words, parser", _parsers(),
+                         ids=[" ".join(words) or "rfda-secrecy" for words, _ in _parsers()])
+def test_help_exits_0(capsys, words, parser):
+    assert main([*words, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: rfda-secrecy")
+    # an abbreviation would let kmin read --delta as --delta-f-hz
+    assert not parser.allow_abbrev
+
+
+def test_every_readme_command_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    lines = [line.split("#")[0] for block in blocks for line in block.splitlines()
+             if line.startswith("rfda-secrecy ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_cli_import_does_not_load_the_reference_module():

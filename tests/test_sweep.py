@@ -352,6 +352,15 @@ def test_sweep_rate_gaps_and_all_infeasible():
         sweep_rate(s, [9.0, 9.5], schemes=(Scheme.WITH_AN,))
 
 
+def test_sweep_rate_manifest_records_no_evaluation_settings():
+    # the closed-form rate solver draws nothing and reads no mode, so a seed,
+    # mode, trial or beta-seed count in its run id would only split equal runs
+    meta = sweep_rate(default_scenario(), [1.0]).meta
+    assert set(meta) == {"config", "sweep", "config_hash", "tool_version"}
+    power_meta = sweep_power(default_scenario(), [0.0]).meta
+    assert {"seed", "mode", "trials", "beta_seeds"} <= set(power_meta)
+
+
 def test_sweep_rate_csv_keeps_gaps_visible(tmp_path):
     s = default_scenario(power=replace(default_scenario().power, pt_dbm=20.0))
     result = sweep_rate(s, [5.5, 6.0])
