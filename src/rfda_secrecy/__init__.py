@@ -6,7 +6,7 @@ beamforming, secrecy-capacity bounds, resource minima and experiment sweeps.
 from .arraymodel import (ArrayConfig, FrequencyVector, Location, SPEED_OF_LIGHT,
                          correlation2, correlation2_grid, half_wavelength_spacing,
                          pq_offsets, steering_vector)
-from .dmsecurity import (PowerConfig, an_vector, c_an_lb, c_lb, capacity_bob,
+from .dmsecurity import (PowerConfig, an_vector, c_an_lb, capacity_bob,
                          capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
                          secrecy_capacity, sinr_eve, snr_bob)
 from .errors import (ConfigError, ConvergenceError, FixtureError,
@@ -15,9 +15,8 @@ from .freqdesign import (EigenResult, FIXTURE_LABELS, build_design_matrix,
                          default_fixture_path, generate_k, load_frequency_table,
                          rho1, rho2, symmetric_eigen)
 from .secrecyregion import (BEAMWIDTH_CONSTANT_RAD, Scheme, SecrecyRegion,
-                            beta_boundary, beta_max_an, beta_max_no_an,
-                            corner_locations, ellipse_semi_axes, k_min, m_min,
-                            solve_m_min)
+                            beta_boundary, beta_max_an, corner_locations,
+                            ellipse_semi_axes, k_min, m_min, solve_m_min)
 from .sweep import (FixtureK, GeneratedK, Mode, Scenario, SweepResult,
                     beta_for_scenario, beampattern_grid, config_hash,
                     default_scenario, fixture_vector, lb_capacity, mc_capacity,

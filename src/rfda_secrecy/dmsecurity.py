@@ -5,7 +5,7 @@ intended receiver and fills the remaining power budget with artificial noise
 (AN) projected into the null space of the intended channel, so the AN is
 invisible at the aim point and degrades everyone else.  This module draws
 the AN direction and evaluates the resulting SNR/SINR, channel capacities and
-the closed-form secrecy-capacity lower bounds with and without AN.
+the closed-form secrecy-capacity lower bound (the signal-only one at delta = 1).
 
 All power formulas work on linear ratios; dBm values are converted exactly
 once, inside :class:`PowerConfig`.
@@ -133,14 +133,8 @@ def c_an_lb(power: PowerConfig, beta: float, eta_value: float) -> float:
 
     ``beta`` caps the eavesdropper's signal correlation (the boundary
     correlation of the secrecy region); the AN floor is taken at its average
-    leakage ``eta_value * (1 - beta)``.
+    leakage ``eta_value * (1 - beta)``.  At ``delta = 1`` it is the signal-only bound.
     """
     mu, eps, delta = power.mu, power.eps, power.delta
     eve = delta * mu * beta / ((1.0 - delta) * mu * eta_value * (1.0 - beta) + eps)
     return float(np.log2((1.0 + delta * mu) / (1.0 + eve)))
-
-
-def c_lb(power: PowerConfig, beta: float) -> float:
-    "Secrecy-capacity lower bound without AN (all power on the signal)."
-    mu, eps = power.mu, power.eps
-    return float(np.log2((1.0 + mu) / (1.0 + mu * beta / eps)))

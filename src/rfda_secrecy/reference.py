@@ -1,12 +1,14 @@
 """Scalar reference paths that the tests check the library against: the
 per-element phase, the exact and second-order beampatterns, the symbol-level
-transmit/receive chain, the sweep CSV round trip and the one-trial Monte Carlo
-capacity.  Nothing in the library imports this module; only the tests do.
+transmit/receive chain, the signal-only closed forms, the sweep CSV round trip
+and the one-trial Monte Carlo capacity.  Nothing in the library imports this
+module; only the tests do.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, FrequencyVector, Location,
                          _mismatch_phases, correlation2, pq_offsets, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity)
-from .errors import ConvergenceError, RetryRequiredError
+from .errors import ConvergenceError, InfeasibleRateError, RetryRequiredError
 from .secrecyregion import Scheme
 from .sweep import Scenario, SweepResult, resolve_k, result_csv_text
 
@@ -70,6 +72,26 @@ def transmit_signal(v: np.ndarray, w: np.ndarray, symbol: complex,
 def receive_signal(h: np.ndarray, x: np.ndarray, noise: complex = 0j) -> complex:
     "Scalar received sample h^H x + noise."
     return complex(np.vdot(h, x) + noise)
+
+
+def c_lb(power: PowerConfig, beta: float) -> float:
+    """Secrecy-capacity lower bound without AN (all power on the signal), in its
+    own closed form; the library takes ``c_an_lb`` at delta = 1."""
+    mu, eps = power.mu, power.eps
+    return float(np.log2((1.0 + mu) / (1.0 + mu * beta / eps)))
+
+
+def beta_max_no_an(power: PowerConfig, rs_bits: float) -> float:
+    """Largest boundary correlation for which :func:`c_lb` still reaches ``rs_bits``,
+    in its own closed form; the library takes ``beta_max_an`` at delta = 1."""
+    mu, eps = power.mu, power.eps
+    gain = 2.0 ** rs_bits
+    headroom = 1.0 + mu - gain
+    if headroom < 0.0:
+        raise InfeasibleRateError(
+            f"rate {rs_bits} bits exceeds the intended-channel capacity "
+            f"{math.log2(1.0 + mu):.4f} bits")
+    return min(max(headroom * eps / (mu * gain), 0.0), 1.0)
 
 
 def write_result_csv(result: SweepResult, path: str | Path) -> None:

@@ -6,13 +6,13 @@ signal leakage just outside is capped by the boundary correlation ``beta``
 (largest squared steering correlation at the four box corners).  Requiring
 the beampattern's confinement ellipse to fit inside the box yields minimum
 element counts and minimum frequency-spread norms; requiring the capacity
-lower bounds to reach a target rate yields the admissible ``beta``.
+lower bound to reach a target rate yields the admissible ``beta``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .arraymodel import SPEED_OF_LIGHT, ArrayConfig, Location, correlation2_grid
@@ -41,10 +41,14 @@ class SecrecyRegion:
 
 
 class Scheme(Enum):
-    "Transmit scheme: with artificial noise or signal-only."
+    "Transmit scheme: with artificial noise, or signal-only (the AN scheme at delta = 1)."
 
     WITH_AN = "with_an"
     WITHOUT_AN = "without_an"
+
+    def power(self, power: PowerConfig) -> PowerConfig:
+        "``power`` with this scheme's split: delta = 1 for signal-only, as given with AN."
+        return replace(power, delta=1.0) if self is Scheme.WITHOUT_AN else power
 
 
 def corner_locations(bob: Location, region: SecrecyRegion) -> list[Location]:
@@ -64,6 +68,16 @@ def beta_boundary(cfg: ArrayConfig, k, bob: Location, region: SecrecyRegion) -> 
                                    [c.theta_rad for c in corners]).max())
 
 
+def _angular_width(cfg: ArrayConfig, beta: float, across: float,
+                   theta_b_rad: float) -> float:
+    "Angular semi-axis of ``across`` elements, or element count of a semi-axis ``across``."
+    sin_theta = math.sin(theta_b_rad)
+    if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
+        raise ValueError("theta_b must lie strictly inside (0, pi)")
+    return (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(max(1.0 - beta, 0.0))
+            / (across * cfg.spacing_m * cfg.f0_hz * sin_theta))
+
+
 def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
                       beta: float, theta_b_rad: float) -> tuple[float, float]:
     """Semi-axes (range m, angle rad) of the beta-level confinement ellipse.
@@ -74,13 +88,9 @@ def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
     """
     if k_norm2 <= 0:
         raise ValueError("k_norm2 must be positive")
-    sin_theta = math.sin(theta_b_rad)
-    if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
-        raise ValueError("theta_b must lie strictly inside (0, pi)")
+    dtheta = _angular_width(cfg, beta, n_elements, theta_b_rad)
     rem = max(1.0 - beta, 0.0)
     dr = SPEED_OF_LIGHT * math.sqrt(n_elements * rem / k_norm2) / (2.0 * math.pi * cfg.delta_f_hz)
-    dtheta = (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(rem)
-              / (n_elements * cfg.spacing_m * cfg.f0_hz * sin_theta))
     return dr, dtheta
 
 
@@ -92,13 +102,7 @@ def m_min(beta: float, region: SecrecyRegion, theta_b_rad: float,
     below at 1.  Larger ``beta`` (more tolerated leakage) needs fewer
     elements.
     """
-    sin_theta = math.sin(theta_b_rad)
-    if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
-        raise ValueError("theta_b must lie strictly inside (0, pi)")
-    rem = max(1.0 - beta, 0.0)
-    value = (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(rem)
-             / (region.dtheta_rad * cfg.spacing_m * cfg.f0_hz * sin_theta))
-    return max(value, 1.0)
+    return max(_angular_width(cfg, beta, region.dtheta_rad, theta_b_rad), 1.0)
 
 
 def k_min(beta: float, region: SecrecyRegion, cfg: ArrayConfig,
@@ -128,23 +132,11 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
         raise InfeasibleRateError(
             f"rate {rs_bits} bits exceeds the intended-channel capacity "
             f"{math.log2(1.0 + delta * mu):.4f} bits")
-    if headroom == 0.0:
+    if headroom == 0.0:  # at delta = 0 the formula below would be 0/0
         return 0.0
     an_floor = (1.0 - delta) * mu * eta_value
-    value = (an_floor + eps) / (an_floor + delta * mu * gain / headroom)
+    value = headroom * (an_floor + eps) / (an_floor * headroom + delta * mu * gain)
     return min(max(value, 0.0), 1.0)
-
-
-def beta_max_no_an(power: PowerConfig, rs_bits: float) -> float:
-    "AN-free counterpart of :func:`beta_max_an` (all power on the signal)."
-    mu, eps = power.mu, power.eps
-    gain = 2.0 ** rs_bits
-    headroom = 1.0 + mu - gain
-    if headroom < 0.0:
-        raise InfeasibleRateError(
-            f"rate {rs_bits} bits exceeds the intended-channel capacity "
-            f"{math.log2(1.0 + mu):.4f} bits")
-    return min(max(headroom * eps / (mu * gain), 0.0), 1.0)
 
 
 def solve_m_min(rs_bits: float, power: PowerConfig, region: SecrecyRegion,
@@ -152,17 +144,19 @@ def solve_m_min(rs_bits: float, power: PowerConfig, region: SecrecyRegion,
                 fixed_eta: float | None = None, max_iter: int = 1000) -> int:
     """Smallest integer element count that supports the target secrecy rate.
 
-    Without AN the admissible ``beta`` does not depend on the element count,
-    so one evaluation suffices.  With AN the average leakage factor depends
-    on the element count, which feeds back into the admissible ``beta``; the
-    map from count to required count is monotone, so iterating from the
-    2-element floor converges to the least fixed point.  ``fixed_eta``
-    short-circuits that feedback with a constant leakage factor in (0, 1].
+    Without AN (the AN bound at delta = 1) the admissible ``beta`` does not
+    depend on the element count, so one evaluation suffices, with a 1-element
+    floor.  With AN the average leakage factor depends on the element count,
+    which feeds back into the admissible ``beta``; the map from count to
+    required count is monotone, so iterating from the 2-element floor
+    converges to the least fixed point.  ``fixed_eta`` short-circuits that
+    feedback with a constant leakage factor in (0, 1].
     """
     if fixed_eta is not None and not 0.0 < fixed_eta <= 1.0:
         raise ValueError(f"fixed_eta must be in (0, 1], got {fixed_eta}")
     if scheme is Scheme.WITHOUT_AN:
-        beta = beta_max_no_an(power, rs_bits)
+        # no power feeds AN, so the leakage factor multiplies zero
+        beta = beta_max_an(scheme.power(power), 1.0, rs_bits)
         return max(1, math.ceil(m_min(beta, region, theta_b_rad, cfg)))
 
     m_current = 2

@@ -26,7 +26,7 @@ import numpy as np
 from .arraymodel import (ArrayConfig, FrequencyVector, Location, correlation2,
                          correlation2_grid, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
-                         complex_gaussian, secrecy_capacity, c_an_lb, c_lb, eta)
+                         complex_gaussian, secrecy_capacity, c_an_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                      RetryRequiredError)
 from .freqdesign import FIXTURES, generate_k, load_frequency_table
@@ -287,12 +287,6 @@ def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
     return float(np.mean(values))
 
 
-def _effective_scheme(s: Scenario, scheme: Scheme | None) -> Scheme:
-    if scheme is not None:
-        return scheme
-    return Scheme.WITHOUT_AN if s.power.delta == 1.0 else Scheme.WITH_AN
-
-
 # ---------------------------------------------------------------------------
 # capacity evaluation
 # ---------------------------------------------------------------------------
@@ -302,15 +296,15 @@ def lb_capacity(s: Scenario, scheme: Scheme | None = None,
     """Closed-form secrecy-capacity lower bound for the scenario.
 
     ``beta`` overrides the boundary correlation (otherwise it is computed
-    from the scenario's frequency-vector source).  The scheme defaults to
-    signal-only when the power split is delta = 1.
+    from the scenario's frequency-vector source).  It is the AN bound at the
+    scheme's split: delta = 1 for signal-only, the scenario's for None.  With
+    no power on AN it needs no leakage factor, so one element is enough.
     """
-    scheme = _effective_scheme(s, scheme)
     if beta is None:
         beta = beta_for_scenario(s, n_seeds)
-    if scheme is Scheme.WITHOUT_AN:
-        return c_lb(s.power, beta)
-    return c_an_lb(s.power, beta, eta(s.array.n_elements))
+    power = s.power if scheme is None else scheme.power(s.power)
+    eta_value = eta(s.array.n_elements) if power.delta < 1.0 else 0.0
+    return c_an_lb(power, beta, eta_value)
 
 
 def mc_capacity(s: Scenario, trials: int, seed: int,
@@ -326,8 +320,7 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    scheme = _effective_scheme(s, scheme)
-    power = replace(s.power, delta=1.0) if scheme is Scheme.WITHOUT_AN else s.power
+    power = s.power if scheme is None else scheme.power(s.power)
     cb = capacity_bob(power)
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     fixed_corr2 = None if fixed_k is None else correlation2(s.array, fixed_k, s.bob, s.eve)
@@ -475,9 +468,9 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
         return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key),
                                  n_seeds)
 
-    evaluation = {"seed": seed, "mode": s.mode.value,
-                  "trials": trials if s.mode is Mode.MONTE_CARLO else 0,
-                  "beta_seeds": n_seeds if s.mode is Mode.ANALYTIC_LB else 0}
+    mc = s.mode is Mode.MONTE_CARLO  # the lower bound reads neither seed nor trials
+    evaluation = {"seed": seed if mc else 0, "mode": s.mode.value,
+                  "trials": trials if mc else 0, "beta_seeds": 0 if mc else n_seeds}
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
                        _sweep_meta(s, kind, grid, schemes, evaluation))
 

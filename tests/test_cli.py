@@ -539,6 +539,23 @@ def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     assert sweep(*mc)[1] == 0
 
 
+def test_seed_is_part_of_the_run_id_only_in_mc_mode(tmp_path, capsys):
+    # the lower bound never reads the master seed, so lb seeds share one run
+    # directory and record 0, as they record 0 trials; each mc seed is a run
+    def run_dirs(*argv):
+        dirs = set()
+        for seed in ("5", "6"):
+            code, out, _ = run(capsys, "sweep", "power", "--pt-max", "2", *argv,
+                               "--seed", seed, "--out", str(tmp_path))
+            assert code == 0
+            dirs.add(Path(out.strip()))
+        return dirs
+
+    (lb_dir,) = run_dirs()
+    assert json.loads((lb_dir / "manifest.json").read_text())["seed"] == 0
+    assert len(run_dirs("--mode", "mc", "--trials", "20")) == 2
+
+
 @pytest.mark.parametrize("words, parser", _parsers(),
                          ids=[" ".join(words) or "rfda-secrecy" for words, _ in _parsers()])
 def test_help_exits_0(capsys, words, parser):

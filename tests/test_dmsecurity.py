@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from rfda_secrecy import (ArrayConfig, Location, PowerConfig, RetryRequiredError,
-                          an_vector, c_an_lb, c_lb, capacity_bob, capacity_eve_an,
+                          an_vector, c_an_lb, capacity_bob, capacity_eve_an,
                           complex_gaussian, dbm_to_mw, eta, secrecy_capacity,
                           sinr_eve, snr_bob, steering_vector)
-from rfda_secrecy.reference import random_qpsk, receive_signal, transmit_signal
+from rfda_secrecy.reference import c_lb, random_qpsk, receive_signal, transmit_signal
 
 
 def random_unit_complex(rng, m):

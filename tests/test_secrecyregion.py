@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (ArrayConfig, ConvergenceError, InfeasibleRateError,
+from rfda_secrecy import (BEAMWIDTH_CONSTANT_RAD, SPEED_OF_LIGHT, ArrayConfig,
+                          ConvergenceError, InfeasibleRateError,
                           Location, PowerConfig, Scheme, SecrecyRegion,
-                          beta_boundary, beta_max_an, beta_max_no_an,
-                          corner_locations, ellipse_semi_axes, fixture_vector,
-                          generate_k, k_min, m_min, solve_m_min)
-from rfda_secrecy.reference import beampattern_taylor
+                          beta_boundary, beta_max_an, corner_locations,
+                          ellipse_semi_axes, fixture_vector, generate_k, k_min,
+                          m_min, solve_m_min)
+from rfda_secrecy.reference import beampattern_taylor, beta_max_no_an
 
 CFG = ArrayConfig.half_wavelength(16, 1e9, 1e6)
 BOB = Location(100.0, math.radians(45))
@@ -134,6 +137,36 @@ def test_beta_max_monotone_in_rate():
     assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(an_values, an_values[1:]))
     no_values = [beta_max_no_an(POWER30, r) for r in rates]
     assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(no_values, no_values[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pt=st.floats(-30.0, 60.0), sigma_b2=st.floats(-20.0, 20.0),
+       sigma_e2=st.floats(-20.0, 20.0), delta=st.floats(0.0, 1.0),
+       rs=st.one_of(st.just(0.0), st.floats(0.0, 12.0)), eta_value=st.floats(0.01, 1.0),
+       beta=st.floats(0.0, 1.0), theta=st.floats(0.01, math.pi - 0.01))
+def test_signal_only_closed_forms_are_the_an_ones_at_delta_1(pt, sigma_b2, sigma_e2, delta,
+                                                              rs, eta_value, beta, theta):
+    # bit for bit: the library has one bound, the signal-only oracles their own forms
+    power = PowerConfig(pt, sigma_b2, sigma_e2, delta)
+    try:
+        expected = beta_max_no_an(power, rs)
+    except InfeasibleRateError:
+        with pytest.raises(InfeasibleRateError):
+            beta_max_an(replace(power, delta=1.0), eta_value, rs)
+        with pytest.raises(InfeasibleRateError):
+            solve_m_min(rs, power, REGION, theta, CFG, Scheme.WITHOUT_AN)
+    else:
+        assert beta_max_an(replace(power, delta=1.0), eta_value, rs) == expected
+        assert solve_m_min(rs, power, REGION, theta, CFG, Scheme.WITHOUT_AN) == max(
+            1, math.ceil(m_min(expected, REGION, theta, CFG)))
+
+    def angular_width(across):
+        "The angular-width formula as m_min and ellipse_semi_axes each wrote it out."
+        return (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(max(1.0 - beta, 0.0))
+                / (across * CFG.spacing_m * CFG.f0_hz * math.sin(theta)))
+
+    assert m_min(beta, REGION, theta, CFG) == max(angular_width(REGION.dtheta_rad), 1.0)
+    assert ellipse_semi_axes(CFG, 16, 10405.0, beta, theta)[1] == angular_width(16)
 
 
 def test_solve_m_min_reference_points():

@@ -12,14 +12,14 @@ from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, ConfigError, ConvergenceE
                           FixtureError, FixtureK, GeneratedK, InfeasibleRateError,
                           Location, Mode, PowerConfig, RetryRequiredError, Scenario,
                           Scheme, SecrecyRegion, SweepResult, an_vector,
-                          beampattern_grid, beta_for_scenario, c_lb, capacity_bob,
+                          beampattern_grid, beta_for_scenario, capacity_bob,
                           complex_gaussian, config_hash, correlation2,
                           default_scenario, fixture_vector,
                           lb_capacity, mc_capacity, resolve_k, result_csv_text,
                           scenario_from_config, scenario_to_config, steering_vector,
                           sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
                           validate_fixtures, write_run)
-from rfda_secrecy.reference import read_result_csv, trial_capacity, write_result_csv
+from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.svgchart import line_chart
 from rfda_secrecy.sweep import _point_seed, _trial_streams
 
@@ -137,9 +137,31 @@ def test_lb_capacity_reference_points():
         capacity_bob(s.power), rel=1e-12)
     # delta = 1 makes the AN scheme collapse onto the signal-only bound
     s1 = default_scenario(power=replace(s.power, delta=1.0))
-    assert lb_capacity(s1, beta=0.3) == pytest.approx(c_lb(s1.power, 0.3), rel=1e-12)
-    assert lb_capacity(s1, Scheme.WITH_AN, beta=0.3) == pytest.approx(
-        c_lb(s1.power, 0.3), rel=1e-12)
+    assert lb_capacity(s1, beta=0.3) == c_lb(s1.power, 0.3)
+    assert lb_capacity(s1, Scheme.WITH_AN, beta=0.3) == c_lb(s1.power, 0.3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pt=st.floats(-30.0, 60.0), sigma_e2=st.floats(-20.0, 20.0),
+       delta=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0), m=st.integers(1, 64))
+def test_lb_capacity_signal_only_is_the_an_bound_at_delta_1(pt, sigma_e2, delta, beta, m):
+    # bit for bit against the signal-only closed form, a 1-element array included
+    s = default_scenario(array=ArrayConfig.half_wavelength(m, 1e9, 1e6),
+                         power=PowerConfig(pt, 0.0, sigma_e2, delta))
+    assert lb_capacity(s, Scheme.WITHOUT_AN, beta=beta) == c_lb(s.power, beta)
+
+
+@pytest.mark.parametrize("delta", [0.6, 1.0])
+def test_no_scheme_is_the_an_scheme_at_the_scenarios_split(delta):
+    s = default_scenario(power=PowerConfig(20.0, delta=delta),
+                         k_source=GeneratedK(10405.0, "projection", 2))
+    lb = [lb_capacity(s, scheme, n_seeds=4) for scheme in (None, *Scheme)]
+    mc = [mc_capacity(replace(s, mode=Mode.MONTE_CARLO), 30, 7, scheme)
+          for scheme in (None, *Scheme)]
+    for values in (lb, mc):
+        assert values[0] == values[1]
+        # at delta = 1 no power feeds AN, and the two schemes coincide
+        assert (values[1] == values[2]) is (delta == 1.0)
 
 
 def test_mc_capacity_validation_and_degenerate_case():
@@ -233,7 +255,7 @@ _MC_CASES = {
 def test_mc_capacity_equals_the_per_trial_reference(case, seed):
     s, scheme = _MC_CASES[case]
     s = replace(s, mode=Mode.MONTE_CARLO, power=replace(s.power, pt_dbm=20.0))
-    effective = scheme or (Scheme.WITHOUT_AN if s.power.delta == 1.0 else Scheme.WITH_AN)
+    effective = scheme or Scheme.WITH_AN  # None: the scenario's own power split
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     for trials in (1, 12):
         values = [trial_capacity(s, effective, fixed_k, seed, t) for t in range(trials)]
