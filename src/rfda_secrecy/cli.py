@@ -22,7 +22,7 @@ from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
 from .sweep import (SEED_LIMIT, Mode, Scenario, beampattern_csv_text, beampattern_grid,
-                    config_hash, evaluate_capacity, resolve_k, scenario_from_config,
+                    config_hash, evaluate_capacity, k_norm2, scenario_from_config,
                     scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
                     sweep_rate, validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
@@ -94,7 +94,7 @@ _SCENARIO_FLAGS = {
     "--k-method": (("projection", "eigen"), "k_source.method", "k generation method"),
     "--k-seed": (_integer_in(0, SEED_LIMIT), "k_source.seed", "k generation seed"),
     "--fixture-label": (str, "k_source.label", "use this fixture-table row as k"),
-    "--fixture-path": (str, "k_source.path", "fixture table file"),
+    "--fixture-path": (str, "k_source.path", "fixture table file (default: the packaged one)"),
     "--mode": (("lb", "mc"), "mode", "evaluation mode"),
 }
 # flag -> its argparse keywords: every scenario flag, and each flag of several commands
@@ -103,7 +103,6 @@ _FLAGS = {
        for flag, (kind, _, text) in _SCENARIO_FLAGS.items()},
     "--config": dict(help="JSON configuration file"),
     "--beta": dict(type=_number_in(0.0, 1.0), help="boundary correlation"),
-    "--theta-b-deg": dict(type=float),
     "--scheme": dict(choices=sorted(_SCHEME_CHOICES), default="both"),
     "--trials": dict(type=_integer_in(1, math.inf), default=10000),
     "--seed": dict(type=_integer_in(0, SEED_LIMIT), default=0),
@@ -114,10 +113,9 @@ _FLAGS = {
 _EVALUATION_FLAGS = ("--scheme", "--trials", "--seed", "--beta-seeds")
 
 # the scenario flags each command reads; a command accepts no flag it does not read
-_MMIN_FLAGS = ("--dtheta-deg", "--f0-hz", "--spacing-m")
+_MMIN_FLAGS = ("--dtheta-deg", "--bob-theta-deg", "--f0-hz", "--spacing-m")
 _KMIN_FLAGS = (*_MMIN_FLAGS, "--dr-m", "--delta-f-hz")
-_REGION_FLAGS = (*_KMIN_FLAGS, "--m", "--bob-theta-deg", "--k-target", "--fixture-label",
-                 "--fixture-path")
+_REGION_FLAGS = (*_KMIN_FLAGS, "--m", "--k-target", "--fixture-label", "--fixture-path")
 _BEAMPATTERN_FLAGS = (*_REGION_FLAGS, "--bob-r-m", "--k-method", "--k-seed")
 # the rate solver draws no k and sizes the array itself; bandwidth rows are fixtures
 _RATE_FLAGS = ("--f0-hz", "--spacing-m", "--bob-theta-deg", "--dtheta-deg", "--pt-dbm",
@@ -181,30 +179,24 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 def _cmd_mmin(args: argparse.Namespace) -> int:
     s = scenario_from_config(_flag_config(args, {}))
-    value = m_min(args.beta, s.region, math.radians(args.theta_b_deg), s.array)
-    print(f"{value:.2f}")
+    print(f"{m_min(args.beta, s.region, s.bob.theta_rad, s.array):.2f}")
     return 0
 
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
     s = scenario_from_config(_flag_config(args, {}))
-    if args.m_min is not None:
-        m_value = args.m_min
-    else:
-        if args.dtheta_deg is None or args.theta_b_deg is None:
-            raise ConfigError("kmin needs either --m-min or both "
-                              "--dtheta-deg and --theta-b-deg")
-        m_value = m_min(args.beta, s.region, math.radians(args.theta_b_deg), s.array)
+    m_value = args.m_min
+    if m_value is None:
+        if args.dtheta_deg is None or args.bob_theta_deg is None:
+            raise ConfigError("kmin needs either --m-min or both --dtheta-deg and --bob-theta-deg")
+        m_value = m_min(args.beta, s.region, s.bob.theta_rad, s.array)
     print(f"{k_min(args.beta, s.region, s.array, m_value):.2f}")
     return 0
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
-    k_norm2 = args.k_norm2
-    if k_norm2 is None:
-        k_norm2 = resolve_k(s).K
-    axes = ellipse_semi_axes(s.array, s.array.n_elements, k_norm2, args.beta,
+    axes = ellipse_semi_axes(s.array, s.array.n_elements, k_norm2(s), args.beta,
                              s.bob.theta_rad)
     m_value = m_min(args.beta, s.region, s.bob.theta_rad, s.array)
     k_value = k_min(args.beta, s.region, s.array, m_value)
@@ -273,7 +265,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_fixtures(args: argparse.Namespace) -> int:
-    report = validate_fixtures(args.fixtures)
+    report = validate_fixtures(args.fixture_path)
     for row in report["rows"]:
         if "reason" in row:
             print(f"{row['label']}: FAIL ({row['reason']})")
@@ -298,19 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_command(sub, "mmin", "minimum element count for a region",
-                 ("--beta", "--theta-b-deg", *_MMIN_FLAGS),
-                 {"--beta", "--theta-b-deg", "--dtheta-deg"}, handler=_cmd_mmin)
+    _add_command(sub, "mmin", "minimum element count for a region", ("--beta", *_MMIN_FLAGS),
+                 {"--beta", "--bob-theta-deg", "--dtheta-deg"}, handler=_cmd_mmin)
 
     p = _add_command(sub, "kmin", "minimum squared frequency-spread norm",
-                     ("--beta", "--theta-b-deg", *_KMIN_FLAGS), {"--beta", "--dr-m"},
-                     handler=_cmd_kmin)
+                     ("--beta", *_KMIN_FLAGS), {"--beta", "--dr-m"}, handler=_cmd_kmin)
     p.add_argument("--m-min", type=_number_in(0.0, math.inf))
 
-    p = _add_command(sub, "region", "confinement ellipse and resource minima",
-                     ("--config", "--beta", *_REGION_FLAGS), {"--beta"}, handler=_cmd_region)
-    p.add_argument("--k-norm2", type=_number_in(0.0, math.inf),
-                   help="squared norm of k (default: from the scenario's k source)")
+    _add_command(sub, "region", "confinement ellipse and resource minima",
+                 ("--config", "--beta", *_REGION_FLAGS), {"--beta"}, handler=_cmd_region)
 
     p = _add_command(sub, "gen-k", "draw a frequency-increment vector",
                      ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k)
@@ -352,19 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
                   "--svg"), run=lambda s, a: sweep_bandwidth(s, **_evaluation(a)))
     p = _add_command(kinds, "rate", "minimum element count versus the target rate",
                      ("--config", *_RATE_FLAGS, "--scheme", "--out", "--svg"),
-                     run=lambda s, a: sweep_rate(
-                         s, [a.rs] if a.rs is not None else _grid(a.rs_min, a.rs_max, a.rs_step),
-                         _SCHEME_CHOICES[a.scheme], fixed_eta=a.fixed_eta))
-    p.add_argument("--rs", type=_number_in(0.0, math.inf), help="single-rate grid")
+                     run=lambda s, a: sweep_rate(s, _grid(a.rs_min, a.rs_max, a.rs_step),
+                                                 _SCHEME_CHOICES[a.scheme], fixed_eta=a.fixed_eta))
     p.add_argument("--rs-min", type=_number_in(0.0, math.inf), default=0.5)
     p.add_argument("--rs-max", type=float, default=6.0)
     p.add_argument("--rs-step", type=float, default=0.5)
     p.add_argument("--fixed-eta", type=_number_in(0.0, 1.0),
                    help="override the element-count feedback in the rate solver")
 
-    p = _add_command(sub, "validate-fixtures", "check the frequency table", (),
-                     handler=_cmd_validate_fixtures)
-    p.add_argument("--fixtures", help="fixture CSV path (default: packaged table)")
+    _add_command(sub, "validate-fixtures", "check the frequency table", ("--fixture-path",),
+                 handler=_cmd_validate_fixtures)
 
     return parser
 

@@ -46,14 +46,15 @@ def beampattern_exact(cfg: ArrayConfig, k, bob: Location, eve: Location) -> floa
 def beampattern_taylor(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     """Second-order expansion of the beampattern around the aim point.
 
-    Equals ``sum_{m,n} [1 - (z_m - z_n)^2 / 2]``, evaluated via moments.  It
-    never exceeds :func:`beampattern_exact` (cos x >= 1 - x^2/2) and can go
+    Equals ``sum_{m,n} [1 - (z_m - z_n)^2 / 2] = M^2 - M * sum_m (z_m - mean z)^2``;
+    the centred sum does not cancel when the phases are large and nearly equal.
+    It never exceeds :func:`beampattern_exact` (cos x >= 1 - x^2/2) and can go
     negative far from the aim point, where the expansion has no validity.
     """
     karr = _as_k(k, cfg.n_elements)
     z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
     m = cfg.n_elements
-    return float(m * m - m * np.sum(z * z) + np.sum(z) ** 2)
+    return float(m * m - m * np.sum((z - z.mean()) ** 2))
 
 
 def random_qpsk(rng: np.random.Generator, size: int) -> np.ndarray:

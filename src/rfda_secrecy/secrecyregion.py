@@ -78,6 +78,12 @@ def _angular_width(cfg: ArrayConfig, beta: float, across: float,
             / (across * cfg.spacing_m * cfg.f0_hz * sin_theta))
 
 
+def _radial_norm2(cfg: ArrayConfig, beta: float, n_elements: float, dr_m: float = 1.0) -> float:
+    "K at which ``n_elements`` elements have radial semi-axis ``dr_m``; K * dr^2 is fixed."
+    scale = SPEED_OF_LIGHT / (2.0 * math.pi * cfg.delta_f_hz * dr_m)
+    return scale * scale * max(1.0 - beta, 0.0) * n_elements
+
+
 def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
                       beta: float, theta_b_rad: float) -> tuple[float, float]:
     """Semi-axes (range m, angle rad) of the beta-level confinement ellipse.
@@ -88,10 +94,8 @@ def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
     """
     if k_norm2 <= 0:
         raise ValueError("k_norm2 must be positive")
-    dtheta = _angular_width(cfg, beta, n_elements, theta_b_rad)
-    rem = max(1.0 - beta, 0.0)
-    dr = SPEED_OF_LIGHT * math.sqrt(n_elements * rem / k_norm2) / (2.0 * math.pi * cfg.delta_f_hz)
-    return dr, dtheta
+    dr = math.sqrt(_radial_norm2(cfg, beta, n_elements) / k_norm2)
+    return dr, _angular_width(cfg, beta, n_elements, theta_b_rad)
 
 
 def m_min(beta: float, region: SecrecyRegion, theta_b_rad: float,
@@ -113,9 +117,7 @@ def k_min(beta: float, region: SecrecyRegion, cfg: ArrayConfig,
     elements the radial axis shrinks below ``dr`` exactly when ``K`` exceeds
     this value.
     """
-    rem = max(1.0 - beta, 0.0)
-    scale = SPEED_OF_LIGHT / (2.0 * math.pi * cfg.delta_f_hz * region.dr_m)
-    return scale * scale * rem * m_min_value
+    return _radial_norm2(cfg, beta, m_min_value, region.dr_m)
 
 
 def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:

@@ -238,11 +238,12 @@ def _trial_streams(seed: int):
     far more: its constructor collects OS entropy that a given key overrides."""
     bits = np.random.Philox(key=0)
     rng, state = np.random.Generator(bits), bits.state
+    # as in Philox's own key conversion, a seed >= 2**63 goes through float64 and
+    # loses its low bits, as the recorded runs did; one rounded up to 2**64 wraps to 0
+    key = (seed if seed < 2 ** 63 else int(float(seed))) % 2 ** 64
 
     def stream(trial: int) -> np.random.Generator:
-        # np.asarray, as in Philox's own key conversion: a seed >= 2**63 goes
-        # through float64 and loses its low bits, as the recorded runs did
-        state["state"]["key"] = np.asarray([seed, trial]).astype(np.uint64)
+        state["state"]["key"] = np.array([key, trial], dtype=np.uint64)
         bits.state = state
         return rng
 
@@ -269,6 +270,11 @@ def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> FrequencyV
     src = s.k_source
     return generate_k(s.array.n_elements, src.k_target, src.method,
                       seed=rng if rng is not None else src.seed)
+
+
+def k_norm2(s: Scenario) -> float:
+    "Squared norm of the scenario's k; a generated one has norm k_target, so none is drawn."
+    return resolve_k(s).K if isinstance(s.k_source, FixtureK) else s.k_source.k_target
 
 
 def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
@@ -425,10 +431,10 @@ def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
                          result_csv_text(result), result.meta)
 
 
-def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme],
+def _sweep_meta(config: dict, kind: str, grid: list[float], schemes: list[Scheme],
                 evaluation: dict, **extra) -> dict:
     payload = {
-        "config": scenario_to_config(s),
+        "config": config,
         "sweep": {"kind": kind, "grid": list(grid),
                   "schemes": [sch.value for sch in schemes], **extra},
         **evaluation,
@@ -472,7 +478,7 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
     evaluation = {"seed": seed if mc else 0, "mode": s.mode.value,
                   "trials": trials if mc else 0, "beta_seeds": 0 if mc else n_seeds}
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
-                       _sweep_meta(s, kind, grid, schemes, evaluation))
+                       _sweep_meta(scenario_to_config(s), kind, grid, schemes, evaluation))
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
@@ -533,8 +539,12 @@ def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN)
         raise InfeasibleRateError(
             "every grid point is infeasible for the requested scheme(s); "
             "raise the transmit power or lower the rate")
+    cfg = scenario_to_config(s)  # the run id hashes only the keys that the solver reads
+    config = {name: {key: cfg[name][key] for key in keys} for name, keys in (
+        ("array", ("f0_hz", "spacing")), ("bob", ("theta_deg",)), ("region", ("dtheta_deg",)),
+        ("power", tuple(cfg["power"])))}
     return SweepResult("rs_bits", grid, series,
-                       _sweep_meta(s, "rate", grid, schemes, {}, fixed_eta=fixed_eta))
+                       _sweep_meta(config, "rate", grid, schemes, {}, fixed_eta=fixed_eta))
 
 
 # ---------------------------------------------------------------------------

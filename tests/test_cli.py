@@ -14,7 +14,7 @@ from rfda_secrecy.cli import _scenario_from_args, build_parser, main
 from rfda_secrecy.sweep import FixtureK, GeneratedK, scenario_to_config
 from rfda_secrecy.errors import ConvergenceError
 
-MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45"]
+MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"]
 
 
 def run(capsys, *argv):
@@ -31,7 +31,7 @@ def test_mmin_prints_reference_value(capsys):
 
 def test_unknown_flag_exits_2(capsys):
     code, _, err = run(capsys, "mmin", "--beta", "0.4", "--dtheta-deg", "5",
-                       "--theta-b-deg", "45", "--warp-speed", "9")
+                       "--bob-theta-deg", "45", "--warp-speed", "9")
     assert code == 2
     assert "usage" in err
 
@@ -49,7 +49,7 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_kmin_value(capsys):
     code, out, _ = run(capsys, "kmin", "--beta", "0.4", "--dr-m", "8",
-                       "--dtheta-deg", "5", "--theta-b-deg", "45")
+                       "--dtheta-deg", "5", "--bob-theta-deg", "45")
     assert code == 0
     assert out.strip() == "335.74"
 
@@ -119,9 +119,47 @@ def test_region_summary(capsys):
     assert float(fields["ellipse_dtheta_deg"]) == pytest.approx(4.9158, abs=1e-3)
 
 
+def test_region_draws_no_generated_k(tmp_path, monkeypatch, capsys):
+    # a generated k has the squared norm k_target whatever its method or seed,
+    # so region reads the norm off the source and draws nothing
+    import rfda_secrecy.sweep as sweep_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("region drew a frequency vector")
+
+    monkeypatch.setattr(sweep_mod, "generate_k", boom)
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"array": {"M": 64}, "k_source": {
+        "type": "generated", "k_target": 10405, "method": "eigen", "seed": 3}}))
+    code, from_config, _ = run(capsys, "region", "--beta", "0.4", "--config", str(cfg))
+    assert code == 0
+    code, from_flags, _ = run(capsys, "region", "--beta", "0.4", "--m", "64",
+                              "--k-target", "10405")
+    assert (code, from_flags) == (0, from_config)
+
+
+@pytest.mark.parametrize("config", [
+    {"mode": "mc"}, {"array": {"M": 12}},
+    {"k_source": {"type": "generated", "k_target": 500.0}},
+    {"eve": {"r_m": 90.0, "theta_deg": 30.0}}, {"region": {"dr_m": 3.0}},
+    {"array": {"delta_f_hz": 2e6}},
+])
+def test_sweep_rate_run_id_hashes_only_what_the_solver_reads(tmp_path, capsys, config):
+    def run_dir(*argv):
+        code, out, _ = run(capsys, "sweep", "rate", "--rs-max", "2", *argv,
+                           "--out", str(tmp_path))
+        assert code == 0
+        return Path(out.strip())
+
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    base = run_dir()
+    assert run_dir("--config", str(tmp_path / "cfg.json")) == base
+    assert run_dir("--pt-dbm", "20") != base
+
+
 def test_sweep_rate_infeasible_exits_3(capsys):
     code, _, err = run(capsys, "sweep", "rate", "--scheme", "no-an",
-                       "--pt-dbm", "40", "--rs", "13.5")
+                       "--pt-dbm", "40", "--rs-min", "13.5", "--rs-max", "13.5")
     assert code == 3
     assert "infeasible" in err
 
@@ -185,13 +223,13 @@ def test_validate_fixtures_cli(tmp_path, capsys):
     assert code == 0
     assert "all fixture checks passed" in out
     missing = tmp_path / "nope.csv"
-    code, _, err = run(capsys, "validate-fixtures", "--fixtures", str(missing))
+    code, _, err = run(capsys, "validate-fixtures", "--fixture-path", str(missing))
     assert code == 5
     assert "fixture" in err
     bad = tmp_path / "bad.csv"
     bad.write_text("label," + ",".join(f"m{i}" for i in range(1, 17))
                    + "\nK10405," + ",".join(["1.0"] * 16) + "\n")
-    code, out, err = run(capsys, "validate-fixtures", "--fixtures", str(bad))
+    code, out, err = run(capsys, "validate-fixtures", "--fixture-path", str(bad))
     assert code == 5
     assert "FAIL" in out
 
@@ -247,7 +285,7 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
         raise ConvergenceError("stuck in a two-cycle")
 
     monkeypatch.setattr(sweep_mod, "solve_m_min", boom)
-    code, _, err = run(capsys, "sweep", "rate", "--rs", "1.0")
+    code, _, err = run(capsys, "sweep", "rate", "--rs-min", "1.0", "--rs-max", "1.0")
     assert code == 4
     assert "converge" in err
 
@@ -258,9 +296,9 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     ('{"power": {"pt_dbm": Infinity}}', ["capacity"]),
     ('{"array": {"M": 16.9}}', ["capacity"]),
     ('{"rs_bits": -3}', ["capacity"]),
-    (None, ["sweep", "rate", "--rs", "-1"]),
+    (None, ["sweep", "rate", "--rs-min", "-1", "--rs-max", "-1"]),
     (None, ["sweep", "rate", "--rs-min", "-1"]),
-    (None, ["mmin", "--beta", "1.7", "--dtheta-deg", "5", "--theta-b-deg", "45"]),
+    (None, ["mmin", "--beta", "1.7", "--dtheta-deg", "5", "--bob-theta-deg", "45"]),
     (None, ["capacity", "--beta", "-0.1"]),
     (None, ["region", "--beta", "nan"]),
     ('{"bob": 5}', ["capacity"]),
@@ -268,8 +306,8 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     ('{"power": []}', ["capacity"]),
     ('{"k_source": {"type": "generated", "k_target": 100, "seed": null}}', ["capacity"]),
     ('{"k_source": {"type": "generated", "k_target": 100, "seed": 1.7}}', ["capacity"]),
-    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "nan", "--theta-b-deg", "45"]),
-    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45",
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "nan", "--bob-theta-deg", "45"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45",
             "--dr-m", "0"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "nan", "--m-min", "10"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "inf"]),
@@ -318,7 +356,7 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "5"]),
     (None, ["sweep", "power", "--mode", "mc", "--trials", "5", "--beta-seeds", "5"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "10", "--delta", "0.5"]),
-    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--theta-b-deg", "45",
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45",
             "--dr-m", "3"]),
     (None, ["region", "--beta", "0.4", "--eve-r-m", "90"]),
     (None, ["beampattern", "--mode", "mc"]),
@@ -332,6 +370,11 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["sweep", "delta", "--workers", "2"]),
     (None, ["sweep", "bandwidth", "--workers", "2"]),
     ('{"k_source": {"type": "generated", "k_target": 10405}}', ["sweep", "bandwidth"]),
+    (None, ["region", "--beta", "0.4", "--k-norm2", "5"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45",
+            "--theta-b-deg", "45"]),
+    (None, ["sweep", "rate", "--rs", "1"]),
+    (None, ["validate-fixtures", "--fixtures", "x"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -398,7 +441,7 @@ _NO_OUTPUT_FLAGS = {"--config", "--out", "--workers"}
 # command -> the arguments every case of it starts from: small grids, few draws
 _BASES = {
     "mmin": MMIN_ARGS[1:],
-    "kmin": ["--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--theta-b-deg", "45"],
+    "kmin": ["--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45"],
     "region": ["--beta", "0.4"],
     "gen-k": ["--m", "8", "--k-target", "100"],
     "beampattern": ["--r-step", "8", "--theta-step-deg", "5"],
@@ -431,14 +474,17 @@ _VALUES = {
     "--sigma-b2-dbm": "3", "--sigma-e2-dbm": "3", "--delta": "0.8", "--k-target": "500",
     "--k-method": "eigen", "--k-seed": "5", "--fixture-label": "K15405",
     "--fixture-path": "{table}", "--mode": "mc", "--scheme": "an", "--trials": "3",
-    "--seed": "3", "--beta-seeds": "3", "--beta": "0.5", "--theta-b-deg": "60",
-    "--m-min": "20", "--k-norm2": "500", "--method": "eigen", "--r-min": "90",
+    "--seed": "3", "--beta-seeds": "3", "--beta": "0.5",
+    "--m-min": "20", "--method": "eigen", "--r-min": "90",
     "--r-max": "110", "--r-step": "4", "--theta-min-deg": "40", "--theta-max-deg": "50",
     "--theta-step-deg": "2.5", "--pt-min": "1", "--pt-max": "4", "--pt-step": "0.5",
-    "--delta-min": "0.1", "--delta-max": "0.3", "--delta-step": "0.1", "--rs": "1",
+    "--delta-min": "0.1", "--delta-max": "0.3", "--delta-step": "0.1",
     "--rs-min": "1", "--rs-max": "3", "--rs-step": "1", "--fixed-eta": "0.5",
-    "--svg": None, "--fixtures": "{valid}",
+    "--svg": None,
 }
+# (command, flag) -> the value of that flag on that command alone: validate-fixtures
+# checks the table, so it needs one that passes
+_COMMAND_VALUES = {("validate-fixtures", "--fixture-path"): "{valid}"}
 
 
 def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
@@ -474,7 +520,8 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
         for flag in sorted(flags - _NO_OUTPUT_FLAGS):
             base = [*_BASES[command], *(word for pair in _NEEDS.get(flag, ())
                                         if pair[0] in flags for word in pair)]
-            setting = [flag] if _VALUES[flag] is None else [flag, _VALUES[flag]]
+            value = _COMMAND_VALUES.get((command, flag), _VALUES[flag])
+            setting = [flag] if value is None else [flag, value]
             assert output(command, base) != output(command, [*base, *setting]), \
                 (command, flag)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,20 @@ def test_signal_only_closed_forms_are_the_an_ones_at_delta_1(pt, sigma_b2, sigma
 
     assert m_min(beta, REGION, theta, CFG) == max(angular_width(REGION.dtheta_rad), 1.0)
     assert ellipse_semi_axes(CFG, 16, 10405.0, beta, theta)[1] == angular_width(16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(beta=st.floats(0.0, 1.0), n=st.floats(1.0, 1e4), k_norm2=st.floats(1e-3, 1e9),
+       dr=st.floats(1e-3, 1e4), delta_f=st.floats(1e3, 1e9))
+def test_radial_pair_is_one_formula(beta, n, k_norm2, dr, delta_f):
+    # the radial semi-axis and k_min as ellipse_semi_axes and k_min each wrote them out
+    cfg = ArrayConfig(16, 1e9, delta_f, 0.15)
+    rem = max(1.0 - beta, 0.0)
+    radial_width = SPEED_OF_LIGHT * math.sqrt(n * rem / k_norm2) / (2.0 * math.pi * delta_f)
+    scale = SPEED_OF_LIGHT / (2.0 * math.pi * delta_f * dr)
+    assert ellipse_semi_axes(cfg, n, k_norm2, beta, THETA_B)[0] == pytest.approx(
+        radial_width, rel=4 * sys.float_info.epsilon, abs=0.0)
+    assert k_min(beta, SecrecyRegion(dr, 0.1), cfg, n) == scale * scale * rem * n
 
 
 def test_solve_m_min_reference_points():

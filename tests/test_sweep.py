@@ -276,6 +276,16 @@ def test_trial_streams_draw_what_a_fresh_philox_draws(seed):
         assert np.array_equal(draws(stream(t)), expected)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trial_streams_wrap_a_key_that_rounds_to_2_64():
+    # through float64, 2**64 - 1 rounds to 2**64: the key wraps to 0 rather than
+    # taking whatever an out-of-range cast gives, and nothing warns
+    stream = _trial_streams(2 ** 64 - 1)
+    for t in (0, 1, 9999):
+        expected = np.random.Generator(np.random.Philox(key=[0, t])).standard_normal(9)
+        assert np.array_equal(stream(t).standard_normal(9), expected)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 2 ** 12), trial=st.integers(0, 10 ** 6),
        m=st.integers(3, 40), eve_r=st.floats(0.0, 500.0),
