@@ -22,8 +22,8 @@ class ArrayConfig:
     """Uniform linear RFDA: element count, carriers and spacing.
 
     ``delta_f_hz`` is the unit of the random per-element frequency
-    increments; the dimensionless increments themselves live in
-    :class:`FrequencyVector`.
+    increments ``k``: a float array of M dimensionless entries whose squared
+    norm ``K = k.k`` is the conventional bandwidth proxy.
     """
 
     n_elements: int
@@ -63,36 +63,8 @@ class Location:
             raise ValueError(f"theta must be in (0, pi), got {self.theta_rad}")
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
-    """Dimensionless per-element frequency increments ``k``.
-
-    The squared norm ``K = k.k`` is the conventional proxy for the bandwidth
-    consumed by random frequency mapping.
-    """
-
-    k: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", np.asarray(self.k, dtype=float))
-        if self.k.ndim != 1 or self.k.size < 1:
-            raise ValueError("k must be a non-empty 1-d vector")
-
-    @property
-    def K(self) -> float:
-        "Squared norm k.k."
-        return float(self.k @ self.k)
-
-    def __len__(self) -> int:
-        return self.k.size
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return self.k.astype(dtype)
-        return self.k
-
-
 def _as_k(k, n_elements: int) -> np.ndarray:
+    "``k`` as a float array; the one check that it has an entry per element."
     arr = np.asarray(k, dtype=float)
     if arr.shape != (n_elements,):
         raise ValueError(

@@ -22,9 +22,9 @@ from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
 from .sweep import (SEED_LIMIT, Mode, Scenario, beampattern_csv_text, beampattern_grid,
-                    config_hash, evaluate_capacity, k_norm2, scenario_from_config,
-                    scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
-                    sweep_rate, validate_fixtures, write_run, write_run_dir)
+                    beta_for_scenario, config_hash, evaluate_capacity, k_norm2,
+                    scenario_from_config, scenario_to_config, sweep_bandwidth, sweep_delta,
+                    sweep_power, sweep_rate, validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,),
@@ -210,12 +210,12 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_k(args: argparse.Namespace) -> int:
-    vec = generate_k(args.m, args.k_target, args.method, args.seed)
-    print("k=" + ",".join(repr(float(v)) for v in vec.k))
-    print(f"K={vec.K!r}")
-    print(f"sum={float(vec.k.sum())!r}")
-    print(f"rho1={rho1(vec)!r}")
-    print(f"rho2={rho2(vec)!r}")
+    k = generate_k(args.m, args.k_target, args.method, args.seed)
+    print("k=" + ",".join(repr(float(v)) for v in k))
+    print(f"K={float(k @ k)!r}")
+    print(f"sum={float(k.sum())!r}")
+    print(f"rho1={rho1(k)!r}")
+    print(f"rho2={rho2(k)!r}")
     return 0
 
 
@@ -243,8 +243,11 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     s, evaluation = _scenario_from_args(args), _evaluation(args)
+    beta = args.beta  # the lower bound's beta is the same for every scheme
+    if beta is None and s.mode is Mode.ANALYTIC_LB:
+        beta = beta_for_scenario(s, evaluation["n_seeds"])
     for scheme in evaluation.pop("schemes"):
-        value, err = evaluate_capacity(s, scheme, beta=args.beta, **evaluation)
+        value, err = evaluate_capacity(s, scheme, beta=beta, **evaluation)
         line = f"{scheme.value}={value:.4f}"
         print(line if err is None else f"{line} stderr={err:.4f}")
     return 0

@@ -42,11 +42,19 @@ class PowerConfig:
     delta: float = 0.6
 
     def __post_init__(self):
-        for name in ("pt_dbm", "sigma_b2_dbm", "sigma_e2_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta must be in [0, 1], got {self.delta}")
+        # NaN and infinite dBm fail here too; a finite one far out of range
+        # overflows to an error, or underflows to 0
+        try:
+            linear = (self.pt_mw, dbm_to_mw(self.sigma_b2_dbm),
+                      dbm_to_mw(self.sigma_e2_dbm), self.mu, self.eps)
+        except (OverflowError, ZeroDivisionError):
+            linear = (math.inf,)
+        if not all(0.0 < value < math.inf for value in linear):
+            raise ValueError(
+                f"pt_dbm={self.pt_dbm}, sigma_b2_dbm={self.sigma_b2_dbm} and sigma_e2_dbm="
+                f"{self.sigma_e2_dbm} must give positive, finite linear powers and ratios")
 
     @property
     def pt_mw(self) -> float:

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import FrequencyVector
 from .errors import ConvergenceError, FixtureError
 
 # fixture label -> (nominal squared norm K, nominal increment span in MHz),
@@ -146,8 +145,16 @@ def _feasible_basis(n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     return ones, idx
 
 
+def require_feasible(n_elements: int) -> None:
+    "Raise unless an ``n_elements`` array has a k orthogonal to the ones and index vectors."
+    if n_elements < 3:
+        raise ValueError(
+            "generate_k is infeasible for n_elements < 3: no direction is orthogonal "
+            "to both the all-ones and the index vector")
+
+
 def generate_k(n_elements: int, k_target: float, method: str = "projection",
-               seed: int | np.random.Generator = 0) -> FrequencyVector:
+               seed: int | np.random.Generator = 0) -> np.ndarray:
     """Random frequency vector with k.k = k_target, rho1 = 2MK and rho2 = 0.
 
     ``projection`` draws a Gaussian vector and projects out the all-ones and
@@ -157,10 +164,7 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
     default because it needs no eigensolve.  The same seed always reproduces
     the same vector.
     """
-    if n_elements < 3:
-        raise ValueError(
-            "generate_k is infeasible for n_elements < 3: no direction is orthogonal "
-            "to both the all-ones and the index vector")
+    require_feasible(n_elements)
     # rho1 = 2*M*K of the drawn vector must be finite too
     if not (k_target > 0 and math.isfinite(2.0 * n_elements * k_target)):
         raise ValueError(f"k_target must be positive with 2*M*k_target finite, "
@@ -186,7 +190,7 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
         vec = direction(rng.standard_normal(dim))
         norm = np.linalg.norm(vec)
         if norm > 1e-12:
-            return FrequencyVector(vec * np.sqrt(k_target) / norm)
+            return vec * np.sqrt(k_target) / norm
     raise ConvergenceError(f"64 {method} draws in a row gave a degenerate direction")
 
 
@@ -195,7 +199,7 @@ def default_fixture_path() -> Path:
     return Path(__file__).parent / "fixtures" / "table1.csv"
 
 
-def load_frequency_table(path: str | Path | None = None) -> list[tuple[str, FrequencyVector]]:
+def load_frequency_table(path: str | Path | None = None) -> list[tuple[str, np.ndarray]]:
     """Load labeled frequency vectors from the fixture CSV.
 
     Schema: header ``label,m1,...,m16``, one row per vector, increments in
@@ -220,7 +224,7 @@ def load_frequency_table(path: str | Path | None = None) -> list[tuple[str, Freq
             values = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise FixtureError(f"{path}: row {lineno}: {exc}") from exc
-        out.append((row[0], FrequencyVector(np.array(values))))
+        out.append((row[0], np.array(values)))
     if not out:
         raise FixtureError(f"{path}: no data rows")
     return out

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, FrequencyVector, Location, _as_k,
+from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k,
                          _mismatch_phases, correlation2, pq_offsets, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity)
@@ -115,7 +115,7 @@ def read_result_csv(path: str | Path) -> SweepResult:
     return SweepResult(header[0], axis, series)
 
 
-def trial_capacity(s: Scenario, scheme: Scheme, fixed_k: FrequencyVector | None,
+def trial_capacity(s: Scenario, scheme: Scheme, fixed_k: np.ndarray | None,
                    seed: int, trial: int) -> float:
     """Secrecy capacity of one Monte Carlo trial, drawn from a freshly built
     ``Philox(key=[seed, trial])`` stream; ``fixed_k`` is the fixture vector, or

@@ -146,27 +146,25 @@ def solve_m_min(rs_bits: float, power: PowerConfig, region: SecrecyRegion,
                 fixed_eta: float | None = None, max_iter: int = 1000) -> int:
     """Smallest integer element count that supports the target secrecy rate.
 
-    Without AN (the AN bound at delta = 1) the admissible ``beta`` does not
-    depend on the element count, so one evaluation suffices, with a 1-element
-    floor.  With AN the average leakage factor depends on the element count,
-    which feeds back into the admissible ``beta``; the map from count to
-    required count is monotone, so iterating from the 2-element floor
-    converges to the least fixed point.  ``fixed_eta`` short-circuits that
-    feedback with a constant leakage factor in (0, 1].
+    The scheme sets the power split.  When some power feeds AN, the array
+    needs a null space, so the floor is 2 elements, and the average leakage
+    factor depends on the element count, which feeds back into the
+    admissible ``beta``; the map from count to required count is monotone, so
+    iterating from the floor converges to the least fixed point.
+    ``fixed_eta`` short-circuits that feedback with a constant leakage factor
+    in (0, 1].  With no power on AN the leakage factor multiplies zero, the
+    floor is 1 element and the iteration settles at once.
     """
     if fixed_eta is not None and not 0.0 < fixed_eta <= 1.0:
         raise ValueError(f"fixed_eta must be in (0, 1], got {fixed_eta}")
-    if scheme is Scheme.WITHOUT_AN:
-        # no power feeds AN, so the leakage factor multiplies zero
-        beta = beta_max_an(scheme.power(power), 1.0, rs_bits)
-        return max(1, math.ceil(m_min(beta, region, theta_b_rad, cfg)))
-
-    m_current = 2
+    power = scheme.power(power)
+    an = power.delta < 1.0
+    m_current = floor = 2 if an else 1
     history = [m_current]
     for _ in range(max_iter):
-        eta_value = fixed_eta if fixed_eta is not None else eta(m_current)
+        eta_value = (fixed_eta if fixed_eta is not None else eta(m_current)) if an else 0.0
         beta = beta_max_an(power, eta_value, rs_bits)
-        m_next = max(2, math.ceil(m_min(beta, region, theta_b_rad, cfg)))
+        m_next = max(floor, math.ceil(m_min(beta, region, theta_b_rad, cfg)))
         if m_next == m_current:
             return m_current
         history.append(m_next)

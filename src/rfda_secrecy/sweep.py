@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (ArrayConfig, FrequencyVector, Location, correlation2,
-                         correlation2_grid, half_wavelength_spacing, steering_vector)
+from .arraymodel import (ArrayConfig, Location, _as_k, correlation2, correlation2_grid,
+                         half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity, c_an_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                      RetryRequiredError)
-from .freqdesign import FIXTURES, generate_k, load_frequency_table
+from .freqdesign import FIXTURES, generate_k, load_frequency_table, require_feasible
 from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
 
@@ -117,8 +117,8 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _finite(value, where: str) -> float:
-    "A configuration number as a float; NaN, infinities and non-numbers are rejected."
-    if not isinstance(value, numbers.Real):
+    "A configuration number as a float; NaN, infinities, booleans and non-numbers are rejected."
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
@@ -135,7 +135,8 @@ def _integer(value, where: str) -> int:
 
 def _seed(value, where: str) -> int:
     "A user seed: an integer in [0, SEED_LIMIT), read exactly (not through a float)."
-    seed = int(value) if isinstance(value, numbers.Integral) else _integer(value, where)
+    exact = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    seed = int(value) if exact else _integer(value, where)
     if not 0 <= seed < SEED_LIMIT:
         raise ConfigError(f"{where} must be an integer in [0, 2**63), got {value!r}")
     return seed
@@ -255,7 +256,7 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-def fixture_vector(label: str, path: str | None = None) -> FrequencyVector:
+def fixture_vector(label: str, path: str | None = None) -> np.ndarray:
     "Load one labeled row of the fixture table."
     for row_label, vec in load_frequency_table(path):
         if row_label == label:
@@ -263,7 +264,7 @@ def fixture_vector(label: str, path: str | None = None) -> FrequencyVector:
     raise FixtureError(f"fixture row {label!r} not found")
 
 
-def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> FrequencyVector:
+def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
     "Materialize the scenario's frequency vector (one draw if generated)."
     if isinstance(s.k_source, FixtureK):
         return fixture_vector(s.k_source.label, s.k_source.path)
@@ -273,8 +274,13 @@ def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> FrequencyV
 
 
 def k_norm2(s: Scenario) -> float:
-    "Squared norm of the scenario's k; a generated one has norm k_target, so none is drawn."
-    return resolve_k(s).K if isinstance(s.k_source, FixtureK) else s.k_source.k_target
+    """Squared norm of the scenario's k, which must have an entry per element; a
+    generated one has norm k_target, so none is drawn."""
+    if isinstance(s.k_source, FixtureK):
+        k = _as_k(resolve_k(s), s.array.n_elements)
+        return float(k @ k)
+    require_feasible(s.array.n_elements)
+    return s.k_source.k_target
 
 
 def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
@@ -474,9 +480,11 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
         return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key),
                                  n_seeds)
 
-    mc = s.mode is Mode.MONTE_CARLO  # the lower bound reads neither seed nor trials
+    # the lower bound reads neither seed nor trials, and beta_seeds only for a generated k
+    mc = s.mode is Mode.MONTE_CARLO
+    averaged = not mc and isinstance(s.k_source, GeneratedK)
     evaluation = {"seed": seed if mc else 0, "mode": s.mode.value,
-                  "trials": trials if mc else 0, "beta_seeds": 0 if mc else n_seeds}
+                  "trials": trials if mc else 0, "beta_seeds": n_seeds if averaged else 0}
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
                        _sweep_meta(scenario_to_config(s), kind, grid, schemes, evaluation))
 
@@ -557,17 +565,16 @@ def validate_fixtures(path: str | Path | None = None) -> dict:
     0.1 of zero.  Returns a per-row report with an overall ``ok`` flag."""
     rows = load_frequency_table(path)
     report_rows = []
-    for label, vec in rows:
+    for label, k in rows:
         entry: dict = {"label": label}
         if label not in FIXTURES:
             entry.update(ok=False, reason="unknown label")
             report_rows.append(entry)
             continue
         k2_expected, span_expected = FIXTURES[label]
-        k = vec.k
-        entry["k_squared"] = vec.K
+        entry["k_squared"] = float(k @ k)
         entry["k_squared_expected"] = k2_expected
-        entry["k_squared_ok"] = abs(vec.K - k2_expected) <= 0.005 * k2_expected
+        entry["k_squared_ok"] = abs(entry["k_squared"] - k2_expected) <= 0.005 * k2_expected
         entry["span_mhz"] = float(k.max() - k.min())
         entry["span_expected_mhz"] = span_expected
         entry["span_ok"] = abs(entry["span_mhz"] - span_expected) <= 2.0

@@ -296,7 +296,7 @@ def test_criterion_7_randomized_invariant_suite():
             k_target = float(rng.uniform(1.0, 2e4))
             vec = generate_k(m, k_target, method, int(rng.integers(0, 2 ** 31)))
             scale = math.sqrt(k_target)
-            assert vec.K == pytest.approx(k_target, rel=1e-9)
+            assert vec @ vec == pytest.approx(k_target, rel=1e-9)
             assert rho1(vec) == pytest.approx(2 * m * k_target, rel=1e-9)
             assert abs(rho2(vec)) < 2 * m * 1e-9 * scale
 
@@ -328,7 +328,7 @@ def _ellipse_probe_values():
     vec = generate_k(16, 10405.0, "projection", seed=1)
     bob = Location(100.0, THETA_B)
     beta = 0.4
-    dr, dtheta = ellipse_semi_axes(CFG16, 16, vec.K, beta, THETA_B)
+    dr, dtheta = ellipse_semi_axes(CFG16, 16, vec @ vec, beta, THETA_B)
     radial = beampattern_taylor(CFG16, vec, bob, Location(bob.r_m + dr, THETA_B))
     angular = beampattern_taylor(CFG16, vec, bob,
                                  Location(bob.r_m, THETA_B + dtheta))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, FrequencyVector, Location,
+from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, Location,
                           SPEED_OF_LIGHT, SecrecyRegion, beampattern_grid, beta_boundary,
                           corner_locations, correlation2, correlation2_grid,
                           default_scenario, fixture_vector, generate_k,
@@ -63,13 +63,6 @@ def test_location_validation():
         Location(10.0, 0.0)
     with pytest.raises(ValueError):
         Location(10.0, math.pi)
-
-
-def test_frequency_vector_squared_norm():
-    vec = FrequencyVector(np.array([1.0, -2.0, 1.0]))
-    assert vec.K == pytest.approx(6.0, rel=1e-12)
-    assert len(vec) == 3
-    assert np.asarray(vec).tolist() == [1.0, -2.0, 1.0]
 
 
 def test_phase_shift_trivial_zeros():
@@ -288,9 +281,9 @@ _GRID_THETA = [5e-324, 1e-9, 1e-3, 0.7, _BOB.theta_rad, math.pi / 2, math.pi - 1
 def _vectors(m):
     "The frequency vectors a differential case runs: fixture rows and generated ones."
     if m == 16:
-        yield from (fixture_vector(label).k for label in FIXTURE_LABELS)
+        yield from (fixture_vector(label) for label in FIXTURE_LABELS)
     if m >= 3:
-        yield from (generate_k(m, 10405.0, method, seed=3).k
+        yield from (generate_k(m, 10405.0, method, seed=3)
                     for method in ("projection", "eigen"))
     else:
         yield np.array([1.0, -1.0])

@@ -138,6 +138,25 @@ def test_region_draws_no_generated_k(tmp_path, monkeypatch, capsys):
     assert (code, from_flags) == (0, from_config)
 
 
+def test_capacity_computes_beta_once(monkeypatch, capsys):
+    # the lower bound of every scheme reads the same boundary correlation
+    import rfda_secrecy.cli as cli_mod
+    import rfda_secrecy.sweep as sweep_mod
+
+    calls = []
+    original = sweep_mod.beta_for_scenario
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cli_mod, sweep_mod):
+        monkeypatch.setattr(module, "beta_for_scenario", counted)
+    code, out, _ = run(capsys, "capacity", "--k-target", "10405", "--beta-seeds", "2")
+    assert (code, len(out.splitlines())) == (0, 2)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("config", [
     {"mode": "mc"}, {"array": {"M": 12}},
     {"k_source": {"type": "generated", "k_target": 500.0}},
@@ -375,6 +394,14 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
             "--theta-b-deg", "45"]),
     (None, ["sweep", "rate", "--rs", "1"]),
     (None, ["validate-fixtures", "--fixtures", "x"]),
+    (None, ["capacity", "--pt-dbm", "4000"]),
+    (None, ["sweep", "rate", "--pt-dbm", "4000"]),
+    (None, ["capacity", "--sigma-b2-dbm", "-4000"]),
+    (None, ["capacity", "--pt-dbm", "3000", "--sigma-b2-dbm", "-300", "--beta", "0.2"]),
+    ('{"power": {"pt_dbm": true}}', ["capacity"]),
+    ('{"k_source": {"type": "generated", "k_target": 100, "seed": true}}', ["capacity"]),
+    (None, ["region", "--beta", "0.4", "--m", "12"]),
+    (None, ["region", "--beta", "0.4", "--m", "2", "--k-target", "100"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -572,8 +599,8 @@ def test_k_flags_override_one_config_key(tmp_path, k_source, argv, expected):
 def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     # beta_seeds changes an lb sweep over a generated k, so two counts must not
     # share a run directory; mc mode draws no beta, so it records 0
-    def sweep(*argv):
-        code, out, _ = run(capsys, "sweep", "power", "--k-target", "10405", "--pt-max", "2",
+    def sweep(*argv, k=("--k-target", "10405")):
+        code, out, _ = run(capsys, "sweep", "power", *k, "--pt-max", "2",
                            *argv, "--out", str(tmp_path))
         assert code == 0
         run_dir = Path(out.strip())
@@ -584,6 +611,10 @@ def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     assert few_dir != many_dir
     mc = ("--mode", "mc", "--trials", "20")
     assert sweep(*mc)[1] == 0
+    # a fixture k gives one beta whatever the count, so it records 0 and shares a run
+    fixture = sweep("--beta-seeds", "5", k=())
+    assert fixture == sweep("--beta-seeds", "6", k=()) == sweep(k=())
+    assert fixture[1] == 0
 
 
 def test_seed_is_part_of_the_run_id_only_in_mc_mode(tmp_path, capsys):

@@ -145,10 +145,10 @@ def test_symmetric_eigen_input_validation():
 
 def test_generate_k_unique_direction_for_three_elements():
     vec = generate_k(3, 6.0, "projection", seed=5)
-    scaled = vec.k / vec.k[0]
+    scaled = vec / vec[0]
     np.testing.assert_allclose(scaled, [1.0, -2.0, 1.0], atol=1e-9)
     vec = generate_k(3, 6.0, "eigen", seed=9)
-    scaled = vec.k / vec.k[0]
+    scaled = vec / vec[0]
     np.testing.assert_allclose(scaled, [1.0, -2.0, 1.0], atol=1e-6)
 
 
@@ -165,8 +165,8 @@ def test_generate_k_deterministic():
     a = generate_k(16, 10405.0, "projection", seed=42)
     b = generate_k(16, 10405.0, "projection", seed=42)
     c = generate_k(16, 10405.0, "projection", seed=43)
-    np.testing.assert_array_equal(a.k, b.k)
-    assert np.abs(a.k - c.k).max() > 1e-3
+    np.testing.assert_array_equal(a, b)
+    assert np.abs(a - c).max() > 1e-3
 
 
 @pytest.mark.parametrize("method,sizes", [
@@ -181,10 +181,10 @@ def test_generate_k_postconditions(method, sizes):
             seed = int(rng.integers(0, 2 ** 32))
             vec = generate_k(m, k_target, method, seed)
             scale = math.sqrt(k_target)
-            assert vec.K == pytest.approx(k_target, rel=1e-9)
-            assert abs(vec.k.sum()) < 1e-9 * scale
+            assert vec @ vec == pytest.approx(k_target, rel=1e-9)
+            assert abs(vec.sum()) < 1e-9 * scale
             centered = np.arange(1, m + 1) - (m + 1) / 2.0
-            assert abs(centered @ vec.k) < 1e-9 * scale
+            assert abs(centered @ vec) < 1e-9 * scale
             assert rho1(vec) == pytest.approx(2.0 * m * k_target, rel=1e-9)
             assert abs(rho2(vec)) < 2.0 * m * 1e-9 * scale
 
@@ -195,13 +195,14 @@ def test_load_frequency_table_default_fixture():
     by_label = dict(rows)
     k1 = by_label["K10405"]
     assert len(k1) == 16
-    assert k1.k[0] == -15.2
-    assert k1.k[12] == 9.73
+    assert k1[0] == -15.2
+    assert k1[12] == 9.73
     # printed entries are rounded to ~3 significant digits
-    assert k1.K == pytest.approx(10405.0, rel=0.005)
-    assert k1.k.sum() == pytest.approx(0.03, abs=1e-9)
-    assert by_label["K12905"].K == pytest.approx(12905.0, rel=0.005)
-    assert by_label["K15405"].K == pytest.approx(15405.0, rel=0.005)
+    assert k1 @ k1 == pytest.approx(10405.0, rel=0.005)
+    assert k1.sum() == pytest.approx(0.03, abs=1e-9)
+    k2, k3 = by_label["K12905"], by_label["K15405"]
+    assert k2 @ k2 == pytest.approx(12905.0, rel=0.005)
+    assert k3 @ k3 == pytest.approx(15405.0, rel=0.005)
     assert default_fixture_path().exists()
 
 

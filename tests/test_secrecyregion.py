@@ -160,6 +160,9 @@ def test_signal_only_closed_forms_are_the_an_ones_at_delta_1(pt, sigma_b2, sigma
         assert beta_max_an(replace(power, delta=1.0), eta_value, rs) == expected
         assert solve_m_min(rs, power, REGION, theta, CFG, Scheme.WITHOUT_AN) == max(
             1, math.ceil(m_min(expected, REGION, theta, CFG)))
+        assert solve_m_min(rs, replace(power, delta=1.0), REGION, theta, CFG,
+                           Scheme.WITH_AN) == solve_m_min(rs, power, REGION, theta, CFG,
+                                                          Scheme.WITHOUT_AN)
 
     def angular_width(across):
         "The angular-width formula as m_min and ellipse_semi_axes each wrote it out."
@@ -266,7 +269,7 @@ def test_taylor_matches_beta_at_radial_vertex():
     for seed in (1, 2, 3):
         vec = generate_k(16, 10405.0, "projection", seed=seed)
         for beta in (0.1, 0.4, 0.8):
-            dr, _ = ellipse_semi_axes(CFG, 16, vec.K, beta, BOB.theta_rad)
+            dr, _ = ellipse_semi_axes(CFG, 16, vec @ vec, beta, BOB.theta_rad)
             probe = Location(BOB.r_m + dr, BOB.theta_rad)
             got = beampattern_taylor(CFG, vec, BOB, probe)
             assert got == pytest.approx(beta * 256.0, rel=1e-9)

@@ -98,7 +98,8 @@ def test_config_hash_sensitivity():
 
 
 def test_fixture_vector_lookup():
-    assert fixture_vector("K12905").K == pytest.approx(12905.0, rel=0.005)
+    k = fixture_vector("K12905")
+    assert k @ k == pytest.approx(12905.0, rel=0.005)
     with pytest.raises(FixtureError):
         fixture_vector("K99999")
 
@@ -106,8 +107,8 @@ def test_fixture_vector_lookup():
 def test_resolve_k_generated_deterministic():
     s = default_scenario(k_source=GeneratedK(500.0, "projection", 3))
     a, b = resolve_k(s), resolve_k(s)
-    np.testing.assert_array_equal(a.k, b.k)
-    assert a.K == pytest.approx(500.0, rel=1e-9)
+    np.testing.assert_array_equal(a, b)
+    assert a @ a == pytest.approx(500.0, rel=1e-9)
 
 
 def test_beta_for_scenario_fixture_and_generated():
