@@ -4,14 +4,13 @@ beamforming, secrecy-capacity bounds, resource minima and experiment sweeps.
 """
 
 from .arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, correlation2,
-                         correlation2_grid, half_wavelength_spacing, pq_offsets,
-                         steering_vector)
+                         correlation2_grid, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, c_an_lb, capacity_bob,
                          capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
                          secrecy_capacity, sinr_eve, snr_bob)
 from .errors import (ConfigError, ConvergenceError, FixtureError,
                      InfeasibleRateError, RetryRequiredError)
-from .freqdesign import (EigenResult, FIXTURE_LABELS, build_design_matrix,
+from .freqdesign import (EigenResult, build_design_matrix,
                          default_fixture_path, generate_k, load_frequency_table,
                          rho1, rho2, symmetric_eigen)
 from .secrecyregion import (BEAMWIDTH_CONSTANT_RAD, Scheme, SecrecyRegion,

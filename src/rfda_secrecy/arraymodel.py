@@ -95,21 +95,11 @@ def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
 
 
 def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):
-    "The offsets of :func:`pq_offsets` toward a range and an angle, or arrays of them."
+    "Range/angle phase offsets (p, q) of ``r_m`` and ``theta_rad``, or arrays, from ``bob``."
     p = 2.0 * np.pi * cfg.delta_f_hz * (r_m - bob.r_m) / SPEED_OF_LIGHT
     q = (2.0 * np.pi * cfg.f0_hz * cfg.spacing_m
          * (np.cos(theta_rad) - np.cos(bob.theta_rad)) / SPEED_OF_LIGHT)
     return p, q
-
-
-def pq_offsets(cfg: ArrayConfig, bob: Location, eve: Location) -> tuple[float, float]:
-    """Range/angle phase offsets (p, q) of ``eve`` relative to ``bob``.
-
-    ``p`` scales the frequency increments, ``q`` the element index, so the
-    per-element phase mismatch is ``z_m = p*k_m + q*(m-1)``.
-    """
-    p, q = _pq(cfg, bob, eve.r_m, eve.theta_rad)
-    return float(p), float(q)
 
 
 def _mismatch_phases(cfg: ArrayConfig, k: np.ndarray, p, q) -> np.ndarray:
@@ -117,15 +107,24 @@ def _mismatch_phases(cfg: ArrayConfig, k: np.ndarray, p, q) -> np.ndarray:
     return p * k + q * np.arange(cfg.n_elements)
 
 
+def _correlation2(cfg: ArrayConfig, k: np.ndarray, p, q):
+    "The squared correlation at offsets (p, q): scalars, or arrays with a trailing axis of 1."
+    z = _mismatch_phases(cfg, k, p, q)
+    # the sum over M is numpy's mean (add.reduce, then one division) without its
+    # Python overhead; float_power is libm pow on a scalar and an array alike,
+    # where ``** 2`` would square an array as x * x
+    return np.float_power(np.abs(np.exp(1j * z).sum(axis=-1) / cfg.n_elements), 2)
+
+
 def correlation2(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     """Squared correlation |h(eve)^H h(bob)|^2, in [0, 1].
 
     This is the fraction of the confidential signal power that leaks to a
-    receiver at ``eve`` when the transmit vector points at ``bob``.
+    receiver at ``eve`` when the transmit vector points at ``bob``: the kernel
+    of :func:`correlation2_grid` at one location.
     """
     karr = _as_k(k, cfg.n_elements)
-    z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
-    return float(np.abs(np.exp(1j * z).mean()) ** 2)
+    return float(_correlation2(cfg, karr, *_pq(cfg, bob, eve.r_m, eve.theta_rad)))
 
 
 def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.ndarray:
@@ -138,6 +137,4 @@ def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.
     """
     karr = _as_k(k, cfg.n_elements)
     p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
-    z = _mismatch_phases(cfg, karr, p[..., None], q[..., None])
-    # float_power is libm pow, which the scalar path's ``** 2`` rounds with too
-    return np.float_power(np.abs(np.exp(1j * z).mean(axis=-1)), 2)
+    return _correlation2(cfg, karr, p[..., None], q[..., None])

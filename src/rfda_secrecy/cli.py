@@ -22,7 +22,7 @@ from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
 from .sweep import (SEED_LIMIT, Mode, Scenario, beampattern_csv_text, beampattern_grid,
-                    beta_for_scenario, config_hash, evaluate_capacity, k_norm2,
+                    beta_for_scenario, evaluate_capacity, k_norm2, run_manifest,
                     scenario_from_config, scenario_to_config, sweep_bandwidth, sweep_delta,
                     sweep_power, sweep_rate, validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
@@ -232,12 +232,9 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
     if len(r_values) * len(theta_deg) > _MAX_BEAMPATTERN_POINTS:
         raise ValueError(f"beampattern grid exceeds {_MAX_BEAMPATTERN_POINTS} points")
     rows = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
-    payload = {"config": scenario_to_config(s),
-               "grid": {"r": r_values, "theta_deg": theta_deg}}
-    run_dir = write_run_dir(Path(args.out) / f"beampattern-{config_hash(payload)}",
-                            beampattern_csv_text(rows),
-                            {**payload, "tool_version": VERSION})
-    print(run_dir)
+    manifest = run_manifest({"config": scenario_to_config(s),
+                             "grid": {"r": r_values, "theta_deg": theta_deg}})
+    print(write_run_dir(args.out, "beampattern", beampattern_csv_text(rows), manifest))
     return 0
 
 
@@ -246,8 +243,8 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
     beta = args.beta  # the lower bound's beta is the same for every scheme
     if beta is None and s.mode is Mode.ANALYTIC_LB:
         beta = beta_for_scenario(s, evaluation["n_seeds"])
-    for scheme in evaluation.pop("schemes"):
-        value, err = evaluate_capacity(s, scheme, beta=beta, **evaluation)
+    for scheme in evaluation["schemes"]:
+        value, err = evaluate_capacity(s, scheme, args.trials, args.seed, beta)
         line = f"{scheme.value}={value:.4f}"
         print(line if err is None else f"{line} stderr={err:.4f}")
     return 0
@@ -298,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "kmin", "minimum squared frequency-spread norm",
                      ("--beta", *_KMIN_FLAGS), {"--beta", "--dr-m"}, handler=_cmd_kmin)
-    p.add_argument("--m-min", type=_number_in(0.0, math.inf))
+    p.add_argument("--m-min", type=_number_in(1.0, math.inf))
 
     _add_command(sub, "region", "confinement ellipse and resource minima",
                  ("--config", "--beta", *_REGION_FLAGS), {"--beta"}, handler=_cmd_region)

@@ -29,7 +29,6 @@ FIXTURES = {
     "K12905": (12905.0, 100.0),
     "K15405": (15405.0, 110.0),
 }
-FIXTURE_LABELS = tuple(FIXTURES)
 
 
 def rho1(k) -> float:

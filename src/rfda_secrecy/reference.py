@@ -1,5 +1,6 @@
 """Scalar reference paths that the tests check the library against: the
-per-element phase, the exact and second-order beampatterns, the symbol-level
+per-element phase, the (p, q) offsets and the squared correlation one location
+at a time, the exact and second-order beampatterns, the symbol-level
 transmit/receive chain, the signal-only closed forms, the sweep CSV round trip
 and the one-trial Monte Carlo capacity.  Nothing in the library imports this
 module; only the tests do.
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k,
-                         _mismatch_phases, correlation2, pq_offsets, steering_vector)
+                         _mismatch_phases, _pq, correlation2, steering_vector)
 from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity)
 from .errors import ConvergenceError, InfeasibleRateError, RetryRequiredError
@@ -36,6 +37,23 @@ def phase_shift(cfg: ArrayConfig, k_m: float, element: int, loc: Location) -> fl
     angle_term = (element - 1) * cfg.f0_hz * cfg.spacing_m * np.cos(loc.theta_rad)
     range_term = k_m * cfg.delta_f_hz * loc.r_m
     return float(-2.0 * np.pi * (angle_term + range_term) / SPEED_OF_LIGHT)
+
+
+def pq_offsets(cfg: ArrayConfig, bob: Location, eve: Location) -> tuple[float, float]:
+    """Range/angle phase offsets (p, q) of ``eve`` relative to ``bob``.
+
+    ``p`` scales the frequency increments, ``q`` the element index, so the
+    per-element phase mismatch is ``z_m = p*k_m + q*(m-1)``.
+    """
+    p, q = _pq(cfg, bob, eve.r_m, eve.theta_rad)
+    return float(p), float(q)
+
+
+def correlation2_pointwise(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
+    "Squared correlation at one location, through its own scalar phase sum."
+    karr = _as_k(k, cfg.n_elements)
+    z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
+    return float(np.abs(np.exp(1j * z).mean()) ** 2)
 
 
 def beampattern_exact(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:

@@ -125,7 +125,8 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
 
     Raises :class:`InfeasibleRateError` when even a perfectly silent
     eavesdropper could not support the rate (intended-channel capacity below
-    the target).  The result is clamped to [0, 1].
+    the target), and ValueError when the powers are so large that the ratio
+    overflows.  The result is clamped to [0, 1].
     """
     mu, eps, delta = power.mu, power.eps, power.delta
     gain = 2.0 ** rs_bits
@@ -138,6 +139,9 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
         return 0.0
     an_floor = (1.0 - delta) * mu * eta_value
     value = headroom * (an_floor + eps) / (an_floor * headroom + delta * mu * gain)
+    if not math.isfinite(value):  # a product above overflowed: inf/inf or inf/x
+        raise ValueError(f"the admissible beta overflows at pt_dbm={power.pt_dbm}, "
+                         f"delta={delta} and rate {rs_bits} bits")
     return min(max(value, 0.0), 1.0)
 
 

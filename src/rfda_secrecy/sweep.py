@@ -303,24 +303,20 @@ def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
 # capacity evaluation
 # ---------------------------------------------------------------------------
 
-def lb_capacity(s: Scenario, scheme: Scheme | None = None,
-                beta: float | None = None, n_seeds: int = 100) -> float:
-    """Closed-form secrecy-capacity lower bound for the scenario.
+def lb_capacity(s: Scenario, scheme: Scheme, beta: float) -> float:
+    """Closed-form secrecy-capacity lower bound for the scenario at the boundary
+    correlation ``beta`` (see :func:`beta_for_scenario`).
 
-    ``beta`` overrides the boundary correlation (otherwise it is computed
-    from the scenario's frequency-vector source).  It is the AN bound at the
-    scheme's split: delta = 1 for signal-only, the scenario's for None.  With
+    It is the AN bound at the scheme's split: delta = 1 for signal-only.  With
     no power on AN it needs no leakage factor, so one element is enough.
     """
-    if beta is None:
-        beta = beta_for_scenario(s, n_seeds)
-    power = s.power if scheme is None else scheme.power(s.power)
+    power = scheme.power(s.power)
     eta_value = eta(s.array.n_elements) if power.delta < 1.0 else 0.0
     return c_an_lb(power, beta, eta_value)
 
 
 def mc_capacity(s: Scenario, trials: int, seed: int,
-                scheme: Scheme | None = None) -> tuple[float, float]:
+                scheme: Scheme = Scheme.WITH_AN) -> tuple[float, float]:
     """Monte Carlo mean secrecy capacity and its standard error.
 
     Each trial draws a fresh frequency vector (generated source only) and a
@@ -332,7 +328,7 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    power = s.power if scheme is None else scheme.power(s.power)
+    power = scheme.power(s.power)
     cb = capacity_bob(power)
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     fixed_corr2 = None if fixed_k is None else correlation2(s.array, fixed_k, s.bob, s.eve)
@@ -370,18 +366,17 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
 
 
 def evaluate_capacity(s: Scenario, scheme: Scheme, trials: int, seed: int,
-                      beta: float | None = None,
-                      n_seeds: int = 100) -> tuple[float, float | None]:
+                      beta: float | None) -> tuple[float, float | None]:
     """Secrecy capacity of one scheme in the scenario's mode, as (value, stderr or None).
 
-    ``beta`` overrides the lower bound's boundary correlation; Monte Carlo
-    mode has no boundary correlation, so it rejects one."""
+    ``beta`` is the lower bound's boundary correlation (see
+    :func:`beta_for_scenario`); Monte Carlo mode has none, so it takes None."""
     if s.mode is Mode.MONTE_CARLO:
         if beta is not None:
             raise ValueError("a boundary correlation override (beta) applies to the "
                              "lower bound only, not to mc mode")
         return mc_capacity(s, trials, seed, scheme)
-    return lb_capacity(s, scheme, beta=beta, n_seeds=n_seeds), None
+    return lb_capacity(s, scheme, beta), None
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +413,17 @@ def result_csv_text(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_run_dir(run_dir: Path, csv_text: str, manifest: dict) -> Path:
-    "Write ``result.csv`` and a sorted-key ``manifest.json`` into ``run_dir``."
+def run_manifest(payload: dict) -> dict:
+    """The manifest of a run directory: ``payload`` plus its ``config_hash``, which
+    names the directory, and the ``tool_version``, which the hash leaves out."""
+    return {**payload, "config_hash": config_hash(payload), "tool_version": VERSION}
+
+
+def write_run_dir(out_dir: str | Path, run_name: str, csv_text: str, manifest: dict) -> Path:
+    """Write ``result.csv`` and a sorted-key ``manifest.json`` under
+    ``out/<run_name>-<config_hash>/``, so re-running an unchanged configuration
+    rewrites the same directory with byte-identical content."""
+    run_dir = Path(out_dir) / f"{run_name}-{manifest['config_hash']}"
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "result.csv").write_text(csv_text)
     (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2)
@@ -428,26 +432,18 @@ def write_run_dir(run_dir: Path, csv_text: str, manifest: dict) -> Path:
 
 
 def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
-    """Write ``result.csv`` and ``manifest.json`` under ``out/<run-id>/``.
-
-    The run id embeds the configuration hash, so re-running an unchanged
-    configuration rewrites the same directory with byte-identical content.
-    """
-    return write_run_dir(Path(out_dir) / f"{run_name}-{result.meta['config_hash']}",
-                         result_csv_text(result), result.meta)
+    "Write a sweep's run directory (see :func:`write_run_dir`)."
+    return write_run_dir(out_dir, run_name, result_csv_text(result), result.meta)
 
 
 def _sweep_meta(config: dict, kind: str, grid: list[float], schemes: list[Scheme],
                 evaluation: dict, **extra) -> dict:
-    payload = {
+    return run_manifest({
         "config": config,
         "sweep": {"kind": kind, "grid": list(grid),
                   "schemes": [sch.value for sch in schemes], **extra},
         **evaluation,
-    }
-    payload["config_hash"] = config_hash(payload)
-    payload["tool_version"] = VERSION
-    return payload
+    })
 
 
 def _sweep_series(schemes: list[Scheme], n_points: int,
@@ -477,8 +473,7 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
         key = (p.array, p.bob, p.region, p.k_source)
         if s.mode is Mode.ANALYTIC_LB and key not in betas:
             betas[key] = beta_for_scenario(p, n_seeds)
-        return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key),
-                                 n_seeds)
+        return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key))
 
     # the lower bound reads neither seed nor trials, and beta_seeds only for a generated k
     mc = s.mode is Mode.MONTE_CARLO

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, Location,
+from rfda_secrecy import (ArrayConfig, Location,
                           SPEED_OF_LIGHT, SecrecyRegion, beampattern_grid, beta_boundary,
                           corner_locations, correlation2, correlation2_grid,
                           default_scenario, fixture_vector, generate_k,
-                          half_wavelength_spacing, pq_offsets, steering_vector)
-from rfda_secrecy.reference import beampattern_exact, beampattern_taylor, phase_shift
+                          half_wavelength_spacing, steering_vector)
+from rfda_secrecy.freqdesign import FIXTURES
+from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
+                                    correlation2_pointwise, phase_shift, pq_offsets)
 
 C = SPEED_OF_LIGHT
 
@@ -267,8 +269,15 @@ def test_taylor_pattern_never_exceeds_the_exact_pattern_property(case):
     assert beampattern_taylor(*case) <= beampattern_exact(*case) + 1e-12 * m * m
 
 
+@settings(max_examples=200, deadline=None)
+@given(_geometries())
+def test_correlation2_matches_the_pointwise_reference_property(case):
+    assert correlation2(*case) == pytest.approx(correlation2_pointwise(*case),
+                                                rel=1e-12, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
-# the location-batch kernel against the scalar correlation2
+# the location-batch kernel against the scalar path of the reference
 # ---------------------------------------------------------------------------
 
 _BOB = Location(100.0, math.radians(45))
@@ -281,7 +290,7 @@ _GRID_THETA = [5e-324, 1e-9, 1e-3, 0.7, _BOB.theta_rad, math.pi / 2, math.pi - 1
 def _vectors(m):
     "The frequency vectors a differential case runs: fixture rows and generated ones."
     if m == 16:
-        yield from (fixture_vector(label) for label in FIXTURE_LABELS)
+        yield from (fixture_vector(label) for label in FIXTURES)
     if m >= 3:
         yield from (generate_k(m, 10405.0, method, seed=3)
                     for method in ("projection", "eigen"))
@@ -290,8 +299,8 @@ def _vectors(m):
 
 
 def _pointwise(cfg, k, bob, r_values, thetas):
-    return np.array([[correlation2(cfg, k, bob, Location(r, theta)) for theta in thetas]
-                     for r in r_values])
+    return np.array([[correlation2_pointwise(cfg, k, bob, Location(r, theta))
+                      for theta in thetas] for r in r_values])
 
 
 @pytest.mark.parametrize("m", [2, 3, 16, 64])
@@ -322,7 +331,7 @@ def test_beta_boundary_is_the_largest_scalar_corner_correlation(m):
                    SecrecyRegion(99.0, math.radians(44))):
         corners = corner_locations(_BOB, region)
         for k in _vectors(m):
-            want = max(correlation2(cfg, k, _BOB, corner) for corner in corners)
+            want = max(correlation2_pointwise(cfg, k, _BOB, corner) for corner in corners)
             assert beta_boundary(cfg, k, _BOB, region) == pytest.approx(want, rel=1e-12)
 
 
@@ -330,7 +339,7 @@ def _pointwise_rows(s, r_values, thetas):
     "The grid one location at a time, as rows of (r, theta_deg, power)."
     k = fixture_vector(s.k_source.label)
     return [(float(r), math.degrees(float(theta)),
-             correlation2(s.array, k, s.bob, Location(float(r), float(theta))))
+             correlation2_pointwise(s.array, k, s.bob, Location(float(r), float(theta))))
             for r in r_values for theta in thetas]
 
 

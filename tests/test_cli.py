@@ -266,6 +266,9 @@ def test_beampattern_cli(tmp_path, capsys):
     # the aim point row carries full normalized power
     aim = [line for line in lines if line.startswith("100.0,45.0,")]
     assert aim and float(aim[0].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
+    # the run id follows the sweeps' rule: the hash of the manifest without its version
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert run_dir.name == f"beampattern-{manifest['config_hash']}"
 
 
 def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
@@ -402,6 +405,8 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     ('{"k_source": {"type": "generated", "k_target": 100, "seed": true}}', ["capacity"]),
     (None, ["region", "--beta", "0.4", "--m", "12"]),
     (None, ["region", "--beta", "0.4", "--m", "2", "--k-target", "100"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "0"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "0.5"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -412,6 +417,12 @@ def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     assert code == 2
     assert out == ""
     assert err
+
+
+def test_sweep_rate_names_the_power_at_which_beta_overflows(tmp_path, capsys):
+    code, out, err = run(capsys, "sweep", "rate", "--pt-dbm", "3080", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "pt_dbm=3080.0" in err
 
 
 @pytest.mark.parametrize("argv, path, expected", [

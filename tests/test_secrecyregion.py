@@ -11,7 +11,7 @@ from rfda_secrecy import (BEAMWIDTH_CONSTANT_RAD, SPEED_OF_LIGHT, ArrayConfig,
                           Location, PowerConfig, Scheme, SecrecyRegion,
                           beta_boundary, beta_max_an, corner_locations,
                           ellipse_semi_axes, fixture_vector, generate_k, k_min,
-                          m_min, solve_m_min)
+                          eta, m_min, solve_m_min)
 from rfda_secrecy.reference import beampattern_taylor, beta_max_no_an
 
 CFG = ArrayConfig.half_wavelength(16, 1e9, 1e6)
@@ -118,6 +118,12 @@ def test_beta_max_an_values():
     assert beta_max_an(noisy_eve, 1.0 / 15.0, 0.01) == 1.0
     with pytest.raises(InfeasibleRateError):
         beta_max_an(POWER30, 1.0 / 15.0, 9.3)
+
+
+def test_beta_max_an_rejects_an_overflowing_ratio():
+    # the AN floor times the headroom overflows: the ratio would be inf/inf = NaN
+    with pytest.raises(ValueError, match=r"pt_dbm=3080\.0, delta=0\.6 and rate 1\.0 bits"):
+        beta_max_an(PowerConfig(3080.0), eta(2), 1.0)
 
 
 def test_beta_max_no_an_values():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, ConfigError, ConvergenceError,
+from rfda_secrecy import (ArrayConfig, ConfigError, ConvergenceError,
                           FixtureError, FixtureK, GeneratedK, InfeasibleRateError,
                           Location, Mode, PowerConfig, RetryRequiredError, Scenario,
                           Scheme, SecrecyRegion, SweepResult, an_vector,
@@ -19,6 +19,7 @@ from rfda_secrecy import (FIXTURE_LABELS, ArrayConfig, ConfigError, ConvergenceE
                           scenario_from_config, scenario_to_config, steering_vector,
                           sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
                           validate_fixtures, write_run)
+from rfda_secrecy.freqdesign import FIXTURES
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.svgchart import line_chart
 from rfda_secrecy.sweep import _point_seed, _trial_streams
@@ -138,7 +139,6 @@ def test_lb_capacity_reference_points():
         capacity_bob(s.power), rel=1e-12)
     # delta = 1 makes the AN scheme collapse onto the signal-only bound
     s1 = default_scenario(power=replace(s.power, delta=1.0))
-    assert lb_capacity(s1, beta=0.3) == c_lb(s1.power, 0.3)
     assert lb_capacity(s1, Scheme.WITH_AN, beta=0.3) == c_lb(s1.power, 0.3)
 
 
@@ -153,16 +153,17 @@ def test_lb_capacity_signal_only_is_the_an_bound_at_delta_1(pt, sigma_e2, delta,
 
 
 @pytest.mark.parametrize("delta", [0.6, 1.0])
-def test_no_scheme_is_the_an_scheme_at_the_scenarios_split(delta):
+def test_the_schemes_coincide_at_delta_1(delta):
     s = default_scenario(power=PowerConfig(20.0, delta=delta),
                          k_source=GeneratedK(10405.0, "projection", 2))
-    lb = [lb_capacity(s, scheme, n_seeds=4) for scheme in (None, *Scheme)]
-    mc = [mc_capacity(replace(s, mode=Mode.MONTE_CARLO), 30, 7, scheme)
-          for scheme in (None, *Scheme)]
+    beta = beta_for_scenario(s, n_seeds=4)
+    lb = [lb_capacity(s, scheme, beta) for scheme in Scheme]
+    mc = [mc_capacity(replace(s, mode=Mode.MONTE_CARLO), 30, 7, scheme) for scheme in Scheme]
+    # the default scheme is the AN scheme at the scenario's own split
+    assert mc_capacity(replace(s, mode=Mode.MONTE_CARLO), 30, 7) == mc[0]
     for values in (lb, mc):
-        assert values[0] == values[1]
         # at delta = 1 no power feeds AN, and the two schemes coincide
-        assert (values[1] == values[2]) is (delta == 1.0)
+        assert (values[0] == values[1]) is (delta == 1.0)
 
 
 def test_mc_capacity_validation_and_degenerate_case():
@@ -242,12 +243,13 @@ def _mean_stderr(values) -> tuple[float, float]:
 _MC_CASES = {
     "fixture-an": (default_scenario(), Scheme.WITH_AN),
     "fixture-no-an": (default_scenario(), Scheme.WITHOUT_AN),
-    "fixture-delta-1": (default_scenario(power=PowerConfig(30.0, delta=1.0)), None),
+    "fixture-delta-1": (default_scenario(power=PowerConfig(30.0, delta=1.0)),
+                        Scheme.WITH_AN),
     "projection": (default_scenario(k_source=GeneratedK(10405.0, "projection", 2)),
                    Scheme.WITH_AN),
     "eigen": (default_scenario(k_source=GeneratedK(10405.0, "eigen", 2)), Scheme.WITH_AN),
     "m3": (default_scenario(array=ArrayConfig.half_wavelength(3, 1e9, 1e6),
-                            k_source=GeneratedK(50.0, "projection", 1)), None),
+                            k_source=GeneratedK(50.0, "projection", 1)), Scheme.WITH_AN),
 }
 
 
@@ -256,10 +258,9 @@ _MC_CASES = {
 def test_mc_capacity_equals_the_per_trial_reference(case, seed):
     s, scheme = _MC_CASES[case]
     s = replace(s, mode=Mode.MONTE_CARLO, power=replace(s.power, pt_dbm=20.0))
-    effective = scheme or Scheme.WITH_AN  # None: the scenario's own power split
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     for trials in (1, 12):
-        values = [trial_capacity(s, effective, fixed_k, seed, t) for t in range(trials)]
+        values = [trial_capacity(s, scheme, fixed_k, seed, t) for t in range(trials)]
         assert mc_capacity(s, trials, seed, scheme) == _mean_stderr(values)
 
 
@@ -509,7 +510,7 @@ _scenarios = st.builds(
     k_source=st.one_of(
         st.builds(GeneratedK, _finite_floats(1.0, 1e5),
                   st.sampled_from(["projection", "eigen"]), st.integers(0, 2**32)),
-        st.builds(FixtureK, st.sampled_from(FIXTURE_LABELS),
+        st.builds(FixtureK, st.sampled_from(list(FIXTURES)),
                   st.none() | st.just("table.csv"))),
     mode=st.sampled_from(Mode))
 
