@@ -5,7 +5,7 @@ beamforming, secrecy-capacity bounds, resource minima and experiment sweeps.
 
 from .arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, correlation2,
                          correlation2_grid, half_wavelength_spacing, steering_vector)
-from .dmsecurity import (PowerConfig, an_vector, c_an_lb, capacity_bob,
+from .dmsecurity import (PowerConfig, an_leakage, an_vector, c_an_lb, capacity_bob,
                          capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
                          secrecy_capacity, sinr_eve, snr_bob)
 from .errors import (ConfigError, ConvergenceError, FixtureError,

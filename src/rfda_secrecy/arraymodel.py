@@ -8,6 +8,7 @@ two locations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,19 +80,26 @@ def half_wavelength_spacing(f0_hz: float) -> float:
     return SPEED_OF_LIGHT / (2.0 * f0_hz)
 
 
+@functools.lru_cache
+def _angle_term(cfg: ArrayConfig, theta_rad: float) -> np.ndarray:
+    """The k-independent part ``m*f0*d*cos(theta)`` of the per-element phases.
+    Cached, so the array is read-only: every steering vector toward theta shares it."""
+    term = np.arange(cfg.n_elements) * cfg.f0_hz * cfg.spacing_m * np.cos(theta_rad)
+    term.setflags(write=False)
+    return term
+
+
 def _phase_profile(cfg: ArrayConfig, k: np.ndarray, loc: Location) -> np.ndarray:
     "Vector of per-element phases toward ``loc`` (vectorized ``reference.phase_shift``)."
-    m = np.arange(cfg.n_elements)
-    angle_term = m * cfg.f0_hz * cfg.spacing_m * np.cos(loc.theta_rad)
     range_term = k * cfg.delta_f_hz * loc.r_m
-    return -2.0 * np.pi * (angle_term + range_term) / SPEED_OF_LIGHT
+    return -2.0 * np.pi * (_angle_term(cfg, loc.theta_rad) + range_term) / SPEED_OF_LIGHT
 
 
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
     "Unit-norm steering vector toward ``loc``; entries have modulus 1/sqrt(M)."
     karr = _as_k(k, cfg.n_elements)
     phases = _phase_profile(cfg, karr, loc)
-    return np.exp(1j * phases) / np.sqrt(cfg.n_elements)
+    return np.exp(1j * phases) / math.sqrt(cfg.n_elements)
 
 
 def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):

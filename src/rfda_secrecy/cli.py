@@ -21,10 +21,11 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (SEED_LIMIT, Mode, Scenario, beampattern_csv_text, beampattern_grid,
-                    beta_for_scenario, evaluate_capacity, k_norm2, run_manifest,
-                    scenario_from_config, scenario_to_config, sweep_bandwidth, sweep_delta,
-                    sweep_power, sweep_rate, validate_fixtures, write_run, write_run_dir)
+from .sweep import (DEFAULT_BETA_SEEDS, SEED_LIMIT, Mode, Scenario, beampattern_csv_text,
+                    beampattern_grid, beta_for_scenario, evaluate_capacity, k_norm2,
+                    run_manifest, scenario_from_config, scenario_to_config, sweep_bandwidth,
+                    sweep_delta, sweep_power, sweep_rate, validate_fixtures, write_run,
+                    write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,),
@@ -252,7 +253,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 def _evaluation(args: argparse.Namespace) -> dict:
     return dict(schemes=_SCHEME_CHOICES[args.scheme], trials=args.trials, seed=args.seed,
-                n_seeds=getattr(args, "beta_seeds", None) or 100)
+                n_seeds=getattr(args, "beta_seeds", None) or DEFAULT_BETA_SEEDS)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

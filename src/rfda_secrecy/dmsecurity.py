@@ -70,29 +70,54 @@ class PowerConfig:
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
-    "Circularly-symmetric unit-variance complex Gaussian draws."
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    """Circularly-symmetric unit-variance complex Gaussian draws: ``size`` real
+    parts, then ``size`` imaginary parts, taken from ``rng`` in one call."""
+    parts = rng.standard_normal((2, size))
+    z = np.empty(size, dtype=complex)
+    z.real, z.imag = parts
+    z /= math.sqrt(2.0)
+    return z
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_m a_m b_m`` along the last axis, kept as an axis of length 1.  Each
+    row is a (1, M) @ (M, 1) product, which numpy hands to the BLAS dot of a 1-D
+    ``np.dot``, so a row has the same bits alone and in a stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 def an_vector(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Unit-norm AN direction: ``z`` projected off the intended channel.
+    """Unit-norm AN directions: ``z`` projected off the intended channel, along
+    the last axis, so a stack of rows gives a stack of directions.
 
     ``w = (I - h h^H) z / ||.||`` satisfies ``h^H w = 0`` exactly, so the AN
     contributes nothing at the intended receiver.  Raises
-    :class:`RetryRequiredError` on the measure-zero event that ``z`` is
-    (numerically) parallel to ``h_bob``.
+    :class:`RetryRequiredError`, whose ``rows`` name the offending rows, on the
+    measure-zero event that a ``z`` is (numerically) parallel to its ``h_bob``.
     """
     h = np.asarray(h_bob)
-    if h.size < 2:
+    if h.ndim == 0 or h.shape[-1] < 2:
         raise ValueError("AN needs at least 2 elements; the 1-element projector is zero")
     z = np.asarray(z)
     if z.shape != h.shape:
         raise ValueError(f"z has shape {z.shape}, expected {h.shape}")
-    projected = z - h * np.vdot(h, z)
-    norm = np.linalg.norm(projected)
-    if norm < 1e-14:
-        raise RetryRequiredError("noise draw is parallel to the intended channel; redraw")
+    # h^H z is the dot of conj(h) and z; the norm sums the real and imaginary
+    # parts apart, as np.vdot and np.linalg.norm do on one row
+    projected = z - h * _dot(np.conj(h), z)
+    norm = np.sqrt(_dot(projected.real, projected.real)
+                   + _dot(projected.imag, projected.imag))
+    degenerate = np.flatnonzero(norm < 1e-14)
+    if degenerate.size:
+        raise RetryRequiredError("noise draw is parallel to the intended channel; redraw",
+                                 degenerate.tolist())
     return projected / norm
+
+
+def an_leakage(h_eve: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared overlap ``|h_eve^H w|^2`` of each eavesdropper channel with its AN
+    direction, along the last axis (libm ``pow``, as ``abs(np.vdot(h_eve, w)) ** 2``
+    squares one overlap)."""
+    return np.float_power(np.abs(_dot(np.conj(h_eve), w)[..., 0]), 2)
 
 
 def snr_bob(power: PowerConfig) -> float:
@@ -100,8 +125,8 @@ def snr_bob(power: PowerConfig) -> float:
     return power.delta * power.mu
 
 
-def sinr_eve(power: PowerConfig, corr2: float, an2: float) -> float:
-    """SINR at an eavesdropper.
+def sinr_eve(power: PowerConfig, corr2, an2):
+    """SINR at an eavesdropper (elementwise on arrays).
 
     ``corr2`` is its squared steering correlation with the intended receiver,
     ``an2`` its squared overlap with the AN direction.
@@ -126,14 +151,14 @@ def capacity_bob(power: PowerConfig) -> float:
     return float(np.log2(1.0 + snr_bob(power)))
 
 
-def capacity_eve_an(power: PowerConfig, corr2: float, an2: float) -> float:
-    "Eavesdropper channel capacity for one AN realization, log2(1 + SINR)."
-    return float(np.log2(1.0 + sinr_eve(power, corr2, an2)))
+def capacity_eve_an(power: PowerConfig, corr2, an2):
+    "Eavesdropper channel capacity for one AN realization (or an array of them), log2(1 + SINR)."
+    return np.log2(1.0 + sinr_eve(power, corr2, an2))
 
 
-def secrecy_capacity(cb: float, ce: float) -> float:
-    "max(C_B - C_E, 0)."
-    return max(cb - ce, 0.0)
+def secrecy_capacity(cb, ce):
+    "max(C_B - C_E, 0), elementwise on arrays."
+    return np.maximum(cb - ce, 0.0)
 
 
 def c_an_lb(power: PowerConfig, beta: float, eta_value: float) -> float:

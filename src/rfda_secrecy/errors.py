@@ -10,7 +10,14 @@ class ConvergenceError(RuntimeError):
 
 
 class RetryRequiredError(RuntimeError):
-    """A random draw landed in a measure-zero degenerate set; redraw and retry."""
+    """A random draw landed in a measure-zero degenerate set; redraw and retry.
+
+    ``rows`` indexes the degenerate rows of a stack of draws; a single draw is row 0.
+    """
+
+    def __init__(self, message: str, rows=(0,)):
+        super().__init__(message)
+        self.rows = tuple(rows)
 
 
 class FixtureError(ValueError):

@@ -1,13 +1,14 @@
 """Scalar reference paths that the tests check the library against: the
 per-element phase, the (p, q) offsets and the squared correlation one location
 at a time, the exact and second-order beampatterns, the symbol-level
-transmit/receive chain, the signal-only closed forms, the sweep CSV round trip
-and the one-trial Monte Carlo capacity.  Nothing in the library imports this
-module; only the tests do.
+transmit/receive chain, the signal-only closed forms, the sweep CSV round trip,
+and the one-trial AN direction and Monte Carlo capacity.  Nothing in the
+library imports this module; only the tests do.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import replace
@@ -17,8 +18,8 @@ import numpy as np
 
 from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k,
                          _mismatch_phases, _pq, correlation2, steering_vector)
-from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
-                         complex_gaussian, secrecy_capacity)
+from .dmsecurity import (PowerConfig, capacity_bob, capacity_eve_an, complex_gaussian,
+                         secrecy_capacity)
 from .errors import ConvergenceError, InfeasibleRateError, RetryRequiredError
 from .secrecyregion import Scheme
 from .sweep import Scenario, SweepResult, resolve_k, result_csv_text
@@ -57,8 +58,15 @@ def correlation2_pointwise(cfg: ArrayConfig, k, bob: Location, eve: Location) ->
 
 
 def beampattern_exact(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
-    "Transmit beampattern |sum_m e^{j z_m}|^2 at ``eve``; equals M^2 at ``bob``."
-    return cfg.n_elements ** 2 * correlation2(cfg, k, bob, eve)
+    """Transmit beampattern |sum_m e^{j z_m}|^2 at ``eve``; equals M^2 at ``bob``.
+
+    Each mismatch ``z_m`` is the difference of the element's two
+    :func:`phase_shift` values, summed one element at a time: no code is shared
+    with the library's correlation kernel."""
+    karr = _as_k(k, cfg.n_elements)
+    total = sum(cmath.exp(1j * (phase_shift(cfg, k_m, m, bob) - phase_shift(cfg, k_m, m, eve)))
+                for m, k_m in enumerate(karr.tolist(), start=1))
+    return abs(total) ** 2
 
 
 def beampattern_taylor(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
@@ -133,6 +141,22 @@ def read_result_csv(path: str | Path) -> SweepResult:
     return SweepResult(header[0], axis, series)
 
 
+def an_vector_pointwise(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One unit-norm AN direction, through ``np.vdot`` and ``np.linalg.norm``;
+    raises :class:`RetryRequiredError` when ``z`` is parallel to ``h_bob``."""
+    h = np.asarray(h_bob)
+    if h.size < 2:
+        raise ValueError("AN needs at least 2 elements; the 1-element projector is zero")
+    z = np.asarray(z)
+    if z.shape != h.shape:
+        raise ValueError(f"z has shape {z.shape}, expected {h.shape}")
+    projected = z - h * np.vdot(h, z)
+    norm = np.linalg.norm(projected)
+    if norm < 1e-14:
+        raise RetryRequiredError("noise draw is parallel to the intended channel; redraw")
+    return projected / norm
+
+
 def trial_capacity(s: Scenario, scheme: Scheme, fixed_k: np.ndarray | None,
                    seed: int, trial: int) -> float:
     """Secrecy capacity of one Monte Carlo trial, drawn from a freshly built
@@ -148,7 +172,7 @@ def trial_capacity(s: Scenario, scheme: Scheme, fixed_k: np.ndarray | None,
         h_eve = steering_vector(s.array, k, s.eve)
         for _ in range(64):
             try:
-                w = an_vector(h_bob, complex_gaussian(rng, s.array.n_elements))
+                w = an_vector_pointwise(h_bob, complex_gaussian(rng, s.array.n_elements))
                 break
             except RetryRequiredError:
                 continue

@@ -8,11 +8,12 @@ carrying the fully resolved configuration and its content hash.
 
 Reproducibility contract: every random quantity is drawn from a counter-based
 stream keyed by (master seed, trial index), so results are bit-identical for
-a given seed.  Trials run serially.
+a given seed.  Trials are drawn serially and evaluated in blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -23,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (ArrayConfig, Location, _as_k, correlation2, correlation2_grid,
-                         half_wavelength_spacing, steering_vector)
-from .dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
+from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, correlation2,
+                         correlation2_grid, half_wavelength_spacing, steering_vector)
+from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity, c_an_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                      RetryRequiredError)
@@ -34,6 +35,7 @@ from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
 
 SEED_LIMIT = 2 ** 63  # user seeds, master and frequency-vector, lie in [0, SEED_LIMIT)
+DEFAULT_BETA_SEEDS = 100  # draws of a generated k whose boundary correlations lb averages
 
 
 class Mode(Enum):
@@ -256,12 +258,24 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
+@functools.lru_cache
+def _fixture_rows(path: str | None) -> dict[str, np.ndarray]:
+    """The rows of the fixture table at ``path`` by label (the first of a repeated
+    one), read once per process.  Cached, so the arrays are read-only; a table
+    that fails to load is not cached, and raises again on the next call."""
+    rows: dict[str, np.ndarray] = {}
+    for label, vec in load_frequency_table(path):
+        vec.setflags(write=False)
+        rows.setdefault(label, vec)
+    return rows
+
+
 def fixture_vector(label: str, path: str | None = None) -> np.ndarray:
-    "Load one labeled row of the fixture table."
-    for row_label, vec in load_frequency_table(path):
-        if row_label == label:
-            return vec
-    raise FixtureError(f"fixture row {label!r} not found")
+    "One labeled row of the fixture table, read-only."
+    try:
+        return _fixture_rows(path)[label]
+    except KeyError:
+        raise FixtureError(f"fixture row {label!r} not found") from None
 
 
 def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -283,7 +297,7 @@ def k_norm2(s: Scenario) -> float:
     return s.k_source.k_target
 
 
-def beta_for_scenario(s: Scenario, n_seeds: int = 100) -> float:
+def beta_for_scenario(s: Scenario, n_seeds: int = DEFAULT_BETA_SEEDS) -> float:
     """Boundary correlation for the scenario's frequency-vector source.
 
     A fixture vector gives a single deterministic value; a generated source is
@@ -315,6 +329,10 @@ def lb_capacity(s: Scenario, scheme: Scheme, beta: float) -> float:
     return c_an_lb(power, beta, eta_value)
 
 
+_BLOCK = 128
+"Trials drawn before they are evaluated together; bounds the kernel's temporaries."
+
+
 def mc_capacity(s: Scenario, trials: int, seed: int,
                 scheme: Scheme = Scheme.WITH_AN) -> tuple[float, float]:
     """Monte Carlo mean secrecy capacity and its standard error.
@@ -322,41 +340,72 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     Each trial draws a fresh frequency vector (generated source only) and a
     fresh AN realization from its own stream, ``Philox(key=[seed, trial])``
     (which keys a seed >= 2**63 through float64, dropping its low bits), so
-    identical inputs give bit-identical output.  When ``k`` is a fixture
-    row and no power goes to AN (signal-only scheme, or delta = 1), no trial
-    draws anything: one trial is evaluated and stands for all of them.
+    identical inputs give bit-identical output.  The draws run trial by trial,
+    in that order; the evaluation runs once per block of up to 128 trials, as
+    stacked products that give every trial the bits of its one-trial
+    evaluation (``reference.trial_capacity``).  A trial whose AN draw is
+    parallel to the intended channel redraws from its own stream, 64 draws at
+    most.  When ``k`` is a fixture row and no power goes to AN (signal-only
+    scheme, or delta = 1), no trial draws anything: one trial is evaluated and
+    stands for all of them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     power = scheme.power(s.power)
     cb = capacity_bob(power)
+    m = s.array.n_elements
+    an = power.delta < 1.0
     fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     fixed_corr2 = None if fixed_k is None else correlation2(s.array, fixed_k, s.bob, s.eve)
+    pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
     stream = _trial_streams(seed)
 
-    def trial(t: int) -> float:
+    def draw(t: int) -> tuple:
+        "Trial t's draws, in the order of the one-trial path: k, then the AN noise."
         rng = stream(t)
         k = resolve_k(s, rng) if fixed_k is None else fixed_k
-        corr2 = correlation2(s.array, k, s.bob, s.eve) if fixed_k is None else fixed_corr2
-        an2 = 0.0
-        if power.delta < 1.0:
-            h_bob = steering_vector(s.array, k, s.bob)
-            h_eve = steering_vector(s.array, k, s.eve)
-            for _ in range(64):
-                try:
-                    w = an_vector(h_bob, complex_gaussian(rng, s.array.n_elements))
-                    break
-                except RetryRequiredError:
-                    continue
-            else:
-                raise ConvergenceError(f"trial {t}: 64 AN draws in a row were parallel "
-                                       f"to the intended channel")
-            an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
-        return secrecy_capacity(cb, capacity_eve_an(power, corr2, an2))
+        if not an:
+            return (k,)
+        return (k, steering_vector(s.array, k, s.bob), steering_vector(s.array, k, s.eve),
+                complex_gaussian(rng, m))
 
-    draws = fixed_k is None or power.delta < 1.0
-    values = (np.array([trial(t) for t in range(trials)]) if draws
-              else np.full(trials, trial(0)))
+    def own_stream(t: int) -> np.random.Generator:
+        "A stream of trial t's own, past the draws that ``draw`` took from it."
+        rng = _trial_streams(seed)(t)
+        if fixed_k is None:
+            resolve_k(s, rng)
+        complex_gaussian(rng, m)
+        return rng
+
+    def evaluate(start: int, block: list[tuple]) -> np.ndarray:
+        "The capacities of trials ``start, start + 1, ...`` from their draws."
+        corr2 = fixed_corr2 if fixed_k is not None else _correlation2(
+            s.array, np.array([row[0] for row in block]), *pq)
+        if not an:
+            return secrecy_capacity(cb, capacity_eve_an(power, corr2, 0.0))
+        h_bob, h_eve, z = (np.array(column) for column in list(zip(*block))[1:])
+        redraws: dict[int, np.random.Generator] = {}
+        for attempt in range(1, 65):
+            try:
+                w = an_vector(h_bob, z)
+                break
+            except RetryRequiredError as exc:
+                if attempt == 64:
+                    raise ConvergenceError(f"trial {start + exc.rows[0]}: 64 AN draws in a "
+                                           f"row were parallel to the intended channel")
+                for j in exc.rows:
+                    if j not in redraws:
+                        redraws[j] = own_stream(start + j)
+                    z[j] = complex_gaussian(redraws[j], m)
+        return secrecy_capacity(cb, capacity_eve_an(power, corr2, an_leakage(h_eve, w)))
+
+    if fixed_k is not None and not an:  # nothing to draw: one trial stands for all
+        values = np.full(trials, evaluate(0, []))
+    else:
+        values = np.empty(trials)
+        for start in range(0, trials, _BLOCK):
+            block = [draw(t) for t in range(start, min(start + _BLOCK, trials))]
+            values[start:start + len(block)] = evaluate(start, block)
     mean = float(values.mean())
     if trials == 1 or values.max() == values.min():
         stderr = 0.0
@@ -485,7 +534,8 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = 10000, seed: int = 0, n_seeds: int = 100) -> SweepResult:
+                trials: int = 10000, seed: int = 0,
+                n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
     "Secrecy capacity versus transmit power (dBm) for each scheme."
     grid = [float(pt) for pt in grid_dbm]
     points = [replace(s, power=replace(s.power, pt_dbm=pt)) for pt in grid]
@@ -494,7 +544,8 @@ def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_A
 
 
 def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = 10000, seed: int = 0, n_seeds: int = 100) -> SweepResult:
+                trials: int = 10000, seed: int = 0,
+                n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
     "Secrecy capacity versus the signal power fraction delta."
     grid = [float(delta) for delta in grid_delta]
     points = [replace(s, power=replace(s.power, delta=delta)) for delta in grid]
@@ -503,7 +554,8 @@ def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT
 
 
 def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                    trials: int = 10000, seed: int = 0, n_seeds: int = 100) -> SweepResult:
+                    trials: int = 10000, seed: int = 0,
+                    n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
     """Secrecy capacity across the fixture frequency vectors.
 
     The axis carries each row's nominal squared norm (a bandwidth proxy), in

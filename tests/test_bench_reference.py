@@ -1,6 +1,8 @@
-"""Golden check: the cheap closed-form benchmark commands at program seed 0 still
-produce the outputs recorded in ``bench/reference/closed_form.json``, and every
-name that the benchmark's tracer wraps still exists.
+"""Golden check: the cheap closed-form benchmark commands and the two Monte Carlo
+commands at program seed 0 still produce the outputs recorded in
+``bench/reference/``; every name that the benchmark's tracer wraps still exists,
+and a traced Monte Carlo run makes the calls that the benchmark's trace checks
+count.
 
 The comparison goes through ``bench/run.py``'s own ``capture`` and ``compare``
 (and so its ``compare_csv`` and ``compare_stdout``), so the output tolerances
@@ -11,17 +13,19 @@ import importlib
 import inspect
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rfda_secrecy import sweep
+from rfda_secrecy import cli, sweep
 from rfda_secrecy.cli import main
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _RUN_PY = _BENCH / "run.py"
 _COMMANDS = ("gen_k_eigen", "sweep_delta", "sweep_rate", "region", "validate_fixtures",
              "beampattern")
+_MC_COMMANDS = {"sweep_bandwidth_mc": "mc_fixture", "sweep_power_mc": "mc_generated"}
 _PROGRAM_SEED = 0
 
 
@@ -57,13 +61,49 @@ def test_every_traced_name_exists(bench_tracer):
     assert {"s", "trials", "scheme"} <= set(inspect.signature(sweep.mc_capacity).parameters)
 
 
+def _command(bench_run, workload: str, name: str):
+    return next(c for c in bench_run.WORKLOADS[workload].commands if c.name == name)
+
+
+def _matches_the_reference(bench_run, workload: str, name: str, out: Path, capsys) -> list:
+    "What differs between the command's output at program seed 0 and its reference."
+    cmd = _command(bench_run, workload, name)
+    argv = [a.format(seed=_PROGRAM_SEED, out=out) for a in cmd.argv]
+    assert main(argv) == 0
+    got = bench_run.capture(cmd, capsys.readouterr().out)
+    want = bench_run.reference_for(bench_run.load_reference(workload), cmd, _PROGRAM_SEED)
+    return bench_run.compare(cmd, got.record, want)
+
+
 @pytest.mark.parametrize("name", _COMMANDS)
 def test_closed_form_command_matches_the_benchmark_reference(bench_run, name, tmp_path,
                                                              capsys):
-    cmd, = (c for c in bench_run.WORKLOADS["closed_form"].commands if c.name == name)
-    argv = [a.format(seed=_PROGRAM_SEED, out=tmp_path) for a in cmd.argv]
-    assert main(argv) == 0
-    got = bench_run.capture(cmd, capsys.readouterr().out)
-    want = bench_run.reference_for(bench_run.load_reference("closed_form"), cmd,
-                                   _PROGRAM_SEED)
-    assert bench_run.compare(cmd, got.record, want) == []
+    assert _matches_the_reference(bench_run, "closed_form", name, tmp_path, capsys) == []
+
+
+@pytest.mark.parametrize("name", sorted(_MC_COMMANDS))
+def test_monte_carlo_command_matches_the_benchmark_reference(bench_run, name, tmp_path,
+                                                             capsys):
+    workload = _MC_COMMANDS[name]
+    assert _matches_the_reference(bench_run, workload, name, tmp_path, capsys) == []
+
+
+@pytest.mark.parametrize("name", sorted(_MC_COMMANDS))
+def test_traced_monte_carlo_counts_scale_as_the_benchmark_expects(bench_run, bench_tracer,
+                                                                  name, tmp_path):
+    # the counts that a traced benchmark run checks exactly, for one process at
+    # a small --trials that ends in a part block
+    workload = bench_run.WORKLOADS[_MC_COMMANDS[name]]
+    argv = [a.format(seed=_PROGRAM_SEED, out=tmp_path) for a in _command(
+        bench_run, _MC_COMMANDS[name], name).argv]
+    at = argv.index("--trials") + 1
+    trials, argv[at] = int(argv[at]), "130"
+    tracer = bench_tracer.Tracer()
+    with bench_tracer.installed(tracer):
+        assert cli.main(argv) == 0
+    summary = tracer.summary()
+    scale = Fraction(130, trials * len(workload.commands))
+    assert workload.expected_counts
+    for metric, expected in workload.expected_counts.items():
+        source = bench_run.PER_LAYER[metric][1]
+        assert bench_run.layer_value(source, summary, None, 0.0) == expected * scale, metric

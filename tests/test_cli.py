@@ -253,6 +253,22 @@ def test_validate_fixtures_cli(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_a_missing_or_bad_fixture_table_exits_5_on_every_read(tmp_path, capsys):
+    # parsed tables are cached per path; a table that failed to load is not
+    table = tmp_path / "table.csv"
+    argv = ("capacity", "--fixture-path", str(table))
+    bad_header = "label,m1\nK10405,1\n"
+    for text, message in ((None, "fixture file not found"), (bad_header, "bad header")):
+        if text is not None:
+            table.write_text(text)
+        for _ in range(2):
+            code, _, err = run(capsys, *argv)
+            assert code == 5
+            assert message in err
+    table.write_text(rfda_secrecy.default_fixture_path().read_text())
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_beampattern_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "beampattern", "--r-min", "95", "--r-max", "105",
                        "--r-step", "5", "--theta-min-deg", "44",

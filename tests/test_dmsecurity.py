@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from rfda_secrecy import (ArrayConfig, Location, PowerConfig, RetryRequiredError,
-                          an_vector, c_an_lb, capacity_bob, capacity_eve_an,
+                          an_leakage, an_vector, c_an_lb, capacity_bob, capacity_eve_an,
                           complex_gaussian, dbm_to_mw, eta, secrecy_capacity,
                           sinr_eve, snr_bob, steering_vector)
-from rfda_secrecy.reference import c_lb, random_qpsk, receive_signal, transmit_signal
+from rfda_secrecy.reference import (an_vector_pointwise, c_lb, random_qpsk,
+                                    receive_signal, transmit_signal)
 
 
 def random_unit_complex(rng, m):
@@ -42,6 +43,14 @@ def test_power_config_rejects_bad_delta(delta):
         PowerConfig(30.0, delta=delta)
 
 
+def test_complex_gaussian_draws_the_real_parts_then_the_imaginary_parts():
+    for m in (1, 3, 16):
+        got, want = np.random.default_rng(m), np.random.default_rng(m)
+        for _ in range(50):
+            expected = (want.standard_normal(m) + 1j * want.standard_normal(m)) / math.sqrt(2.0)
+            assert np.array_equal(complex_gaussian(got, m), expected)
+
+
 def test_an_vector_orthogonality_and_norm():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -61,6 +70,35 @@ def test_an_vector_degenerate_inputs():
         an_vector(h, 3.7 * h)
     with pytest.raises(ValueError):
         an_vector(h, complex_gaussian(rng, 5))
+
+
+def test_stacked_an_rows_have_the_bits_of_the_pointwise_path():
+    rng = np.random.default_rng(12)
+    for m in (2, 7, 16, 32):
+        h = np.array([random_unit_complex(rng, m) for _ in range(40)])
+        h_eve = np.array([random_unit_complex(rng, m) for _ in range(40)])
+        z = np.array([complex_gaussian(rng, m) for _ in range(40)])
+        w, an2 = an_vector(h, z), an_leakage(h_eve, an_vector(h, z))
+        for i in range(40):
+            one = an_vector_pointwise(h[i], z[i])
+            assert np.array_equal(w[i], one)
+            assert np.array_equal(an_vector(h[i], z[i]), one)
+            assert an2[i] == float(np.abs(np.vdot(h_eve[i], one)) ** 2)
+        # the error names every row whose draw is parallel to its channel
+        z[[3, 17]] = (0.6 - 0.8j) * h[[3, 17]]
+        with pytest.raises(RetryRequiredError) as info:
+            an_vector(h, z)
+        assert info.value.rows == (3, 17)
+
+
+def test_an_leakage_squares_each_overlap_as_the_pointwise_path():
+    # overlaps of known size: libm pow squares them as it squares one scalar
+    # overlap, where x * x differs in the last bit for about 1 in 1,000
+    size = np.random.default_rng(13).random(5000)
+    h_eve = np.stack([size, np.zeros_like(size)], axis=-1).astype(complex)
+    w = np.broadcast_to(np.array([1.0, 0.0], dtype=complex), h_eve.shape)
+    got = an_leakage(h_eve, w)
+    assert all(got[i] == float(np.abs(np.vdot(h_eve[i], w[i])) ** 2) for i in range(size.size))
 
 
 def test_transmit_signal_limits():

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from rfda_secrecy import (ArrayConfig, ConfigError, ConvergenceError,
                           scenario_from_config, scenario_to_config, steering_vector,
                           sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
                           validate_fixtures, write_run)
-from rfda_secrecy.freqdesign import FIXTURES
+from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.svgchart import line_chart
-from rfda_secrecy.sweep import _point_seed, _trial_streams
+from rfda_secrecy.sweep import _BLOCK, _point_seed, _trial_streams
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
 
@@ -103,6 +104,21 @@ def test_fixture_vector_lookup():
     assert k @ k == pytest.approx(12905.0, rel=0.005)
     with pytest.raises(FixtureError):
         fixture_vector("K99999")
+
+
+def test_fixture_table_is_parsed_once_per_path(tmp_path, monkeypatch):
+    import rfda_secrecy.sweep as sweep_mod
+
+    table = tmp_path / "table.csv"
+    table.write_text(default_fixture_path().read_text())
+    real, calls = sweep_mod.load_frequency_table, []
+    monkeypatch.setattr(sweep_mod, "load_frequency_table",
+                        lambda path: calls.append(path) or real(path))
+    rows = [fixture_vector(label, str(table)) for label in (*FIXTURES, *FIXTURES)]
+    assert calls == [str(table)]
+    # every caller shares the cached rows, so none may write to them
+    assert not any(k.flags.writeable for k in rows)
+    np.testing.assert_array_equal(rows[0], fixture_vector("K10405"))
 
 
 def test_resolve_k_generated_deterministic():
@@ -262,6 +278,78 @@ def test_mc_capacity_equals_the_per_trial_reference(case, seed):
     for trials in (1, 12):
         values = [trial_capacity(s, scheme, fixed_k, seed, t) for t in range(trials)]
         assert mc_capacity(s, trials, seed, scheme) == _mean_stderr(values)
+
+
+_BLOCK_CASES = {
+    "fixture": default_scenario(mode=Mode.MONTE_CARLO),
+    "generated": default_scenario(mode=Mode.MONTE_CARLO,
+                                  k_source=GeneratedK(10405.0, "projection", 2)),
+}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_mc_capacity_blocks_equal_the_per_trial_reference(case, scheme):
+    # the last block one short of full, full, holding one trial, and the third
+    s = _BLOCK_CASES[case]
+    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
+    values = [trial_capacity(s, scheme, fixed_k, POINT_SEED, t) for t in range(2 * _BLOCK + 1)]
+    for trials in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        assert mc_capacity(s, trials, POINT_SEED, scheme) == _mean_stderr(values[:trials])
+
+
+@pytest.mark.parametrize("parallel", [63, 64])
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, parallel,
+                                                                     monkeypatch):
+    import rfda_secrecy.reference as reference_mod
+    import rfda_secrecy.sweep as sweep_mod
+
+    s = _BLOCK_CASES[case]
+    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
+    # the first AN draws of one trial in the middle of the second block, each
+    # turned parallel to that trial's channel to Bob wherever it is drawn: after
+    # 63 of them the 64th draw, the last allowed, is used
+    bad = _BLOCK + _BLOCK // 2
+    rng = _trial_streams(POINT_SEED)(bad)
+    k = resolve_k(s, rng) if fixed_k is None else fixed_k
+    turned = {complex_gaussian(rng, s.array.n_elements).tobytes() for _ in range(parallel)}
+    h_bob = steering_vector(s.array, k, s.bob)
+    with pytest.raises(RetryRequiredError):
+        an_vector(h_bob, (0.6 - 0.8j) * h_bob)
+
+    def parallel_at_bad(rng, size):
+        z = complex_gaussian(rng, size)
+        return (0.6 - 0.8j) * h_bob if z.tobytes() in turned else z
+
+    for module in (sweep_mod, reference_mod):
+        monkeypatch.setattr(module, "complex_gaussian", parallel_at_bad)
+    trials = 2 * _BLOCK + 1
+    if parallel == 64:
+        for run in (lambda: trial_capacity(s, Scheme.WITH_AN, fixed_k, POINT_SEED, bad),
+                    lambda: mc_capacity(s, trials, POINT_SEED)):
+            with pytest.raises(ConvergenceError, match=f"^trial {bad}: 64 AN draws"):
+                run()
+        return
+    values = [trial_capacity(s, Scheme.WITH_AN, fixed_k, POINT_SEED, t) for t in range(trials)]
+    assert mc_capacity(s, trials, POINT_SEED) == _mean_stderr(values)
+
+
+def test_mc_capacity_memory_does_not_grow_with_trials():
+    s = default_scenario(mode=Mode.MONTE_CARLO, array=ArrayConfig.half_wavelength(64, 1e9, 1e6),
+                         k_source=GeneratedK(10405.0, "projection", 0))
+    mc_capacity(s, 2, seed=1)  # fill the caches first
+    peaks = {}
+    for trials in (500, 5000):
+        tracemalloc.start()
+        try:
+            mc_capacity(s, trials, seed=1)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the values array grows by 8 bytes a trial; one (trials, M) complex array
+    # of channels or draws would grow by 1 KiB a trial
+    assert peaks[5000] - peaks[500] <= 32 * 4500
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 53 + 1, POINT_SEED, 2 ** 63 + 1, 2 ** 64 - 2 ** 11])
