@@ -80,18 +80,28 @@ def symmetric_eigen(a, tol: float = 1e-10, max_sweeps: int = 100) -> EigenResult
 
     Rotations run until the off-diagonal Frobenius norm drops below
     ``tol * ||A||_F``.  Raises :class:`ConvergenceError` after ``max_sweeps``
-    sweeps.  Matrices here are small (a few hundred at most), so robustness
-    wins over speed.
+    sweeps, and ``ValueError`` on a matrix that is not square, symmetric and
+    finite.  The sweeps favour robustness over speed, so each process solves a
+    given (matrix, ``tol``, ``max_sweeps``) once: the last few decompositions
+    are kept, and their arrays are read-only because every caller shares them.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-9 * scale:
         raise ValueError("matrix is not symmetric")
-    n = a.shape[0]
+    return _jacobi(a.tobytes(), a.shape[0], tol, max_sweeps)
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobi(buf: bytes, n: int, tol: float, max_sweeps: int) -> EigenResult:
+    "The sweeps of :func:`symmetric_eigen` on the n x n matrix whose C-order bytes are ``buf``."
+    a = np.frombuffer(buf).reshape(n, n).copy()
     v = np.eye(n)
     norm = np.linalg.norm(a)
 
@@ -128,7 +138,10 @@ def symmetric_eigen(a, tol: float = 1e-10, max_sweeps: int = 100) -> EigenResult
             f"Jacobi sweeps did not reach off-diagonal tolerance in {max_sweeps} sweeps")
     eigenvalues = np.diag(a).copy()
     order = np.argsort(eigenvalues)[::-1]
-    return EigenResult(eigenvalues[order], v[:, order])
+    eigenvalues, eigenvectors = eigenvalues[order], v[:, order]
+    eigenvalues.setflags(write=False)
+    eigenvectors.setflags(write=False)
+    return EigenResult(eigenvalues, eigenvectors)
 
 
 @functools.lru_cache

@@ -359,15 +359,20 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     fixed_corr2 = None if fixed_k is None else correlation2(s.array, fixed_k, s.bob, s.eve)
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
     stream = _trial_streams(seed)
+    # one block's draws, written in place: row j holds trial start + j
+    rows = min(trials, _BLOCK)
+    ks = np.empty((rows, m))
+    h_bob, h_eve, z = (np.empty((rows, m), dtype=complex) for _ in range(3))
 
-    def draw(t: int) -> tuple:
-        "Trial t's draws, in the order of the one-trial path: k, then the AN noise."
+    def draw(t: int, j: int) -> None:
+        "Trial t's draws into row j, in the order of the one-trial path: k, then the AN noise."
         rng = stream(t)
         k = resolve_k(s, rng) if fixed_k is None else fixed_k
-        if not an:
-            return (k,)
-        return (k, steering_vector(s.array, k, s.bob), steering_vector(s.array, k, s.eve),
-                complex_gaussian(rng, m))
+        ks[j] = k
+        if an:
+            h_bob[j] = steering_vector(s.array, k, s.bob)
+            h_eve[j] = steering_vector(s.array, k, s.eve)
+            z[j] = complex_gaussian(rng, m)
 
     def own_stream(t: int) -> np.random.Generator:
         "A stream of trial t's own, past the draws that ``draw`` took from it."
@@ -377,17 +382,15 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
         complex_gaussian(rng, m)
         return rng
 
-    def evaluate(start: int, block: list[tuple]) -> np.ndarray:
-        "The capacities of trials ``start, start + 1, ...`` from their draws."
-        corr2 = fixed_corr2 if fixed_k is not None else _correlation2(
-            s.array, np.array([row[0] for row in block]), *pq)
+    def evaluate(start: int, n: int) -> np.ndarray:
+        "The capacities of trials ``start, ..., start + n - 1`` from the first n rows."
+        corr2 = fixed_corr2 if fixed_k is not None else _correlation2(s.array, ks[:n], *pq)
         if not an:
             return secrecy_capacity(cb, capacity_eve_an(power, corr2, 0.0))
-        h_bob, h_eve, z = (np.array(column) for column in list(zip(*block))[1:])
         redraws: dict[int, np.random.Generator] = {}
         for attempt in range(1, 65):
             try:
-                w = an_vector(h_bob, z)
+                w = an_vector(h_bob[:n], z[:n])
                 break
             except RetryRequiredError as exc:
                 if attempt == 64:
@@ -397,15 +400,17 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
                     if j not in redraws:
                         redraws[j] = own_stream(start + j)
                     z[j] = complex_gaussian(redraws[j], m)
-        return secrecy_capacity(cb, capacity_eve_an(power, corr2, an_leakage(h_eve, w)))
+        return secrecy_capacity(cb, capacity_eve_an(power, corr2, an_leakage(h_eve[:n], w)))
 
     if fixed_k is not None and not an:  # nothing to draw: one trial stands for all
-        values = np.full(trials, evaluate(0, []))
+        values = np.full(trials, evaluate(0, 0))
     else:
         values = np.empty(trials)
         for start in range(0, trials, _BLOCK):
-            block = [draw(t) for t in range(start, min(start + _BLOCK, trials))]
-            values[start:start + len(block)] = evaluate(start, block)
+            n = min(_BLOCK, trials - start)
+            for j in range(n):
+                draw(start + j, j)
+            values[start:start + n] = evaluate(start, n)
     mean = float(values.mean())
     if trials == 1 or values.max() == values.min():
         stderr = 0.0

@@ -1,8 +1,8 @@
-"""Golden check: the cheap closed-form benchmark commands and the two Monte Carlo
+"""Golden check: the closed-form benchmark commands and the two Monte Carlo
 commands at program seed 0 still produce the outputs recorded in
 ``bench/reference/``; every name that the benchmark's tracer wraps still exists,
-and a traced Monte Carlo run makes the calls that the benchmark's trace checks
-count.
+and traced closed-form and Monte Carlo runs make the calls that the benchmark's
+trace checks count.
 
 The comparison goes through ``bench/run.py``'s own ``capture`` and ``compare``
 (and so its ``compare_csv`` and ``compare_stdout``), so the output tolerances
@@ -24,7 +24,7 @@ from rfda_secrecy.cli import main
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 _RUN_PY = _BENCH / "run.py"
 _COMMANDS = ("gen_k_eigen", "sweep_delta", "sweep_rate", "region", "validate_fixtures",
-             "beampattern")
+             "beampattern", "sweep_power_eigen")
 _MC_COMMANDS = {"sweep_bandwidth_mc": "mc_fixture", "sweep_power_mc": "mc_generated"}
 _PROGRAM_SEED = 0
 
@@ -107,3 +107,20 @@ def test_traced_monte_carlo_counts_scale_as_the_benchmark_expects(bench_run, ben
     for metric, expected in workload.expected_counts.items():
         source = bench_run.PER_LAYER[metric][1]
         assert bench_run.layer_value(source, summary, None, 0.0) == expected * scale, metric
+
+
+def test_traced_closed_form_counts_are_the_benchmark_pins(bench_run, bench_tracer, tmp_path):
+    # every closed_form command at program seed 0 in one traced process: the
+    # counts must equal the workload's exact pins, so a cache above a traced name
+    # (one that skips symmetric_eigen or generate_k calls) fails here
+    workload = bench_run.WORKLOADS["closed_form"]
+    tracer = bench_tracer.Tracer()
+    with bench_tracer.installed(tracer):
+        for cmd in workload.commands:
+            out = tmp_path / cmd.name
+            assert cli.main([a.format(seed=_PROGRAM_SEED, out=out) for a in cmd.argv]) == 0
+    summary = tracer.summary()
+    assert workload.expected_counts
+    for metric, expected in workload.expected_counts.items():
+        source = bench_run.PER_LAYER[metric][1]
+        assert bench_run.layer_value(source, summary, None, 0.0) == expected, metric

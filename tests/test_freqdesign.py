@@ -9,7 +9,8 @@ from rfda_secrecy import (ConvergenceError, EigenResult, FixtureError, build_des
                           rho1, rho2, symmetric_eigen)
 from rfda_secrecy import freqdesign
 from rfda_secrecy.cli import main
-from rfda_secrecy.freqdesign import _feasible_basis
+from rfda_secrecy.freqdesign import _feasible_basis, _jacobi
+from rfda_secrecy.sweep import GeneratedK, beta_for_scenario, default_scenario
 
 
 def rho1_brute(k):
@@ -139,8 +140,52 @@ def test_symmetric_eigen_input_validation():
         symmetric_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ValueError):
         symmetric_eigen(np.eye(2), tol=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        symmetric_eigen(np.eye(2), tol=math.nan)
     with pytest.raises(ConvergenceError):
         symmetric_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]), max_sweeps=0)
+    # refused before any sweep: neither eigenvalues nor a ConvergenceError
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigen(np.array([[1.0, math.inf], [math.inf, 1.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetric_eigen(np.full((8, 8), math.nan))
+
+
+def test_symmetric_eigen_solves_each_matrix_once_with_the_bits_of_a_solve():
+    # the cache is per process, and so shared with every other test
+    _jacobi.cache_clear()
+    a = build_design_matrix(6)
+    solved = _jacobi.__wrapped__(a.tobytes(), 6, 1e-14, 100)
+    first = symmetric_eigen(a, tol=1e-14)
+    again = symmetric_eigen(a.tolist(), tol=1e-14)
+    assert (_jacobi.cache_info().misses, _jacobi.cache_info().hits) == (1, 1)
+    for eig in (first, again):
+        for got, want in ((eig.eigenvalues, solved.eigenvalues),
+                          (eig.eigenvectors, solved.eigenvectors)):
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+    # the tolerance and the sweep cap are part of the key
+    symmetric_eigen(a, tol=1e-10)
+    symmetric_eigen(a, tol=1e-14, max_sweeps=50)
+    assert _jacobi.cache_info().misses == 3
+
+
+def test_symmetric_eigen_never_caches_a_convergence_error():
+    _jacobi.cache_clear()
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    for _ in range(3):
+        with pytest.raises(ConvergenceError):
+            symmetric_eigen(swap, max_sweeps=0)
+    assert _jacobi.cache_info().misses == 3
+    assert _jacobi.cache_info().currsize == 0
+
+
+def test_eigen_boundary_correlation_solves_the_design_matrix_once():
+    _jacobi.cache_clear()
+    s = default_scenario(k_source=GeneratedK(10405.0, "eigen", 3))
+    beta_for_scenario(s, n_seeds=100)
+    assert (_jacobi.cache_info().misses, _jacobi.cache_info().hits) == (1, 99)
 
 
 def test_generate_k_unique_direction_for_three_elements():
