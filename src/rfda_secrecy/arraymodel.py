@@ -128,16 +128,16 @@ def correlation2(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     """Squared correlation |h(eve)^H h(bob)|^2, in [0, 1].
 
     This is the fraction of the confidential signal power that leaks to a
-    receiver at ``eve`` when the transmit vector points at ``bob``: the kernel
-    of :func:`correlation2_grid` at one location.
+    receiver at ``eve`` when the transmit vector points at ``bob``:
+    :func:`correlation2_grid` at one location.
     """
-    karr = _as_k(k, cfg.n_elements)
-    return float(_correlation2(cfg, karr, *_pq(cfg, bob, eve.r_m, eve.theta_rad)))
+    return float(correlation2_grid(cfg, k, bob, eve.r_m, eve.theta_rad))
 
 
 def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.ndarray:
-    """:func:`correlation2` at every location of the broadcast ``r_m`` and
-    ``theta_rad`` arrays, in an array of their broadcast shape.
+    """The squared correlation (see :func:`correlation2`) at every location of
+    the broadcast ``r_m`` and ``theta_rad`` arrays, in an array of their
+    broadcast shape.
 
     The locations are not checked: callers validate them as :class:`Location`.
     Each location holds an M-element phase vector while it is evaluated, so

@@ -157,13 +157,12 @@ def an_vector_pointwise(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
     return projected / norm
 
 
-def trial_capacity(s: Scenario, scheme: Scheme, fixed_k: np.ndarray | None,
-                   seed: int, trial: int) -> float:
+def trial_capacity(s: Scenario, scheme: Scheme, seed: int, trial: int) -> float:
     """Secrecy capacity of one Monte Carlo trial, drawn from a freshly built
-    ``Philox(key=[seed, trial])`` stream; ``fixed_k`` is the fixture vector, or
-    None for a generated source.  ``sweep.mc_capacity`` averages these."""
+    ``Philox(key=[seed, trial])`` stream; a fixture ``k`` draws nothing from it.
+    ``sweep.mc_capacity`` averages these."""
     rng = np.random.Generator(np.random.Philox(key=[seed, trial]))
-    k = resolve_k(s, rng) if fixed_k is None else fixed_k
+    k = resolve_k(s, rng)
     power = replace(s.power, delta=1.0) if scheme is Scheme.WITHOUT_AN else s.power
     corr2 = correlation2(s.array, k, s.bob, s.eve)
     an2 = 0.0

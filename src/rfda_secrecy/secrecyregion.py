@@ -135,8 +135,9 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
         raise InfeasibleRateError(
             f"rate {rs_bits} bits exceeds the intended-channel capacity "
             f"{math.log2(1.0 + delta * mu):.4f} bits")
-    if headroom == 0.0:  # at delta = 0 the formula below would be 0/0
-        return 0.0
+    if headroom == 0.0:  # the rate is Bob's capacity; the ratio below would be 0/0
+        # at delta = 0, where Eve gets no signal power and any beta is admissible
+        return 1.0 if delta == 0.0 else 0.0
     an_floor = (1.0 - delta) * mu * eta_value
     value = headroom * (an_floor + eps) / (an_floor * headroom + delta * mu * gain)
     if not math.isfinite(value):  # a product above overflowed: inf/inf or inf/x

@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, correlation2,
-                         correlation2_grid, half_wavelength_spacing, steering_vector)
+from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, correlation2_grid,
+                         half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capacity_eve_an,
                          complex_gaussian, secrecy_capacity, c_an_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
@@ -337,17 +337,18 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
                 scheme: Scheme = Scheme.WITH_AN) -> tuple[float, float]:
     """Monte Carlo mean secrecy capacity and its standard error.
 
-    Each trial draws a fresh frequency vector (generated source only) and a
-    fresh AN realization from its own stream, ``Philox(key=[seed, trial])``
-    (which keys a seed >= 2**63 through float64, dropping its low bits), so
-    identical inputs give bit-identical output.  The draws run trial by trial,
-    in that order; the evaluation runs once per block of up to 128 trials, as
-    stacked products that give every trial the bits of its one-trial
-    evaluation (``reference.trial_capacity``).  A trial whose AN draw is
-    parallel to the intended channel redraws from its own stream, 64 draws at
-    most.  When ``k`` is a fixture row and no power goes to AN (signal-only
-    scheme, or delta = 1), no trial draws anything: one trial is evaluated and
-    stands for all of them.
+    Each trial resolves its frequency vector (a fresh draw for a generated
+    source, the fixture row otherwise) and draws a fresh AN realization from
+    its own stream, ``Philox(key=[seed, trial])`` (which keys a seed >= 2**63
+    through float64, dropping its low bits), so identical inputs give
+    bit-identical output.  The draws run trial by trial, in that order; the
+    evaluation runs once per block of up to 128 trials, as stacked products
+    that give every trial the bits of its one-trial evaluation
+    (``reference.trial_capacity``).  A trial whose AN draw is parallel to the
+    intended channel replays its draws on a fresh copy of its stream and
+    redraws from there, 64 draws at most.  When ``k`` is a fixture row and no
+    power goes to AN (signal-only scheme, or delta = 1), no trial draws
+    anything: one trial is evaluated and stands for all of them.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -355,8 +356,6 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     cb = capacity_bob(power)
     m = s.array.n_elements
     an = power.delta < 1.0
-    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
-    fixed_corr2 = None if fixed_k is None else correlation2(s.array, fixed_k, s.bob, s.eve)
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
     stream = _trial_streams(seed)
     # one block's draws, written in place: row j holds trial start + j
@@ -364,27 +363,20 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     ks = np.empty((rows, m))
     h_bob, h_eve, z = (np.empty((rows, m), dtype=complex) for _ in range(3))
 
-    def draw(t: int, j: int) -> None:
-        "Trial t's draws into row j, in the order of the one-trial path: k, then the AN noise."
-        rng = stream(t)
-        k = resolve_k(s, rng) if fixed_k is None else fixed_k
+    def draw(rng: np.random.Generator, j: int) -> np.random.Generator:
+        """A trial's draws from ``rng`` into row j, in the order of the one-trial
+        path: k, then the AN noise.  Returns ``rng``, past those draws."""
+        k = _as_k(resolve_k(s, rng), m)
         ks[j] = k
         if an:
             h_bob[j] = steering_vector(s.array, k, s.bob)
             h_eve[j] = steering_vector(s.array, k, s.eve)
             z[j] = complex_gaussian(rng, m)
-
-    def own_stream(t: int) -> np.random.Generator:
-        "A stream of trial t's own, past the draws that ``draw`` took from it."
-        rng = _trial_streams(seed)(t)
-        if fixed_k is None:
-            resolve_k(s, rng)
-        complex_gaussian(rng, m)
         return rng
 
     def evaluate(start: int, n: int) -> np.ndarray:
         "The capacities of trials ``start, ..., start + n - 1`` from the first n rows."
-        corr2 = fixed_corr2 if fixed_k is not None else _correlation2(s.array, ks[:n], *pq)
+        corr2 = _correlation2(s.array, ks[:n], *pq)
         if not an:
             return secrecy_capacity(cb, capacity_eve_an(power, corr2, 0.0))
         redraws: dict[int, np.random.Generator] = {}
@@ -398,18 +390,19 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
                                            f"row were parallel to the intended channel")
                 for j in exc.rows:
                     if j not in redraws:
-                        redraws[j] = own_stream(start + j)
+                        redraws[j] = draw(_trial_streams(seed)(start + j), j)
                     z[j] = complex_gaussian(redraws[j], m)
         return secrecy_capacity(cb, capacity_eve_an(power, corr2, an_leakage(h_eve[:n], w)))
 
-    if fixed_k is not None and not an:  # nothing to draw: one trial stands for all
-        values = np.full(trials, evaluate(0, 0))
+    if isinstance(s.k_source, FixtureK) and not an:  # nothing to draw: one trial stands for all
+        draw(stream(0), 0)
+        values = np.full(trials, evaluate(0, 1)[0])
     else:
         values = np.empty(trials)
         for start in range(0, trials, _BLOCK):
             n = min(_BLOCK, trials - start)
             for j in range(n):
-                draw(start + j, j)
+                draw(stream(start + j), j)
             values[start:start + n] = evaluate(start, n)
     mean = float(values.mean())
     if trials == 1 or values.max() == values.min():

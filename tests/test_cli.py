@@ -251,6 +251,11 @@ def test_validate_fixtures_cli(tmp_path, capsys):
     code, out, err = run(capsys, "validate-fixtures", "--fixture-path", str(bad))
     assert code == 5
     assert "FAIL" in out
+    unknown = tmp_path / "unknown.csv"
+    unknown.write_text(bad.read_text().replace("K10405", "K99999"))
+    code, out, _ = run(capsys, "validate-fixtures", "--fixture-path", str(unknown))
+    assert code == 5
+    assert "K99999: FAIL (unknown label)" in out
 
 
 def test_a_missing_or_bad_fixture_table_exits_5_on_every_read(tmp_path, capsys):
@@ -423,6 +428,9 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["region", "--beta", "0.4", "--m", "2", "--k-target", "100"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "0"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "0.5"]),
+    (None, ["sweep", "power", "--pt-step", "0"]),
+    (None, ["sweep", "delta", "--delta-min", "0.9", "--delta-max", "0.1"]),
+    ('[]', ["capacity"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)

@@ -118,6 +118,12 @@ def test_beta_max_an_values():
     assert beta_max_an(noisy_eve, 1.0 / 15.0, 0.01) == 1.0
     with pytest.raises(InfeasibleRateError):
         beta_max_an(POWER30, 1.0 / 15.0, 9.3)
+    # zero headroom: with no signal power Eve learns nothing at any beta, so the
+    # count is the AN floor of 2; with signal power only beta = 0 leaks nothing
+    silent = PowerConfig(30.0, delta=0.0)
+    assert beta_max_an(silent, eta(16), 0.0) == 1.0
+    assert solve_m_min(0.0, silent, REGION, THETA_B, CFG, Scheme.WITH_AN) == 2
+    assert beta_max_an(PowerConfig(0.0, delta=1.0), 0.0, 1.0) == 0.0
 
 
 def test_beta_max_an_rejects_an_overflowing_ratio():

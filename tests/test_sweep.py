@@ -274,9 +274,8 @@ _MC_CASES = {
 def test_mc_capacity_equals_the_per_trial_reference(case, seed):
     s, scheme = _MC_CASES[case]
     s = replace(s, mode=Mode.MONTE_CARLO, power=replace(s.power, pt_dbm=20.0))
-    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     for trials in (1, 12):
-        values = [trial_capacity(s, scheme, fixed_k, seed, t) for t in range(trials)]
+        values = [trial_capacity(s, scheme, seed, t) for t in range(trials)]
         assert mc_capacity(s, trials, seed, scheme) == _mean_stderr(values)
 
 
@@ -292,8 +291,7 @@ _BLOCK_CASES = {
 def test_mc_capacity_blocks_equal_the_per_trial_reference(case, scheme):
     # the last block one short of full, full, holding one trial, and the third
     s = _BLOCK_CASES[case]
-    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
-    values = [trial_capacity(s, scheme, fixed_k, POINT_SEED, t) for t in range(2 * _BLOCK + 1)]
+    values = [trial_capacity(s, scheme, POINT_SEED, t) for t in range(2 * _BLOCK + 1)]
     for trials in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
         assert mc_capacity(s, trials, POINT_SEED, scheme) == _mean_stderr(values[:trials])
 
@@ -306,13 +304,12 @@ def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, paral
     import rfda_secrecy.sweep as sweep_mod
 
     s = _BLOCK_CASES[case]
-    fixed_k = resolve_k(s) if isinstance(s.k_source, FixtureK) else None
     # the first AN draws of one trial in the middle of the second block, each
     # turned parallel to that trial's channel to Bob wherever it is drawn: after
     # 63 of them the 64th draw, the last allowed, is used
     bad = _BLOCK + _BLOCK // 2
     rng = _trial_streams(POINT_SEED)(bad)
-    k = resolve_k(s, rng) if fixed_k is None else fixed_k
+    k = resolve_k(s, rng)
     turned = {complex_gaussian(rng, s.array.n_elements).tobytes() for _ in range(parallel)}
     h_bob = steering_vector(s.array, k, s.bob)
     with pytest.raises(RetryRequiredError):
@@ -326,12 +323,12 @@ def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, paral
         monkeypatch.setattr(module, "complex_gaussian", parallel_at_bad)
     trials = 2 * _BLOCK + 1
     if parallel == 64:
-        for run in (lambda: trial_capacity(s, Scheme.WITH_AN, fixed_k, POINT_SEED, bad),
+        for run in (lambda: trial_capacity(s, Scheme.WITH_AN, POINT_SEED, bad),
                     lambda: mc_capacity(s, trials, POINT_SEED)):
             with pytest.raises(ConvergenceError, match=f"^trial {bad}: 64 AN draws"):
                 run()
         return
-    values = [trial_capacity(s, Scheme.WITH_AN, fixed_k, POINT_SEED, t) for t in range(trials)]
+    values = [trial_capacity(s, Scheme.WITH_AN, POINT_SEED, t) for t in range(trials)]
     assert mc_capacity(s, trials, POINT_SEED) == _mean_stderr(values)
 
 
@@ -558,6 +555,13 @@ def test_line_chart_renders_series_and_gaps():
     assert "with_an" in svg and "without_an" in svg
     assert "circle" in svg  # the gap isolates a single point
     assert line_chart(result) == line_chart(result)
+    # a one-point axis and a flat series each span zero width: both scale finitely
+    one_point = line_chart(SweepResult("rs_bits", [1.0], {"with_an": [21.0]}))
+    assert "<circle" in one_point
+    flat = line_chart(SweepResult("delta", [0.1, 0.5, 0.9], {"without_an": [2.0, 2.0, 2.0]}))
+    assert "<polyline" in flat
+    for svg in (one_point, flat):
+        assert "nan" not in svg and "inf" not in svg
     with pytest.raises(ValueError):
         line_chart(SweepResult("x", [0.0, 1.0], {"y": [None, None]}))
 
