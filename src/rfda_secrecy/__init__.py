@@ -3,6 +3,8 @@ diverse arrays: array geometry, frequency-vector design, artificial-noise
 beamforming, secrecy-capacity bounds, resource minima and experiment sweeps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, correlation2,
                          correlation2_grid, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_leakage, an_vector, c_an_lb, capacity_bob,
@@ -24,4 +26,6 @@ from .sweep import (FixtureK, GeneratedK, Mode, Scenario, SweepResult,
                     sweep_rate, validate_fixtures, write_run)
 from .version import VERSION as __version__
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names imported above; the submodules that importing them bound are not
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -21,11 +21,11 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (DEFAULT_BETA_SEEDS, SEED_LIMIT, Mode, Scenario, beampattern_csv_text,
-                    beampattern_grid, beta_for_scenario, evaluate_capacity, k_norm2,
-                    run_manifest, scenario_from_config, scenario_to_config, sweep_bandwidth,
-                    sweep_delta, sweep_power, sweep_rate, validate_fixtures, write_run,
-                    write_run_dir)
+from .sweep import (DEFAULT_BETA_SEEDS, DEFAULT_TRIALS, READS, SEED_LIMIT, Mode, Scenario,
+                    beampattern_csv_text, beampattern_grid, beta_for_scenario,
+                    evaluate_capacity, k_norm2, read_config, run_manifest, scenario_from_config,
+                    sweep_bandwidth, sweep_delta, sweep_power, sweep_rate, validate_fixtures,
+                    write_run, write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,),
@@ -69,11 +69,6 @@ def _integer_in(lo: int, hi: float):
     return integer
 
 
-def _except(*unread: str) -> tuple:
-    "The scenario flags other than ``unread``."
-    return tuple(flag for flag in _SCENARIO_FLAGS if flag not in unread)
-
-
 # scenario flag -> (type, or a tuple of choices; configuration key it overrides; help)
 _SCENARIO_FLAGS = {
     "--m": (int, "array.M", "number of array elements"),
@@ -105,7 +100,7 @@ _FLAGS = {
     "--config": dict(help="JSON configuration file"),
     "--beta": dict(type=_number_in(0.0, 1.0), help="boundary correlation"),
     "--scheme": dict(choices=sorted(_SCHEME_CHOICES), default="both"),
-    "--trials": dict(type=_integer_in(1, math.inf), default=10000),
+    "--trials": dict(type=_integer_in(1, math.inf), default=DEFAULT_TRIALS),
     "--seed": dict(type=_integer_in(0, SEED_LIMIT), default=0),
     "--beta-seeds": dict(type=_integer_in(1, math.inf)),
     "--out": dict(default="out"),
@@ -113,15 +108,11 @@ _FLAGS = {
 }
 _EVALUATION_FLAGS = ("--scheme", "--trials", "--seed", "--beta-seeds")
 
-# the scenario flags each command reads; a command accepts no flag it does not read
-_MMIN_FLAGS = ("--dtheta-deg", "--bob-theta-deg", "--f0-hz", "--spacing-m")
-_KMIN_FLAGS = (*_MMIN_FLAGS, "--dr-m", "--delta-f-hz")
-_REGION_FLAGS = (*_KMIN_FLAGS, "--m", "--k-target", "--fixture-label", "--fixture-path")
-_BEAMPATTERN_FLAGS = (*_REGION_FLAGS, "--bob-r-m", "--k-method", "--k-seed")
-# the rate solver draws no k and sizes the array itself; bandwidth rows are fixtures
-_RATE_FLAGS = ("--f0-hz", "--spacing-m", "--bob-theta-deg", "--dtheta-deg", "--pt-dbm",
-               "--sigma-b2-dbm", "--sigma-e2-dbm", "--delta")
-_BANDWIDTH_FLAGS = _except("--m", "--k-target", "--k-method", "--k-seed", "--fixture-label")
+
+def _reads(command: str) -> tuple:
+    "The scenario flags of the keys that ``command`` reads: it accepts no other."
+    return tuple(flag for key in READS[command]
+                 for flag, (_, path, _) in _SCENARIO_FLAGS.items() if path == key)
 
 
 def _add_command(sub, name: str, text: str, flags, required=(), **defaults):
@@ -233,7 +224,7 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
     if len(r_values) * len(theta_deg) > _MAX_BEAMPATTERN_POINTS:
         raise ValueError(f"beampattern grid exceeds {_MAX_BEAMPATTERN_POINTS} points")
     rows = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
-    manifest = run_manifest({"config": scenario_to_config(s),
+    manifest = run_manifest({"config": read_config(s, "beampattern"),
                              "grid": {"r": r_values, "theta_deg": theta_deg}})
     print(write_run_dir(args.out, "beampattern", beampattern_csv_text(rows), manifest))
     return 0
@@ -291,22 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_command(sub, "mmin", "minimum element count for a region", ("--beta", *_MMIN_FLAGS),
+    _add_command(sub, "mmin", "minimum element count for a region", ("--beta", *_reads("mmin")),
                  {"--beta", "--bob-theta-deg", "--dtheta-deg"}, handler=_cmd_mmin)
 
     p = _add_command(sub, "kmin", "minimum squared frequency-spread norm",
-                     ("--beta", *_KMIN_FLAGS), {"--beta", "--dr-m"}, handler=_cmd_kmin)
+                     ("--beta", *_reads("kmin")), {"--beta", "--dr-m"}, handler=_cmd_kmin)
     p.add_argument("--m-min", type=_number_in(1.0, math.inf))
 
     _add_command(sub, "region", "confinement ellipse and resource minima",
-                 ("--config", "--beta", *_REGION_FLAGS), {"--beta"}, handler=_cmd_region)
+                 ("--config", "--beta", *_reads("region")), {"--beta"}, handler=_cmd_region)
 
     p = _add_command(sub, "gen-k", "draw a frequency-increment vector",
                      ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k)
     p.add_argument("--method", choices=("projection", "eigen"), default="projection")
 
     p = _add_command(sub, "beampattern", "export a beampattern grid as CSV",
-                     ("--config", *_BEAMPATTERN_FLAGS, "--out"), handler=_cmd_beampattern)
+                     ("--config", *_reads("beampattern"), "--out"), handler=_cmd_beampattern)
     p.add_argument("--r-min", type=float)
     p.add_argument("--r-max", type=float)
     p.add_argument("--r-step", type=float, default=0.5)
@@ -315,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-step-deg", type=float, default=0.25)
 
     _add_command(sub, "capacity", "secrecy capacity for one scenario",
-                 ("--config", *_SCENARIO_FLAGS, *_EVALUATION_FLAGS, "--beta"),
+                 ("--config", *_reads("capacity"), *_EVALUATION_FLAGS, "--beta"),
                  handler=_cmd_capacity)
 
     kinds = _add_command(sub, "sweep", "run a parameter sweep", (), handler=_cmd_sweep
                          ).add_subparsers(dest="kind", required=True)
     p = _add_command(kinds, "power", "secrecy capacity versus transmit power",
-                     ("--config", *_except("--pt-dbm"), *_EVALUATION_FLAGS, "--out", "--svg"),
+                     ("--config", *_reads("power"), *_EVALUATION_FLAGS, "--out", "--svg"),
                      run=lambda s, a: sweep_power(s, _grid(a.pt_min, a.pt_max, a.pt_step),
                                                   **_evaluation(a)))
     p.add_argument("--pt-min", type=float, default=0.0)
@@ -330,17 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     # read by nothing; kept because the benchmark passes it to this sweep
     p.add_argument("--workers", type=int, default=1, help="no effect; trials run serially")
     p = _add_command(kinds, "delta", "secrecy capacity versus the signal power fraction",
-                     ("--config", *_except("--delta"), *_EVALUATION_FLAGS, "--out", "--svg"),
+                     ("--config", *_reads("delta"), *_EVALUATION_FLAGS, "--out", "--svg"),
                      run=lambda s, a: sweep_delta(
                          s, _grid(a.delta_min, a.delta_max, a.delta_step), **_evaluation(a)))
     p.add_argument("--delta-min", type=float, default=0.05)
     p.add_argument("--delta-max", type=float, default=0.95)
     p.add_argument("--delta-step", type=float, default=0.05)
     _add_command(kinds, "bandwidth", "secrecy capacity across the fixture vectors",
-                 ("--config", *_BANDWIDTH_FLAGS, "--scheme", "--trials", "--seed", "--out",
+                 ("--config", *_reads("bandwidth"), "--scheme", "--trials", "--seed", "--out",
                   "--svg"), run=lambda s, a: sweep_bandwidth(s, **_evaluation(a)))
     p = _add_command(kinds, "rate", "minimum element count versus the target rate",
-                     ("--config", *_RATE_FLAGS, "--scheme", "--out", "--svg"),
+                     ("--config", *_reads("rate"), "--scheme", "--out", "--svg"),
                      run=lambda s, a: sweep_rate(s, _grid(a.rs_min, a.rs_max, a.rs_step),
                                                  _SCHEME_CHOICES[a.scheme], fixed_eta=a.fixed_eta))
     p.add_argument("--rs-min", type=_number_in(0.0, math.inf), default=0.5)

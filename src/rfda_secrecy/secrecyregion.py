@@ -74,14 +74,25 @@ def _angular_width(cfg: ArrayConfig, beta: float, across: float,
     sin_theta = math.sin(theta_b_rad)
     if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
         raise ValueError("theta_b must lie strictly inside (0, pi)")
-    return (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(max(1.0 - beta, 0.0))
-            / (across * cfg.spacing_m * cfg.f0_hz * sin_theta))
+    aperture = across * cfg.spacing_m * cfg.f0_hz * sin_theta  # 0 if the product underflows
+    width = (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(max(1.0 - beta, 0.0))
+             / aperture) if aperture else math.inf
+    if not math.isfinite(width):
+        raise ValueError(f"the angular formula overflows at beta={beta}, across={across!r} "
+                         f"(elements, or a semi-axis in rad), spacing_m={cfg.spacing_m}, "
+                         f"f0_hz={cfg.f0_hz} and theta_b_rad={theta_b_rad}")
+    return width
 
 
 def _radial_norm2(cfg: ArrayConfig, beta: float, n_elements: float, dr_m: float = 1.0) -> float:
     "K at which ``n_elements`` elements have radial semi-axis ``dr_m``; K * dr^2 is fixed."
-    scale = SPEED_OF_LIGHT / (2.0 * math.pi * cfg.delta_f_hz * dr_m)
-    return scale * scale * max(1.0 - beta, 0.0) * n_elements
+    phase = 2.0 * math.pi * cfg.delta_f_hz * dr_m  # 0 if the product underflows
+    scale = SPEED_OF_LIGHT / phase if phase else math.inf
+    norm2 = scale * scale * max(1.0 - beta, 0.0) * n_elements
+    if not math.isfinite(norm2):
+        raise ValueError(f"the squared frequency-spread norm overflows at beta={beta}, "
+                         f"M={n_elements!r}, dr_m={dr_m} and delta_f_hz={cfg.delta_f_hz}")
+    return norm2
 
 
 def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,

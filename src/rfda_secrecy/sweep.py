@@ -4,7 +4,8 @@ A :class:`Scenario` bundles everything one experiment needs (array, the two
 receiver locations, region, powers, frequency-vector source and evaluation
 mode).  Sweeps vary one axis, evaluate both transmit schemes per point and
 return a :class:`SweepResult` that serializes to a CSV plus a JSON manifest
-carrying the fully resolved configuration and its content hash.
+carrying the configuration keys that the sweep reads (:data:`READS`) and their
+content hash.
 
 Reproducibility contract: every random quantity is drawn from a counter-based
 stream keyed by (master seed, trial index), so results are bit-identical for
@@ -36,6 +37,7 @@ from .version import VERSION
 
 SEED_LIMIT = 2 ** 63  # user seeds, master and frequency-vector, lie in [0, SEED_LIMIT)
 DEFAULT_BETA_SEEDS = 100  # draws of a generated k whose boundary correlations lb averages
+DEFAULT_TRIALS = 10000  # Monte Carlo trials per point of an mc evaluation
 
 
 class Mode(Enum):
@@ -110,6 +112,51 @@ def scenario_to_config(s: Scenario) -> dict:
         "k_source": {"type": k_type, **asdict(s.k_source)},
         "mode": s.mode.value,
     }
+
+
+# command -> the configuration keys it reads, in the order of its flags: a command
+# takes the scenario flags of these keys, and its run id hashes them (read_config)
+READS = {"mmin": ("region.dtheta_deg", "bob.theta_deg", "array.f0_hz", "array.spacing")}
+READS["kmin"] = (*READS["mmin"], "region.dr_m", "array.delta_f_hz")
+READS["region"] = (*READS["kmin"], "array.M", "k_source.k_target", "k_source.label",
+                   "k_source.path")
+READS["beampattern"] = (*READS["region"], "bob.r_m", "k_source.method", "k_source.seed")
+READS["capacity"] = ("array.M", "array.f0_hz", "array.delta_f_hz", "array.spacing", "bob.r_m",
+                     "bob.theta_deg", "eve.r_m", "eve.theta_deg", "region.dr_m",
+                     "region.dtheta_deg", "power.pt_dbm", "power.sigma_b2_dbm",
+                     "power.sigma_e2_dbm", "power.delta", "k_source.k_target",
+                     "k_source.method", "k_source.seed", "k_source.label", "k_source.path",
+                     "mode")
+# a capacity sweep reads no key that its axis sets; the bandwidth axis sets k to a
+# 16-entry row of the table at k_source.path
+READS["power"] = tuple(key for key in READS["capacity"] if key != "power.pt_dbm")
+READS["delta"] = tuple(key for key in READS["capacity"] if key != "power.delta")
+READS["bandwidth"] = tuple(key for key in READS["capacity"] if key == "k_source.path"
+                           or key != "array.M" and not key.startswith("k_source."))
+# the rate solver draws no k and sizes the array itself
+READS["rate"] = ("array.f0_hz", "array.spacing", "bob.theta_deg", "region.dtheta_deg",
+                 "power.pt_dbm", "power.sigma_b2_dbm", "power.sigma_e2_dbm", "power.delta")
+# what a command that reads the mode does not read in each mode: the lower bound looks
+# at no eavesdropper; a Monte Carlo trial draws k from its own stream and evaluates the
+# eavesdropper's probe, not the region's corners
+_UNREAD_IN_MODE = {Mode.ANALYTIC_LB: {"eve.r_m", "eve.theta_deg"},
+                   Mode.MONTE_CARLO: {"k_source.seed", "region.dr_m", "region.dtheta_deg"}}
+
+
+def read_config(s: Scenario, command: str) -> dict:
+    """The part of ``scenario_to_config(s)`` that ``command`` reads in the scenario's
+    mode, with the type of a ``k_source`` it reads from: what its run id hashes."""
+    keys = set(READS[command])
+    if "mode" in keys:
+        keys -= _UNREAD_IN_MODE[s.mode]
+    config = {}
+    for name, value in scenario_to_config(s).items():
+        if name in keys:
+            config[name] = value
+        elif isinstance(value, dict) and any(f"{name}.{key}" in keys for key in value):
+            config[name] = {key: v for key, v in value.items()
+                            if f"{name}.{key}" in keys or key == "type"}
+    return config
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:
@@ -528,11 +575,11 @@ def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
     evaluation = {"seed": seed if mc else 0, "mode": s.mode.value,
                   "trials": trials if mc else 0, "beta_seeds": n_seeds if averaged else 0}
     return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
-                       _sweep_meta(scenario_to_config(s), kind, grid, schemes, evaluation))
+                       _sweep_meta(read_config(s, kind), kind, grid, schemes, evaluation))
 
 
 def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = 10000, seed: int = 0,
+                trials: int = DEFAULT_TRIALS, seed: int = 0,
                 n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
     "Secrecy capacity versus transmit power (dBm) for each scheme."
     grid = [float(pt) for pt in grid_dbm]
@@ -542,7 +589,7 @@ def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_A
 
 
 def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = 10000, seed: int = 0,
+                trials: int = DEFAULT_TRIALS, seed: int = 0,
                 n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
     "Secrecy capacity versus the signal power fraction delta."
     grid = [float(delta) for delta in grid_delta]
@@ -552,7 +599,7 @@ def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT
 
 
 def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                    trials: int = 10000, seed: int = 0,
+                    trials: int = DEFAULT_TRIALS, seed: int = 0,
                     n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
     """Secrecy capacity across the fixture frequency vectors.
 
@@ -592,12 +639,8 @@ def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN)
         raise InfeasibleRateError(
             "every grid point is infeasible for the requested scheme(s); "
             "raise the transmit power or lower the rate")
-    cfg = scenario_to_config(s)  # the run id hashes only the keys that the solver reads
-    config = {name: {key: cfg[name][key] for key in keys} for name, keys in (
-        ("array", ("f0_hz", "spacing")), ("bob", ("theta_deg",)), ("region", ("dtheta_deg",)),
-        ("power", tuple(cfg["power"])))}
-    return SweepResult("rs_bits", grid, series,
-                       _sweep_meta(config, "rate", grid, schemes, {}, fixed_eta=fixed_eta))
+    return SweepResult("rs_bits", grid, series, _sweep_meta(
+        read_config(s, "rate"), "rate", grid, schemes, {}, fixed_eta=fixed_eta))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import rfda_secrecy
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
-from rfda_secrecy.sweep import FixtureK, GeneratedK, scenario_to_config
+from rfda_secrecy.sweep import (READS, FixtureK, GeneratedK, read_config,
+                                scenario_from_config, scenario_to_config)
 from rfda_secrecy.errors import ConvergenceError
 
 MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"]
@@ -174,6 +176,124 @@ def test_sweep_rate_run_id_hashes_only_what_the_solver_reads(tmp_path, capsys, c
     base = run_dir()
     assert run_dir("--config", str(tmp_path / "cfg.json")) == base
     assert run_dir("--pt-dbm", "20") != base
+
+
+def _run_files(capsys, out_dir: Path, argv) -> tuple:
+    "The run directory that ``argv`` writes, with its result.csv and manifest.json bytes."
+    code, out, err = run(capsys, *argv, "--out", str(out_dir))
+    assert code == 0, (argv, err)
+    run_dir = Path(out.strip())
+    return (run_dir, (run_dir / "result.csv").read_bytes(),
+            (run_dir / "manifest.json").read_bytes())
+
+
+# configuration key -> a value that differs from the default scenario's
+_OTHER_VALUES = {
+    "array.M": 12, "array.f0_hz": 2e9, "array.delta_f_hz": 2e6, "array.spacing": 0.1,
+    "bob.r_m": 104.0, "bob.theta_deg": 60.0, "eve.r_m": 150.0, "eve.theta_deg": 60.0,
+    "region.dr_m": 3.0, "region.dtheta_deg": 3.0, "power.pt_dbm": 10.0,
+    "power.sigma_b2_dbm": 3.0, "power.sigma_e2_dbm": 3.0, "power.delta": 0.3,
+    "k_source.k_target": 500.0, "k_source.method": "eigen", "k_source.seed": 7,
+    "k_source.label": "K15405", "k_source.path": "table.csv",
+}
+# the keys that a command reading the mode leaves unread in each mode
+_UNREAD_IN_MODE = {"lb": {"eve.r_m", "eve.theta_deg"},
+                   "mc": {"k_source.seed", "region.dr_m", "region.dtheta_deg"}}
+# k source type -> the k_source section of a base configuration, and the keys of the type
+_K_SOURCES = {"fixture": ({"type": "fixture"}, {"k_source.label", "k_source.path"}),
+              "generated": ({"type": "generated", "k_target": 10405.0},
+                            {"k_source.k_target", "k_source.method", "k_source.seed"})}
+# command that writes a run directory -> its arguments: small grids, few trials
+_RUN_COMMANDS = {
+    "beampattern": ["--r-step", "8", "--theta-step-deg", "5"],
+    "sweep power": ["--pt-max", "2", "--trials", "20"],
+    "sweep delta": ["--delta-max", "0.15", "--trials", "20"],
+    "sweep bandwidth": ["--trials", "20"],
+    "sweep rate": ["--rs-max", "2"],
+}
+
+
+def _key_cases() -> list:
+    """(command, base configuration, key, whether the command reads the key) for each
+    key that the base's k source has.  Each command runs from a base of each k source
+    type, in each mode when it reads the mode; the bandwidth axis is the fixture rows."""
+    cases = []
+    for command in _RUN_COMMANDS:
+        reads = set(READS[command.split()[-1]])
+        for mode in ("lb", "mc") if "mode" in reads else ("lb",):
+            read = reads - _UNREAD_IN_MODE[mode] if "mode" in reads else reads
+            for kind, (source, source_keys) in _K_SOURCES.items():
+                if command != "sweep bandwidth" or kind == "fixture":
+                    cases += [(command, {"mode": mode, "k_source": source}, key, key in read)
+                              for key in READS["capacity"]
+                              if not key.startswith("k_source.") or key in source_keys]
+    return cases
+
+
+def _changed(config: dict, key: str) -> dict:
+    "``config`` with another value at the dotted ``key``."
+    config = json.loads(json.dumps(config))
+    if key == "mode":
+        config["mode"] = "lb" if config["mode"] == "mc" else "mc"
+    else:
+        section, name = key.split(".")
+        config.setdefault(section, {})[name] = _OTHER_VALUES[key]
+    return config
+
+
+def test_a_key_that_a_command_reads_is_part_of_its_run_id():
+    # else two runs with different results would share a run directory
+    for command, base, key, read in _key_cases():
+        if read:
+            kind = command.split()[-1]
+            assert read_config(scenario_from_config(_changed(base, key)), kind) != \
+                read_config(scenario_from_config(base), kind), (command, base, key)
+
+
+# a fixture row has 16 entries, so the bandwidth sweep runs at no other M
+_UNREAD_CASES = [(command, base, key) for command, base, key, read in _key_cases()
+                 if not read and (command, key) != ("sweep bandwidth", "array.M")]
+
+
+@pytest.mark.parametrize("command, base, key", _UNREAD_CASES,
+                         ids=[f"{command}-{base['mode']}-{base['k_source']['type']}-{key}"
+                              for command, base, key in _UNREAD_CASES])
+def test_a_key_that_a_command_does_not_read_leaves_its_run_directory(tmp_path, capsys,
+                                                                     command, base, key):
+    # the run id hashes only what the command reads, so equal runs share a directory
+    runs = []
+    for name, config in (("base", base), ("changed", _changed(base, key))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        runs.append(_run_files(capsys, tmp_path / "out",
+                               [*command.split(), *_RUN_COMMANDS[command], "--config", str(path)]))
+    assert runs[0] == runs[1]
+
+
+_CONFIG = "--config {cfg}"
+
+
+@pytest.mark.parametrize("argv, base, changed, config", [
+    pytest.param("beampattern --r-step 2 --theta-step-deg 1", "", _CONFIG,
+                 {"power": {"pt_dbm": 10.0}, "mode": "mc",
+                  "eve": {"r_m": 150.0, "theta_deg": 60.0}}, id="beampattern-power-mode-eve"),
+    pytest.param("sweep power --pt-max 3", "", "--eve-r-m 150 --eve-theta-deg 60", None,
+                 id="power-lb-eve"),
+    pytest.param("sweep power --mode mc --trials 50 --pt-max 2 --k-target 10405",
+                 "--k-seed 1", "--k-seed 2", None, id="power-mc-k_seed"),
+    pytest.param("sweep bandwidth", "", _CONFIG,
+                 {"k_source": {"type": "fixture", "label": "K15405"}}, id="bandwidth-label"),
+    pytest.param("sweep power --pt-max 3 --delta 0.6", "", _CONFIG,
+                 {"power": {"pt_dbm": 10.0, "delta": 0.3}}, id="power-pt_dbm"),
+    pytest.param("sweep delta --pt-dbm 30", "", _CONFIG,
+                 {"power": {"pt_dbm": 10.0, "delta": 0.3}}, id="delta-delta"),
+])
+def test_equal_runs_share_one_run_directory(tmp_path, capsys, argv, base, changed, config):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    runs = [_run_files(capsys, tmp_path / "out",
+                       [*argv.split(), *extra.format(cfg=tmp_path / "cfg.json").split()])
+            for extra in (base, changed)]
+    assert runs[0] == runs[1]
 
 
 def test_sweep_rate_infeasible_exits_3(capsys):
@@ -431,6 +551,17 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["sweep", "power", "--pt-step", "0"]),
     (None, ["sweep", "delta", "--delta-min", "0.9", "--delta-max", "0.1"]),
     ('[]', ["capacity"]),
+    ('{"array": {"M": 12}}', ["sweep", "bandwidth"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "1e308"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "1e-300", "--dtheta-deg", "5",
+            "--bob-theta-deg", "45"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "1e-320", "--bob-theta-deg", "45"]),
+    (None, ["region", "--beta", "0.4", "--dr-m", "1e-300"]),
+    (None, ["sweep", "rate", "--dtheta-deg", "1e-320", "--rs-max", "1"]),
+    (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "1e-300", "--bob-theta-deg", "45",
+            "--f0-hz", "1e-20", "--spacing-m", "1e-20"]),
+    (None, ["kmin", "--beta", "0.4", "--dr-m", "1e-200", "--m-min", "2",
+            "--delta-f-hz", "1e-200"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -686,6 +817,14 @@ def test_every_readme_command_parses():
     assert lines
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_the_package_exports_names_that_resolve_and_no_module():
+    for name in rfda_secrecy.__all__:
+        assert not isinstance(getattr(rfda_secrecy, name), types.ModuleType), name
+    namespace: dict = {}
+    exec("from rfda_secrecy import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(rfda_secrecy.__all__)
 
 
 def test_cli_import_does_not_load_the_reference_module():
