@@ -21,16 +21,13 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (DEFAULT_BETA_SEEDS, DEFAULT_TRIALS, READS, SEED_LIMIT, Mode, Scenario,
-                    beampattern_csv_text, beampattern_grid, beta_for_scenario,
-                    evaluate_capacity, k_norm2, read_config, run_manifest, scenario_from_config,
-                    sweep_bandwidth, sweep_delta, sweep_power, sweep_rate, validate_fixtures,
-                    write_run, write_run_dir)
+from .sweep import (DEFAULT_TRIALS, READS, SEED_LIMIT, Scenario, beampattern_csv_text,
+                    beampattern_grid, estimator, k_norm2, read_config, run_manifest,
+                    scenario_from_config, sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
+                    validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
 
-_SCHEME_CHOICES = {"an": (Scheme.WITH_AN,),
-                   "no-an": (Scheme.WITHOUT_AN,),
-                   "both": (Scheme.WITH_AN, Scheme.WITHOUT_AN)}
+_SCHEME_CHOICES = {"an": (Scheme.WITH_AN,), "no-an": (Scheme.WITHOUT_AN,), "both": tuple(Scheme)}
 _MAX_AXIS_POINTS = 10_000
 _MAX_BEAMPATTERN_POINTS = 1_000_000
 
@@ -163,10 +160,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         if key in k_flags and cfg["k_source"].get("type") != "generated":
             raise ConfigError(f"{flag} needs a generated k source: give --k-target or "
                               f"a configuration k_source of type 'generated'")
-    s = scenario_from_config(cfg)
-    if getattr(args, "beta_seeds", None) is not None and s.mode is Mode.MONTE_CARLO:
-        raise ConfigError("--beta-seeds applies to the lower bound only, not to mc mode")
-    return s
+    return scenario_from_config(cfg)
 
 
 def _cmd_mmin(args: argparse.Namespace) -> int:
@@ -224,27 +218,25 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
     if len(r_values) * len(theta_deg) > _MAX_BEAMPATTERN_POINTS:
         raise ValueError(f"beampattern grid exceeds {_MAX_BEAMPATTERN_POINTS} points")
     rows = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
-    manifest = run_manifest({"config": read_config(s, "beampattern"),
-                             "grid": {"r": r_values, "theta_deg": theta_deg}})
+    # the region sets nothing but the default grid, which the manifest records
+    config = {name: v for name, v in read_config(s, "beampattern").items() if name != "region"}
+    manifest = run_manifest({"config": config, "grid": {"r": r_values, "theta_deg": theta_deg}})
     print(write_run_dir(args.out, "beampattern", beampattern_csv_text(rows), manifest))
     return 0
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    s, evaluation = _scenario_from_args(args), _evaluation(args)
-    beta = args.beta  # the lower bound's beta is the same for every scheme
-    if beta is None and s.mode is Mode.ANALYTIC_LB:
-        beta = beta_for_scenario(s, evaluation["n_seeds"])
-    for scheme in evaluation["schemes"]:
-        value, err = evaluate_capacity(s, scheme, args.trials, args.seed, beta)
-        line = f"{scheme.value}={value:.4f}"
-        print(line if err is None else f"{line} stderr={err:.4f}")
+    s = _scenario_from_args(args)
+    evaluate, _ = estimator(s, args.trials, args.seed, args.beta_seeds, args.beta)
+    for scheme in _SCHEME_CHOICES[args.scheme]:
+        value, err = evaluate(s, scheme)
+        print(f"{scheme.value}={value:.4f}" + ("" if err is None else f" stderr={err:.4f}"))
     return 0
 
 
 def _evaluation(args: argparse.Namespace) -> dict:
     return dict(schemes=_SCHEME_CHOICES[args.scheme], trials=args.trials, seed=args.seed,
-                n_seeds=getattr(args, "beta_seeds", None) or DEFAULT_BETA_SEEDS)
+                n_seeds=getattr(args, "beta_seeds", None))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -136,11 +137,54 @@ READS["bandwidth"] = tuple(key for key in READS["capacity"] if key == "k_source.
 # the rate solver draws no k and sizes the array itself
 READS["rate"] = ("array.f0_hz", "array.spacing", "bob.theta_deg", "region.dtheta_deg",
                  "power.pt_dbm", "power.sigma_b2_dbm", "power.sigma_e2_dbm", "power.delta")
-# what a command that reads the mode does not read in each mode: the lower bound looks
-# at no eavesdropper; a Monte Carlo trial draws k from its own stream and evaluates the
-# eavesdropper's probe, not the region's corners
-_UNREAD_IN_MODE = {Mode.ANALYTIC_LB: {"eve.r_m", "eve.theta_deg"},
-                   Mode.MONTE_CARLO: {"k_source.seed", "region.dr_m", "region.dtheta_deg"}}
+
+
+def _lower_bound(settings: dict) -> Callable:
+    "The lower bound at the beta override, else at beta once per (array, bob, region, k_source)."
+    betas: dict[tuple, float] = {}
+
+    def evaluate(p: Scenario, scheme: Scheme, _i: int | None = None) -> tuple[float, None]:
+        key = (p.array, p.bob, p.region, p.k_source)
+        if key not in betas:
+            beta = settings["beta"]
+            betas[key] = beta_for_scenario(p, settings["beta_seeds"]) if beta is None else beta
+        return lb_capacity(p, scheme, betas[key]), None
+    return evaluate
+
+
+def _monte_carlo(settings: dict) -> Callable:
+    "The Monte Carlo estimate at the seed, or at the seed derived for sweep point ``i``."
+    seed, trials = settings["seed"], settings["trials"]
+    return lambda p, scheme, i=None: mc_capacity(
+        p, trials, seed if i is None else _point_seed(seed, i), scheme)
+
+
+# mode -> (the READS["capacity"] keys it leaves unread, each evaluation setting it reads
+# with the k source type it reads it for (object: any), its evaluator).  lb looks at no
+# eavesdropper; an mc trial draws k from its own stream and probes eve, not the region's
+# corners.  Evaluators call mc_capacity and beta_for_scenario by name, so patches see them
+ESTIMATORS = {
+    Mode.ANALYTIC_LB: ({"eve.r_m", "eve.theta_deg"},
+                       {"beta": object, "beta_seeds": GeneratedK}, _lower_bound),
+    Mode.MONTE_CARLO: ({"k_source.seed", "region.dr_m", "region.dtheta_deg"},
+                       {"seed": object, "trials": object}, _monte_carlo),
+}
+
+
+def estimator(s: Scenario, trials: int = DEFAULT_TRIALS, seed: int = 0,
+              n_seeds: int | None = None, beta: float | None = None) -> tuple[Callable, dict]:
+    """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) ->
+    (value, stderr or None)``, and the settings it reads, which a manifest records.  A
+    mode refuses ``n_seeds`` (beta_seeds) or ``beta`` given that it does not read;
+    ``trials`` and ``seed`` always hold a value, so it accepts them unread."""
+    _, reads, evaluator = ESTIMATORS[s.mode]
+    values = {"beta": beta, "beta_seeds": n_seeds, "seed": seed, "trials": trials}
+    for name in ("beta", "beta_seeds"):
+        if values[name] is not None and name not in reads:
+            raise ValueError(f"{s.mode.value} mode reads no {name} (--{name.replace('_', '-')})")
+    values["beta_seeds"] = DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds
+    return evaluator(values), {name: values[name] for name, kind in reads.items()
+                               if values[name] is not None and isinstance(s.k_source, kind)}
 
 
 def read_config(s: Scenario, command: str) -> dict:
@@ -148,7 +192,7 @@ def read_config(s: Scenario, command: str) -> dict:
     mode, with the type of a ``k_source`` it reads from: what its run id hashes."""
     keys = set(READS[command])
     if "mode" in keys:
-        keys -= _UNREAD_IN_MODE[s.mode]
+        keys -= ESTIMATORS[s.mode][0]
     config = {}
     for name, value in scenario_to_config(s).items():
         if name in keys:
@@ -395,7 +439,8 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     intended channel replays its draws on a fresh copy of its stream and
     redraws from there, 64 draws at most.  When ``k`` is a fixture row and no
     power goes to AN (signal-only scheme, or delta = 1), no trial draws
-    anything: one trial is evaluated and stands for all of them.
+    anything: one trial is evaluated and stands for all of them.  A capacity
+    that is not finite raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -452,25 +497,10 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
                 draw(stream(start + j), j)
             values[start:start + n] = evaluate(start, n)
     mean = float(values.mean())
-    if trials == 1 or values.max() == values.min():
-        stderr = 0.0
-    else:
-        stderr = float(values.std(ddof=1) / math.sqrt(trials))
-    return mean, stderr
-
-
-def evaluate_capacity(s: Scenario, scheme: Scheme, trials: int, seed: int,
-                      beta: float | None) -> tuple[float, float | None]:
-    """Secrecy capacity of one scheme in the scenario's mode, as (value, stderr or None).
-
-    ``beta`` is the lower bound's boundary correlation (see
-    :func:`beta_for_scenario`); Monte Carlo mode has none, so it takes None."""
-    if s.mode is Mode.MONTE_CARLO:
-        if beta is not None:
-            raise ValueError("a boundary correlation override (beta) applies to the "
-                             "lower bound only, not to mc mode")
-        return mc_capacity(s, trials, seed, scheme)
-    return lb_capacity(s, scheme, beta), None
+    if not math.isfinite(mean):  # some trial's capacity is NaN or infinite
+        raise ValueError(f"Monte Carlo capacity {mean}: a range or frequency overflows the phase")
+    constant = trials == 1 or values.max() == values.min()
+    return mean, 0.0 if constant else float(values.std(ddof=1) / math.sqrt(trials))
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +560,10 @@ def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
     return write_run_dir(out_dir, run_name, result_csv_text(result), result.meta)
 
 
-def _sweep_meta(config: dict, kind: str, grid: list[float], schemes: list[Scheme],
+def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme],
                 evaluation: dict, **extra) -> dict:
     return run_manifest({
-        "config": config,
+        "config": read_config(s, kind),
         "sweep": {"kind": kind, "grid": list(grid),
                   "schemes": [sch.value for sch in schemes], **extra},
         **evaluation,
@@ -555,53 +585,30 @@ def _sweep_series(schemes: list[Scheme], n_points: int,
 
 
 def _capacity_sweep(s: Scenario, kind: str, axis_name: str, grid: list[float],
-                    points: list[Scenario], schemes, trials: int, seed: int,
-                    n_seeds: int) -> SweepResult:
-    """Secrecy capacity at each point scenario.  In analytic mode beta is computed
-    once per distinct (array, bob, region, k_source) among the points."""
+                    points: list[Scenario], schemes, settings: dict) -> SweepResult:
+    "Secrecy capacity at each point scenario, by the evaluator of the scenario's mode."
     schemes = list(schemes)
-    betas: dict[tuple, float] = {}
-
-    def evaluate(scheme: Scheme, i: int) -> tuple[float, float | None]:
-        p = points[i]
-        key = (p.array, p.bob, p.region, p.k_source)
-        if s.mode is Mode.ANALYTIC_LB and key not in betas:
-            betas[key] = beta_for_scenario(p, n_seeds)
-        return evaluate_capacity(p, scheme, trials, _point_seed(seed, i), betas.get(key))
-
-    # the lower bound reads neither seed nor trials, and beta_seeds only for a generated k
-    mc = s.mode is Mode.MONTE_CARLO
-    averaged = not mc and isinstance(s.k_source, GeneratedK)
-    evaluation = {"seed": seed if mc else 0, "mode": s.mode.value,
-                  "trials": trials if mc else 0, "beta_seeds": n_seeds if averaged else 0}
-    return SweepResult(axis_name, grid, _sweep_series(schemes, len(grid), evaluate),
-                       _sweep_meta(read_config(s, kind), kind, grid, schemes, evaluation))
+    evaluate, reads = estimator(s, **settings)
+    series = _sweep_series(schemes, len(grid), lambda scheme, i: evaluate(points[i], scheme, i))
+    return SweepResult(axis_name, grid, series, _sweep_meta(s, kind, grid, schemes, reads))
 
 
-def sweep_power(s: Scenario, grid_dbm, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = DEFAULT_TRIALS, seed: int = 0,
-                n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
-    "Secrecy capacity versus transmit power (dBm) for each scheme."
+def sweep_power(s: Scenario, grid_dbm, schemes=tuple(Scheme), **settings) -> SweepResult:
+    "Secrecy capacity versus transmit power (dBm) for each scheme, at :func:`estimator` settings."
     grid = [float(pt) for pt in grid_dbm]
     points = [replace(s, power=replace(s.power, pt_dbm=pt)) for pt in grid]
-    return _capacity_sweep(s, "power", "pt_dbm", grid, points, schemes, trials, seed,
-                           n_seeds)
+    return _capacity_sweep(s, "power", "pt_dbm", grid, points, schemes, settings)
 
 
-def sweep_delta(s: Scenario, grid_delta, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                trials: int = DEFAULT_TRIALS, seed: int = 0,
-                n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
-    "Secrecy capacity versus the signal power fraction delta."
+def sweep_delta(s: Scenario, grid_delta, schemes=tuple(Scheme), **settings) -> SweepResult:
+    "Secrecy capacity versus the signal power fraction delta (see :func:`sweep_power`)."
     grid = [float(delta) for delta in grid_delta]
     points = [replace(s, power=replace(s.power, delta=delta)) for delta in grid]
-    return _capacity_sweep(s, "delta", "delta", grid, points, schemes, trials, seed,
-                           n_seeds)
+    return _capacity_sweep(s, "delta", "delta", grid, points, schemes, settings)
 
 
-def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
-                    trials: int = DEFAULT_TRIALS, seed: int = 0,
-                    n_seeds: int = DEFAULT_BETA_SEEDS) -> SweepResult:
-    """Secrecy capacity across the fixture frequency vectors.
+def sweep_bandwidth(s: Scenario, schemes=tuple(Scheme), **settings) -> SweepResult:
+    """Secrecy capacity across the fixture frequency vectors (see :func:`sweep_power`).
 
     The axis carries each row's nominal squared norm (a bandwidth proxy), in
     the increasing order of :data:`~rfda_secrecy.freqdesign.FIXTURES`.  The
@@ -612,11 +619,10 @@ def sweep_bandwidth(s: Scenario, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
                          "generated k source (k_target)")
     grid = [k_nominal for k_nominal, _ in FIXTURES.values()]
     points = [replace(s, k_source=FixtureK(label, s.k_source.path)) for label in FIXTURES]
-    return _capacity_sweep(s, "bandwidth", "k_nominal", grid, points, schemes, trials,
-                           seed, n_seeds)
+    return _capacity_sweep(s, "bandwidth", "k_nominal", grid, points, schemes, settings)
 
 
-def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN),
+def sweep_rate(s: Scenario, grid_rs, schemes=tuple(Scheme),
                fixed_eta: float | None = None) -> SweepResult:
     """Minimum element count versus the target secrecy rate for each scheme.
 
@@ -639,8 +645,8 @@ def sweep_rate(s: Scenario, grid_rs, schemes=(Scheme.WITH_AN, Scheme.WITHOUT_AN)
         raise InfeasibleRateError(
             "every grid point is infeasible for the requested scheme(s); "
             "raise the transmit power or lower the rate")
-    return SweepResult("rs_bits", grid, series, _sweep_meta(
-        read_config(s, "rate"), "rate", grid, schemes, {}, fixed_eta=fixed_eta))
+    return SweepResult("rs_bits", grid, series,
+                       _sweep_meta(s, "rate", grid, schemes, {}, fixed_eta=fixed_eta))
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,8 @@ def test_region_draws_no_generated_k(tmp_path, monkeypatch, capsys):
 
 
 def test_capacity_computes_beta_once(monkeypatch, capsys):
-    # the lower bound of every scheme reads the same boundary correlation
-    import rfda_secrecy.cli as cli_mod
+    # the lower bound of every scheme reads the same boundary correlation; the
+    # evaluator calls beta_for_scenario by its name in the sweep module
     import rfda_secrecy.sweep as sweep_mod
 
     calls = []
@@ -152,8 +152,7 @@ def test_capacity_computes_beta_once(monkeypatch, capsys):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (cli_mod, sweep_mod):
-        monkeypatch.setattr(module, "beta_for_scenario", counted)
+    monkeypatch.setattr(sweep_mod, "beta_for_scenario", counted)
     code, out, _ = run(capsys, "capacity", "--k-target", "10405", "--beta-seeds", "2")
     assert (code, len(out.splitlines())) == (0, 2)
     assert len(calls) == 1
@@ -287,6 +286,9 @@ _CONFIG = "--config {cfg}"
                  {"power": {"pt_dbm": 10.0, "delta": 0.3}}, id="power-pt_dbm"),
     pytest.param("sweep delta --pt-dbm 30", "", _CONFIG,
                  {"power": {"pt_dbm": 10.0, "delta": 0.3}}, id="delta-delta"),
+    pytest.param("beampattern --r-min 90 --r-max 110 --r-step 5 --theta-min-deg 40 "
+                 "--theta-max-deg 50 --theta-step-deg 2", "", "--dr-m 3 --dtheta-deg 2", None,
+                 id="beampattern-region-with-every-bound"),
 ])
 def test_equal_runs_share_one_run_directory(tmp_path, capsys, argv, base, changed, config):
     (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -294,6 +296,16 @@ def test_equal_runs_share_one_run_directory(tmp_path, capsys, argv, base, change
                        [*argv.split(), *extra.format(cfg=tmp_path / "cfg.json").split()])
             for extra in (base, changed)]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("region", [["--dr-m", "3"], ["--dtheta-deg", "2"]])
+def test_a_region_that_moves_the_default_beampattern_grid_is_a_new_run(tmp_path, capsys,
+                                                                       region):
+    # the region reaches a beampattern only through its default grid bounds
+    argv = ["beampattern", "--r-step", "8", "--theta-step-deg", "5"]
+    base = _run_files(capsys, tmp_path, argv)
+    moved = _run_files(capsys, tmp_path, [*argv, *region])
+    assert base[0] != moved[0] and base[1] != moved[1]
 
 
 def test_sweep_rate_infeasible_exits_3(capsys):
@@ -562,6 +574,10 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
             "--f0-hz", "1e-20", "--spacing-m", "1e-20"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "1e-200", "--m-min", "2",
             "--delta-f-hz", "1e-200"]),
+    (None, ["capacity", "--mode", "mc", "--trials", "5", "--bob-r-m", "1e300"]),
+    (None, ["capacity", "--mode", "mc", "--trials", "5", "--eve-r-m", "1e300"]),
+    (None, ["sweep", "power", "--mode", "mc", "--trials", "5", "--pt-max", "1",
+            "--bob-r-m", "1e300"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -764,28 +780,28 @@ def test_k_flags_override_one_config_key(tmp_path, k_source, argv, expected):
 
 def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     # beta_seeds changes an lb sweep over a generated k, so two counts must not
-    # share a run directory; mc mode draws no beta, so it records 0
+    # share a run directory; mc mode draws no beta, so it records no count
     def sweep(*argv, k=("--k-target", "10405")):
         code, out, _ = run(capsys, "sweep", "power", *k, "--pt-max", "2",
                            *argv, "--out", str(tmp_path))
         assert code == 0
         run_dir = Path(out.strip())
-        return run_dir, json.loads((run_dir / "manifest.json").read_text())["beta_seeds"]
+        return run_dir, json.loads((run_dir / "manifest.json").read_text()).get("beta_seeds")
 
     (few_dir, few), (many_dir, many) = sweep("--beta-seeds", "5"), sweep("--beta-seeds", "50")
     assert (few, many) == (5, 50)
     assert few_dir != many_dir
     mc = ("--mode", "mc", "--trials", "20")
-    assert sweep(*mc)[1] == 0
-    # a fixture k gives one beta whatever the count, so it records 0 and shares a run
+    assert sweep(*mc)[1] is None
+    # a fixture k gives one beta whatever the count, so it records none and shares a run
     fixture = sweep("--beta-seeds", "5", k=())
     assert fixture == sweep("--beta-seeds", "6", k=()) == sweep(k=())
-    assert fixture[1] == 0
+    assert fixture[1] is None
 
 
 def test_seed_is_part_of_the_run_id_only_in_mc_mode(tmp_path, capsys):
     # the lower bound never reads the master seed, so lb seeds share one run
-    # directory and record 0, as they record 0 trials; each mc seed is a run
+    # directory that records no seed and no trials; each mc seed is a run
     def run_dirs(*argv):
         dirs = set()
         for seed in ("5", "6"):
@@ -796,7 +812,7 @@ def test_seed_is_part_of_the_run_id_only_in_mc_mode(tmp_path, capsys):
         return dirs
 
     (lb_dir,) = run_dirs()
-    assert json.loads((lb_dir / "manifest.json").read_text())["seed"] == 0
+    assert not {"seed", "trials"} & set(json.loads((lb_dir / "manifest.json").read_text()))
     assert len(run_dirs("--mode", "mc", "--trials", "20")) == 2
 
 

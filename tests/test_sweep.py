@@ -23,7 +23,7 @@ from rfda_secrecy import (ArrayConfig, ConfigError, ConvergenceError,
 from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.svgchart import line_chart
-from rfda_secrecy.sweep import _BLOCK, _point_seed, _trial_streams
+from rfda_secrecy.sweep import ESTIMATORS, READS, _BLOCK, _point_seed, _trial_streams
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
 
@@ -471,13 +471,34 @@ def test_sweep_rate_gaps_and_all_infeasible():
         sweep_rate(s, [9.0, 9.5], schemes=(Scheme.WITH_AN,))
 
 
-def test_sweep_rate_manifest_records_no_evaluation_settings():
+_SETTINGS = {"seed": 3, "trials": 4}
+
+
+@pytest.mark.parametrize("mode, k_source, given, recorded", [
+    (Mode.ANALYTIC_LB, FixtureK(), {**_SETTINGS, "n_seeds": 5}, {}),
+    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "n_seeds": 5}, {"beta_seeds": 5}),
+    (Mode.MONTE_CARLO, FixtureK(), _SETTINGS, _SETTINGS),
+    (Mode.MONTE_CARLO, GeneratedK(10405.0), _SETTINGS, _SETTINGS),
+], ids=["lb-fixture", "lb-generated", "mc-fixture", "mc-generated"])
+def test_sweep_rate_manifest_records_no_evaluation_settings(mode, k_source, given, recorded):
     # the closed-form rate solver draws nothing and reads no mode, so a seed,
     # mode, trial or beta-seed count in its run id would only split equal runs
-    meta = sweep_rate(default_scenario(), [1.0]).meta
+    s = default_scenario(mode=mode, k_source=k_source)
+    meta = sweep_rate(s, [1.0]).meta
     assert set(meta) == {"config", "sweep", "config_hash", "tool_version"}
-    power_meta = sweep_power(default_scenario(), [0.0]).meta
-    assert {"seed", "mode", "trials", "beta_seeds"} <= set(power_meta)
+    # a capacity sweep records exactly the settings that its mode reads, and its
+    # mode only in config: lb reads beta_seeds for a generated k alone
+    power_meta = sweep_power(s, [0.0], **given).meta
+    assert {key: value for key, value in power_meta.items()
+            if key not in {"config", "sweep", "config_hash", "tool_version"}} == recorded
+    assert power_meta["config"]["mode"] == mode.value
+
+
+def test_every_mode_has_an_estimator_whose_unread_keys_are_read_by_capacity():
+    # a misspelt unread key would leave the key it meant in every run id
+    assert set(ESTIMATORS) == set(Mode)
+    for unread, _, _ in ESTIMATORS.values():
+        assert unread <= set(READS["capacity"])
 
 
 def test_sweep_rate_csv_keeps_gaps_visible(tmp_path):
@@ -504,7 +525,7 @@ def test_write_run_reproducible(tmp_path):
     manifest = json.loads(first_manifest)
     assert manifest["config"]["array"]["M"] == 16
     assert manifest["tool_version"]
-    assert manifest["mode"] == "lb"
+    assert manifest["config"]["mode"] == "lb"
     assert manifest["config_hash"] == result.meta["config_hash"]
     loaded = read_result_csv(run_dir / "result.csv")
     assert loaded.axis_values == result.axis_values
