@@ -89,16 +89,11 @@ def _angle_term(cfg: ArrayConfig, theta_rad: float) -> np.ndarray:
     return term
 
 
-def _phase_profile(cfg: ArrayConfig, k: np.ndarray, loc: Location) -> np.ndarray:
-    "Vector of per-element phases toward ``loc`` (vectorized ``reference.phase_shift``)."
-    range_term = k * cfg.delta_f_hz * loc.r_m
-    return -2.0 * np.pi * (_angle_term(cfg, loc.theta_rad) + range_term) / SPEED_OF_LIGHT
-
-
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
     "Unit-norm steering vector toward ``loc``; entries have modulus 1/sqrt(M)."
-    karr = _as_k(k, cfg.n_elements)
-    phases = _phase_profile(cfg, karr, loc)
+    range_term = _as_k(k, cfg.n_elements) * cfg.delta_f_hz * loc.r_m
+    # the per-element phases toward loc: a vectorized reference.phase_shift
+    phases = -2.0 * np.pi * (_angle_term(cfg, loc.theta_rad) + range_term) / SPEED_OF_LIGHT
     return np.exp(1j * phases) / math.sqrt(cfg.n_elements)
 
 

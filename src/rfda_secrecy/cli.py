@@ -139,8 +139,9 @@ def _flag_config(args: argparse.Namespace, cfg) -> dict:
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    "The scenario of the flags given, over ``--config`` where the command has that flag."
     cfg: dict = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             cfg = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
@@ -164,13 +165,13 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _cmd_mmin(args: argparse.Namespace) -> int:
-    s = scenario_from_config(_flag_config(args, {}))
+    s = _scenario_from_args(args)
     print(f"{m_min(args.beta, s.region, s.bob.theta_rad, s.array):.2f}")
     return 0
 
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
-    s = scenario_from_config(_flag_config(args, {}))
+    s = _scenario_from_args(args)
     m_value = args.m_min
     if m_value is None:
         if args.dtheta_deg is None or args.bob_theta_deg is None:

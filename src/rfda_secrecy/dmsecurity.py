@@ -120,11 +120,6 @@ def an_leakage(h_eve: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.float_power(np.abs(_dot(np.conj(h_eve), w)[..., 0]), 2)
 
 
-def snr_bob(power: PowerConfig) -> float:
-    "SNR at the intended receiver: delta * mu (the AN term cancels there)."
-    return power.delta * power.mu
-
-
 def sinr_eve(power: PowerConfig, corr2, an2):
     """SINR at an eavesdropper (elementwise on arrays).
 
@@ -147,8 +142,8 @@ def eta(n_elements: int) -> float:
 
 
 def capacity_bob(power: PowerConfig) -> float:
-    "Channel capacity of the intended receiver, log2(1 + delta*mu) bits."
-    return float(np.log2(1.0 + snr_bob(power)))
+    "Channel capacity of the intended receiver, log2(1 + delta*mu) bits: AN cancels there."
+    return float(np.log2(1.0 + power.delta * power.mu))
 
 
 def capacity_eve_an(power: PowerConfig, corr2, an2):

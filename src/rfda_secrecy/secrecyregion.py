@@ -51,19 +51,15 @@ class Scheme(Enum):
         return replace(power, delta=1.0) if self is Scheme.WITHOUT_AN else power
 
 
-def corner_locations(bob: Location, region: SecrecyRegion) -> list[Location]:
-    "The four corners (r +/- dr, theta +/- dtheta); validates angle bounds."
-    corners = []
-    for sr in (1.0, -1.0):
-        for st in (1.0, -1.0):
-            corners.append(Location(bob.r_m + sr * region.dr_m,
-                                    bob.theta_rad + st * region.dtheta_rad))
-    return corners
-
-
 def beta_boundary(cfg: ArrayConfig, k, bob: Location, region: SecrecyRegion) -> float:
-    "Largest squared steering correlation over the four region corners."
-    corners = corner_locations(bob, region)
+    """Largest squared steering correlation over the four region corners
+    (r +/- dr, theta +/- dtheta), each a valid :class:`Location` off Bob's range and angle."""
+    corners = [Location(bob.r_m + sr * region.dr_m, bob.theta_rad + st * region.dtheta_rad)
+               for sr in (1.0, -1.0) for st in (1.0, -1.0)]
+    for half, at in (("dr_m", "r_m"), ("dtheta_rad", "theta_rad")):
+        if any(getattr(c, at) == getattr(bob, at) for c in corners):  # below half an ulp
+            raise ValueError(f"the region half-width {half}={getattr(region, half)!r} rounds "
+                             f"away at Bob's {at}={getattr(bob, at)!r}: a corner lies on it")
     return float(correlation2_grid(cfg, k, bob, [c.r_m for c in corners],
                                    [c.theta_rad for c in corners]).max())
 

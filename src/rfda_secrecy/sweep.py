@@ -178,10 +178,13 @@ def estimator(s: Scenario, trials: int = DEFAULT_TRIALS, seed: int = 0,
     mode refuses ``n_seeds`` (beta_seeds) or ``beta`` given that it does not read;
     ``trials`` and ``seed`` always hold a value, so it accepts them unread."""
     _, reads, evaluator = ESTIMATORS[s.mode]
+    if beta is not None:  # the override draws no k, so it reads no beta_seeds
+        reads = {name: kind for name, kind in reads.items() if name != "beta_seeds"}
     values = {"beta": beta, "beta_seeds": n_seeds, "seed": seed, "trials": trials}
-    for name in ("beta", "beta_seeds"):
+    for name, flag in (("beta", "--beta"), ("beta_seeds", "--beta-seeds")):
         if values[name] is not None and name not in reads:
-            raise ValueError(f"{s.mode.value} mode reads no {name} (--{name.replace('_', '-')})")
+            at = " at a given beta (--beta)" if beta is not None and name != "beta" else ""
+            raise ValueError(f"{s.mode.value} mode{at} reads no {name} ({flag})")
     values["beta_seeds"] = DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds
     return evaluator(values), {name: values[name] for name, kind in reads.items()
                                if values[name] is not None and isinstance(s.k_source, kind)}

@@ -17,14 +17,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rfda_secrecy import (ArrayConfig, GeneratedK, Location, Mode, PowerConfig,
-                          Scheme, SecrecyRegion, complex_gaussian, correlation2,
-                          default_scenario, ellipse_semi_axes, eta, generate_k,
-                          an_vector, InfeasibleRateError, m_min, mc_capacity,
-                          result_csv_text, rho1, rho2, solve_m_min,
-                          steering_vector, sweep_bandwidth, sweep_delta,
-                          sweep_power, validate_fixtures, write_run)
+from rfda_secrecy.arraymodel import ArrayConfig, Location, correlation2, steering_vector
+from rfda_secrecy.dmsecurity import PowerConfig, an_vector, complex_gaussian, eta
+from rfda_secrecy.errors import InfeasibleRateError
+from rfda_secrecy.freqdesign import generate_k, rho1, rho2
 from rfda_secrecy.reference import beampattern_exact, beampattern_taylor
+from rfda_secrecy.secrecyregion import (Scheme, SecrecyRegion, ellipse_semi_axes, m_min,
+                                        solve_m_min)
+from rfda_secrecy.sweep import (GeneratedK, Mode, default_scenario, mc_capacity, result_csv_text,
+                                sweep_bandwidth, sweep_delta, sweep_power, validate_fixtures,
+                                write_run)
 
 THETA_B = math.radians(45.0)
 REGION = SecrecyRegion(8.0, math.radians(5.0))

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rfda_secrecy import (ArrayConfig, Location,
-                          SPEED_OF_LIGHT, SecrecyRegion, beampattern_grid, beta_boundary,
-                          corner_locations, correlation2, correlation2_grid,
-                          default_scenario, fixture_vector, generate_k,
-                          half_wavelength_spacing, steering_vector)
-from rfda_secrecy.freqdesign import FIXTURES
+from rfda_secrecy.arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, correlation2,
+                                     correlation2_grid, half_wavelength_spacing, steering_vector)
+from rfda_secrecy.freqdesign import FIXTURES, generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
+from rfda_secrecy.secrecyregion import SecrecyRegion, beta_boundary
+from rfda_secrecy.sweep import beampattern_grid, default_scenario, fixture_vector
 
 C = SPEED_OF_LIGHT
 
@@ -329,7 +328,8 @@ def test_beta_boundary_is_the_largest_scalar_corner_correlation(m):
     cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
     for region in (SecrecyRegion(8.0, math.radians(5)), SecrecyRegion(0.5, 1e-3),
                    SecrecyRegion(99.0, math.radians(44))):
-        corners = corner_locations(_BOB, region)
+        corners = [Location(_BOB.r_m + sr * region.dr_m, _BOB.theta_rad + st * region.dtheta_rad)
+                   for sr in (1.0, -1.0) for st in (1.0, -1.0)]
         for k in _vectors(m):
             want = max(correlation2_pointwise(cfg, k, _BOB, corner) for corner in corners)
             assert beta_boundary(cfg, k, _BOB, region) == pytest.approx(want, rel=1e-12)

@@ -5,16 +5,16 @@ import re
 import shlex
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 import rfda_secrecy
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
+from rfda_secrecy.errors import ConvergenceError
+from rfda_secrecy.freqdesign import default_fixture_path
 from rfda_secrecy.sweep import (READS, FixtureK, GeneratedK, read_config,
                                 scenario_from_config, scenario_to_config)
-from rfda_secrecy.errors import ConvergenceError
 
 MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"]
 
@@ -402,7 +402,7 @@ def test_a_missing_or_bad_fixture_table_exits_5_on_every_read(tmp_path, capsys):
             code, _, err = run(capsys, *argv)
             assert code == 5
             assert message in err
-    table.write_text(rfda_secrecy.default_fixture_path().read_text())
+    table.write_text(default_fixture_path().read_text())
     assert run(capsys, *argv)[0] == 0
 
 
@@ -578,6 +578,10 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--mode", "mc", "--trials", "5", "--eve-r-m", "1e300"]),
     (None, ["sweep", "power", "--mode", "mc", "--trials", "5", "--pt-max", "1",
             "--bob-r-m", "1e300"]),
+    (None, ["capacity", "--bob-r-m", "1e300"]),
+    (None, ["capacity", "--bob-r-m", "1e300", "--dr-m", "1e280"]),
+    (None, ["capacity", "--dtheta-deg", "1e-15"]),
+    (None, ["sweep", "power", "--bob-r-m", "1e300", "--pt-max", "1"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -699,7 +703,7 @@ _COMMAND_VALUES = {("validate-fixtures", "--fixture-path"): "{valid}"}
 def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     # a flag that no computation reads is dead weight: every flag of every
     # command must move its stdout, result.csv or plot.svg
-    table = rfda_secrecy.default_fixture_path().read_text().splitlines()
+    table = default_fixture_path().read_text().splitlines()
     rows = {line.split(",", 1)[0]: line.split(",", 1)[1] for line in table[1:]}
     # the K10405 row of this table holds the packaged K12905 increments
     (tmp_path / "table.csv").write_text(
@@ -745,6 +749,7 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     (None, ["--k-target", "10405", "--fixture-label", "K12905"], "--k-target"),
     (None, ["--k-target", "10405", "--fixture-path", "table.csv"], "--k-target"),
     (None, ["--mode", "mc", "--trials", "5", "--beta-seeds", "5"], "--beta-seeds"),
+    (None, ["--k-target", "10405", "--beta", "0.3", "--beta-seeds", "4"], "--beta-seeds"),
 ])
 def test_a_flag_that_cannot_apply_is_named_in_the_error(tmp_path, capsys, config, argv,
                                                           flag):
@@ -835,19 +840,39 @@ def test_every_readme_command_parses():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
-def test_the_package_exports_names_that_resolve_and_no_module():
-    for name in rfda_secrecy.__all__:
-        assert not isinstance(getattr(rfda_secrecy, name), types.ModuleType), name
+def test_the_package_exports_only_its_version():
+    # each library name has one import path: the module that defines it
+    assert rfda_secrecy.__all__ == ["__version__"]
     namespace: dict = {}
     exec("from rfda_secrecy import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(rfda_secrecy.__all__)
+    assert set(namespace) - {"__builtins__"} == {"__version__"}
+
+
+def _loaded_by(statement: str) -> list[str]:
+    "The package modules, and numpy if it is, that a fresh interpreter loads to run ``statement``."
+    env = {**os.environ, "PYTHONPATH": str(Path(rfda_secrecy.__file__).parents[1])}
+    code = (f"import json, sys; {statement}; print(json.dumps(sorted(name for name in "
+            "sys.modules if name == 'numpy' or name.startswith('rfda_secrecy.'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return json.loads(done.stdout)
 
 
 def test_cli_import_does_not_load_the_reference_module():
     # the scalar oracles in rfda_secrecy.reference exist for the tests; the
     # package and the command line must run without them
-    env = {**os.environ, "PYTHONPATH": str(Path(rfda_secrecy.__file__).parents[1])}
-    code = "import sys, rfda_secrecy.cli; print('rfda_secrecy.reference' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+    assert "rfda_secrecy.reference" not in _loaded_by("import rfda_secrecy.cli")
+
+
+def test_the_package_import_loads_only_the_version():
+    assert _loaded_by("import rfda_secrecy") == ["rfda_secrecy.version"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_version_is_written_once():
+    import tomllib
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    attr = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"]
+    assert attr == "rfda_secrecy.version.VERSION"

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rfda_secrecy import (ArrayConfig, Location, PowerConfig, RetryRequiredError,
-                          an_leakage, an_vector, c_an_lb, capacity_bob, capacity_eve_an,
-                          complex_gaussian, dbm_to_mw, eta, secrecy_capacity,
-                          sinr_eve, snr_bob, steering_vector)
+from rfda_secrecy.arraymodel import ArrayConfig, Location, steering_vector
+from rfda_secrecy.dmsecurity import (PowerConfig, an_leakage, an_vector, c_an_lb, capacity_bob,
+                                     capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
+                                     secrecy_capacity, sinr_eve)
+from rfda_secrecy.errors import RetryRequiredError
 from rfda_secrecy.reference import (an_vector_pointwise, c_lb, random_qpsk,
                                     receive_signal, transmit_signal)
 
@@ -160,10 +161,13 @@ def test_receive_signal_zero_input_and_eve_decomposition():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_snr_bob_examples():
-    assert snr_bob(PowerConfig(30.0, delta=0.6)) == pytest.approx(600.0, rel=1e-12)
-    assert snr_bob(PowerConfig(30.0, delta=0.0)) == 0.0
-    assert snr_bob(PowerConfig(0.0, delta=1.0)) == pytest.approx(1.0, rel=1e-12)
+def test_bob_snr_examples():
+    # the SNR at the intended receiver is delta * mu, as AN cancels there
+    def snr(power):
+        return 2.0 ** capacity_bob(power) - 1.0
+    assert snr(PowerConfig(30.0, delta=0.6)) == pytest.approx(600.0, rel=1e-12)
+    assert snr(PowerConfig(30.0, delta=0.0)) == 0.0
+    assert snr(PowerConfig(0.0, delta=1.0)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sinr_eve_examples():
@@ -275,4 +279,4 @@ def test_empirical_snr_matches_delta_mu():
     signal_power = float(np.mean(np.abs(clean) ** 2))
     noise_power = float(np.mean(np.abs(noise) ** 2))
     empirical = signal_power / noise_power
-    assert empirical == pytest.approx(snr_bob(pw), rel=0.03)
+    assert empirical == pytest.approx(pw.delta * pw.mu, rel=0.03)

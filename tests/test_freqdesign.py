@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (ConvergenceError, EigenResult, FixtureError, build_design_matrix,
-                          default_fixture_path, generate_k, load_frequency_table,
-                          rho1, rho2, symmetric_eigen)
 from rfda_secrecy import freqdesign
 from rfda_secrecy.cli import main
-from rfda_secrecy.freqdesign import _feasible_basis, _jacobi
+from rfda_secrecy.errors import ConvergenceError, FixtureError
+from rfda_secrecy.freqdesign import (EigenResult, _feasible_basis, _jacobi, build_design_matrix,
+                                     default_fixture_path, generate_k, load_frequency_table,
+                                     rho1, rho2, symmetric_eigen)
 from rfda_secrecy.sweep import GeneratedK, beta_for_scenario, default_scenario
 
 

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (BEAMWIDTH_CONSTANT_RAD, SPEED_OF_LIGHT, ArrayConfig,
-                          ConvergenceError, InfeasibleRateError,
-                          Location, PowerConfig, Scheme, SecrecyRegion,
-                          beta_boundary, beta_max_an, corner_locations,
-                          ellipse_semi_axes, fixture_vector, generate_k, k_min,
-                          eta, m_min, solve_m_min)
-from rfda_secrecy.reference import beampattern_taylor, beta_max_no_an
+from rfda_secrecy.arraymodel import ArrayConfig, Location, SPEED_OF_LIGHT
+from rfda_secrecy.dmsecurity import PowerConfig, eta
+from rfda_secrecy.errors import ConvergenceError, InfeasibleRateError
+from rfda_secrecy.freqdesign import generate_k
+from rfda_secrecy.reference import beampattern_taylor, beta_max_no_an, correlation2_pointwise
+from rfda_secrecy.secrecyregion import (BEAMWIDTH_CONSTANT_RAD, Scheme, SecrecyRegion,
+                                        beta_boundary, beta_max_an, ellipse_semi_axes, k_min,
+                                        m_min, solve_m_min)
+from rfda_secrecy.sweep import fixture_vector
 
 CFG = ArrayConfig.half_wavelength(16, 1e9, 1e6)
 BOB = Location(100.0, math.radians(45))
@@ -28,15 +30,31 @@ def test_region_validation():
         SecrecyRegion(1.0, 0.0)
 
 
-def test_corner_locations():
-    corners = corner_locations(BOB, REGION)
-    assert len(corners) == 4
-    assert {(round(c.r_m, 6), round(math.degrees(c.theta_rad), 6)) for c in corners} \
-        == {(108.0, 50.0), (108.0, 40.0), (92.0, 50.0), (92.0, 40.0)}
+def test_beta_boundary_is_the_largest_correlation_at_the_four_corners():
+    k = fixture_vector("K10405")
+    values = [correlation2_pointwise(CFG, k, BOB, Location(r, math.radians(deg)))
+              for r, deg in ((108.0, 50.0), (108.0, 40.0), (92.0, 50.0), (92.0, 40.0))]
+    assert len(set(values)) == 4
+    assert beta_boundary(CFG, k, BOB, REGION) == pytest.approx(max(values), rel=1e-12)
     # a region poking past the angular domain is rejected
     with pytest.raises(ValueError):
-        corner_locations(Location(100.0, math.radians(3)), SecrecyRegion(8.0,
-                                                                         math.radians(5)))
+        beta_boundary(CFG, k, Location(100.0, math.radians(3)),
+                      SecrecyRegion(8.0, math.radians(5)))
+
+
+@pytest.mark.parametrize("bob, region, half, at", [
+    (Location(1e300, THETA_B), REGION, "dr_m=8.0", "r_m=1e+300"),
+    (Location(1e300, THETA_B), SecrecyRegion(1e280, math.radians(5)), "dr_m=1e+280",
+     "r_m=1e+300"),
+    # 2**60 + 100 rounds to 2**60, while 2**60 - 100 does not
+    (Location(2.0 ** 60, THETA_B), SecrecyRegion(100.0, math.radians(5)), "dr_m=100.0",
+     f"r_m={2.0 ** 60!r}"),
+    (BOB, SecrecyRegion(8.0, math.radians(1e-15)), "dtheta_rad=", f"theta_rad={THETA_B!r}"),
+])
+def test_beta_boundary_refuses_a_half_width_that_rounds_away(bob, region, half, at):
+    with pytest.raises(ValueError) as error:
+        beta_boundary(CFG, fixture_vector("K10405"), bob, region)
+    assert half in str(error.value) and f"Bob's {at}" in str(error.value)
 
 
 def test_beta_boundary_degenerate_cases():

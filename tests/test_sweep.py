@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy import (ArrayConfig, ConfigError, ConvergenceError,
-                          FixtureError, FixtureK, GeneratedK, InfeasibleRateError,
-                          Location, Mode, PowerConfig, RetryRequiredError, Scenario,
-                          Scheme, SecrecyRegion, SweepResult, an_vector,
-                          beampattern_grid, beta_for_scenario, capacity_bob,
-                          complex_gaussian, config_hash, correlation2,
-                          default_scenario, fixture_vector,
-                          lb_capacity, mc_capacity, resolve_k, result_csv_text,
-                          scenario_from_config, scenario_to_config, steering_vector,
-                          sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
-                          validate_fixtures, write_run)
+from rfda_secrecy.arraymodel import ArrayConfig, Location, correlation2, steering_vector
+from rfda_secrecy.dmsecurity import PowerConfig, an_vector, capacity_bob, complex_gaussian
+from rfda_secrecy.errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
+                                 RetryRequiredError)
 from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
+from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
 from rfda_secrecy.svgchart import line_chart
-from rfda_secrecy.sweep import ESTIMATORS, READS, _BLOCK, _point_seed, _trial_streams
+from rfda_secrecy.sweep import (ESTIMATORS, READS, _BLOCK, FixtureK, GeneratedK, Mode, Scenario,
+                                SweepResult, _point_seed, _trial_streams, beampattern_grid,
+                                beta_for_scenario, config_hash, default_scenario, fixture_vector,
+                                lb_capacity, mc_capacity, resolve_k, result_csv_text,
+                                scenario_from_config, scenario_to_config, sweep_bandwidth,
+                                sweep_delta, sweep_power, sweep_rate, validate_fixtures, write_run)
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
 
@@ -477,9 +476,10 @@ _SETTINGS = {"seed": 3, "trials": 4}
 @pytest.mark.parametrize("mode, k_source, given, recorded", [
     (Mode.ANALYTIC_LB, FixtureK(), {**_SETTINGS, "n_seeds": 5}, {}),
     (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "n_seeds": 5}, {"beta_seeds": 5}),
+    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "beta": 0.3}, {"beta": 0.3}),
     (Mode.MONTE_CARLO, FixtureK(), _SETTINGS, _SETTINGS),
     (Mode.MONTE_CARLO, GeneratedK(10405.0), _SETTINGS, _SETTINGS),
-], ids=["lb-fixture", "lb-generated", "mc-fixture", "mc-generated"])
+], ids=["lb-fixture", "lb-generated", "lb-generated-at-beta", "mc-fixture", "mc-generated"])
 def test_sweep_rate_manifest_records_no_evaluation_settings(mode, k_source, given, recorded):
     # the closed-form rate solver draws nothing and reads no mode, so a seed,
     # mode, trial or beta-seed count in its run id would only split equal runs
@@ -487,7 +487,8 @@ def test_sweep_rate_manifest_records_no_evaluation_settings(mode, k_source, give
     meta = sweep_rate(s, [1.0]).meta
     assert set(meta) == {"config", "sweep", "config_hash", "tool_version"}
     # a capacity sweep records exactly the settings that its mode reads, and its
-    # mode only in config: lb reads beta_seeds for a generated k alone
+    # mode only in config: lb reads beta_seeds for a generated k alone, and not
+    # at a given beta, which draws no k
     power_meta = sweep_power(s, [0.0], **given).meta
     assert {key: value for key, value in power_meta.items()
             if key not in {"config", "sweep", "config_hash", "tool_version"}} == recorded
