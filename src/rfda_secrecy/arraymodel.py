@@ -90,11 +90,20 @@ def _angle_term(cfg: ArrayConfig, theta_rad: float) -> np.ndarray:
 
 
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
-    "Unit-norm steering vector toward ``loc``; entries have modulus 1/sqrt(M)."
-    range_term = _as_k(k, cfg.n_elements) * cfg.delta_f_hz * loc.r_m
+    """Unit-norm steering vector toward ``loc``; entries have modulus 1/sqrt(M).
+    Cached per (array, bytes of ``k``, location), so read-only: callers share it."""
+    return _steering(cfg, _as_k(k, cfg.n_elements).tobytes(), loc)
+
+
+@functools.lru_cache(maxsize=8)
+def _steering(cfg: ArrayConfig, buf: bytes, loc: Location) -> np.ndarray:
+    "The steering vector of :func:`steering_vector` for the ``k`` whose bytes are ``buf``."
+    range_term = np.frombuffer(buf) * cfg.delta_f_hz * loc.r_m
     # the per-element phases toward loc: a vectorized reference.phase_shift
     phases = -2.0 * np.pi * (_angle_term(cfg, loc.theta_rad) + range_term) / SPEED_OF_LIGHT
-    return np.exp(1j * phases) / math.sqrt(cfg.n_elements)
+    h = np.exp(1j * phases) / math.sqrt(cfg.n_elements)
+    h.setflags(write=False)
+    return h
 
 
 def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):

@@ -206,15 +206,26 @@ def _cmd_gen_k(args: argparse.Namespace) -> int:
     return 0
 
 
+def _region_bound(given, bound: float, bob: float, half_width: str) -> float:
+    "A grid bound: ``given``, or else the region's ``bound`` unless it rounds onto ``bob``."
+    if given is not None:
+        return given
+    if bound == bob:
+        raise ValueError(f"{half_width} rounds away at Bob's coordinate {bob!r}: the "
+                         f"default grid would hold that one value")
+    return bound
+
+
 def _cmd_beampattern(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
-    r_values = _grid(args.r_min if args.r_min is not None else s.bob.r_m - 3 * s.region.dr_m,
-                     args.r_max if args.r_max is not None else s.bob.r_m + 3 * s.region.dr_m,
-                     args.r_step)
-    theta_lo = args.theta_min_deg if args.theta_min_deg is not None else \
-        math.degrees(s.bob.theta_rad - 3 * s.region.dtheta_rad)
-    theta_hi = args.theta_max_deg if args.theta_max_deg is not None else \
-        math.degrees(s.bob.theta_rad + 3 * s.region.dtheta_rad)
+    r, dr, r_half = s.bob.r_m, 3 * s.region.dr_m, f"--dr-m {s.region.dr_m:g}"
+    r_values = _grid(_region_bound(args.r_min, r - dr, r, r_half),
+                     _region_bound(args.r_max, r + dr, r, r_half), args.r_step)
+    theta, dtheta = s.bob.theta_rad, 3 * s.region.dtheta_rad
+    bob_deg = math.degrees(theta)
+    theta_half = f"--dtheta-deg {math.degrees(s.region.dtheta_rad):g}"
+    theta_lo = _region_bound(args.theta_min_deg, math.degrees(theta - dtheta), bob_deg, theta_half)
+    theta_hi = _region_bound(args.theta_max_deg, math.degrees(theta + dtheta), bob_deg, theta_half)
     theta_deg = _grid(theta_lo, theta_hi, args.theta_step_deg)
     if len(r_values) * len(theta_deg) > _MAX_BEAMPATTERN_POINTS:
         raise ValueError(f"beampattern grid exceeds {_MAX_BEAMPATTERN_POINTS} points")

@@ -200,9 +200,9 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
 
     for _ in range(64):
         vec = direction(rng.standard_normal(dim))
-        norm = np.linalg.norm(vec)
+        norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's 1-D branch, undispatched
         if norm > 1e-12:
-            return vec * np.sqrt(k_target) / norm
+            return vec * math.sqrt(k_target) / norm
     raise ConvergenceError(f"64 {method} draws in a row gave a degenerate direction")
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rfda_secrecy.arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, correlation2,
-                                     correlation2_grid, half_wavelength_spacing, steering_vector)
+from rfda_secrecy.arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, _steering,
+                                     correlation2, correlation2_grid, half_wavelength_spacing,
+                                     steering_vector)
 from rfda_secrecy.freqdesign import FIXTURES, generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
-from rfda_secrecy.secrecyregion import SecrecyRegion, beta_boundary
-from rfda_secrecy.sweep import beampattern_grid, default_scenario, fixture_vector
+from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion, beta_boundary
+from rfda_secrecy.sweep import beampattern_grid, default_scenario, fixture_vector, mc_capacity
 
 C = SPEED_OF_LIGHT
 
@@ -369,3 +370,72 @@ def test_beampattern_grid_raises_at_the_first_bad_location_of_the_pointwise_loop
     with pytest.raises(ValueError) as got:
         beampattern_grid(s, r_values, thetas)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# the steering-vector memo: every trial path shares it, reference included,
+# so these tests check it against the uncached body and the per-element phases
+# ---------------------------------------------------------------------------
+
+def _uncached(cfg, k, loc):
+    return _steering.__wrapped__(cfg, np.asarray(k, dtype=float).tobytes(), loc)
+
+
+@pytest.mark.parametrize("m", [2, 16, 32])
+def test_steering_vector_has_the_bits_of_the_uncached_body_and_the_element_phases(m):
+    cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
+    for k in _vectors(m):
+        for loc in (Location(0.0, _BOB.theta_rad), _BOB, Location(_BOB.r_m, 2.0)):
+            got = steering_vector(cfg, k, loc)
+            assert got.tobytes() == _uncached(cfg, k, loc).tobytes()
+            phases = [phase_shift(cfg, km, i, loc) for i, km in enumerate(k, start=1)]
+            np.testing.assert_allclose(got, np.exp(1j * np.array(phases)) / math.sqrt(m),
+                                       rtol=0, atol=1e-15)
+
+
+def test_steering_vector_is_read_only():
+    cfg = ArrayConfig.half_wavelength(16, 1e9, 1e6)
+    h = steering_vector(cfg, fixture_vector("K10405"), _BOB)
+    with pytest.raises(ValueError):
+        h[0] = 1.0
+
+
+def test_steering_vector_keys_the_content_of_k_not_its_identity():
+    cfg = ArrayConfig.half_wavelength(16, 1e9, 1e6)
+    k = fixture_vector("K10405").copy()
+    before = steering_vector(cfg, k, _BOB).copy()
+    k[3] += 1.0
+    after = steering_vector(cfg, k, _BOB)
+    assert after.tobytes() == _uncached(cfg, k, _BOB).tobytes()
+    assert not np.array_equal(after, before)
+
+
+def test_steering_vector_recomputes_an_evicted_key_to_the_same_bits():
+    _steering.cache_clear()
+    cfg = ArrayConfig.half_wavelength(16, 1e9, 1e6)
+    k = fixture_vector("K12905")
+    first = steering_vector(cfg, k, _BOB).tobytes()
+    for r in range(1, 10):
+        steering_vector(cfg, k, Location(float(r), _BOB.theta_rad))
+    assert _steering.cache_info().currsize == 8
+    assert steering_vector(cfg, k, _BOB).tobytes() == first
+    assert _steering.cache_info().misses == 11
+
+
+def test_steering_vector_at_signed_zero_ranges_shares_one_entry_with_the_uncached_bits():
+    _steering.cache_clear()
+    cfg = ArrayConfig.half_wavelength(16, 1e9, 1e6)
+    k = fixture_vector("K15405")
+    assert (k < 0).any()
+    plus, minus = Location(0.0, 2.0), Location(-0.0, 2.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    for loc in (plus, minus, plus):
+        assert steering_vector(cfg, k, loc).tobytes() == _uncached(cfg, k, loc).tobytes()
+    assert (_steering.cache_info().misses, _steering.cache_info().hits) == (1, 2)
+
+
+def test_fixture_monte_carlo_builds_each_steering_vector_once():
+    # a fixture k aims at Bob and Eve alike on every trial: two entries serve all
+    _steering.cache_clear()
+    mc_capacity(default_scenario(), 300, 0, Scheme.WITH_AN)
+    assert (_steering.cache_info().misses, _steering.cache_info().hits) == (2, 598)

@@ -424,6 +424,25 @@ def test_beampattern_cli(tmp_path, capsys):
     assert run_dir.name == f"beampattern-{manifest['config_hash']}"
 
 
+@pytest.mark.parametrize("argv, flag, bob", [
+    (["--bob-r-m", "1e300"], "--dr-m 8", "1e+300"),
+    (["--dtheta-deg", "1e-15"], "--dtheta-deg 1e-15", "45.0"),
+])
+def test_beampattern_refuses_a_default_axis_that_rounds_onto_bob(tmp_path, capsys, argv,
+                                                                 flag, bob):
+    code, out, err = run(capsys, "beampattern", *argv, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert f"{flag} rounds away at Bob's coordinate {bob}" in err
+
+
+def test_beampattern_keeps_an_explicit_one_point_range_axis(tmp_path, capsys):
+    code, out, _ = run(capsys, "beampattern", "--r-min", "100", "--r-max", "100",
+                       "--out", str(tmp_path))
+    assert code == 0
+    rows = (Path(out.strip()) / "result.csv").read_text().splitlines()[1:]
+    assert len(rows) > 1 and {row.split(",")[0] for row in rows} == {"100.0"}
+
+
 def test_config_file_with_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"array": {"M": 8}, "rogue": 1}))
@@ -582,6 +601,9 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--bob-r-m", "1e300", "--dr-m", "1e280"]),
     (None, ["capacity", "--dtheta-deg", "1e-15"]),
     (None, ["sweep", "power", "--bob-r-m", "1e300", "--pt-max", "1"]),
+    (None, ["beampattern", "--bob-r-m", "1e300"]),
+    (None, ["beampattern", "--bob-r-m", "1e300", "--dr-m", "1e280"]),
+    (None, ["beampattern", "--dtheta-deg", "1e-15"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)

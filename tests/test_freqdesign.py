@@ -90,7 +90,8 @@ def test_design_matrix_top_eigenspace():
         eig = symmetric_eigen(a)
         lam_expected = m ** 3 * (m ** 2 - 1) / 3.0
         assert eig.eigenvalues[0] == pytest.approx(lam_expected, rel=1e-9)
-        top = eig.eigenvectors[:, eig.eigenvalues >= eig.eigenvalues[0] * (1 - 1e-6)]
+        lam_max = eig.eigenvalues[0]
+        top = eig.eigenvectors[:, eig.eigenvalues >= lam_max - 1e-6 * lam_max]
         assert top.shape[1] == m - 2
         ones = np.ones(m) / math.sqrt(m)
         idx = np.arange(1, m + 1, dtype=float)
@@ -212,6 +213,24 @@ def test_generate_k_deterministic():
     c = generate_k(16, 10405.0, "projection", seed=43)
     np.testing.assert_array_equal(a, b)
     assert np.abs(a - c).max() > 1e-3
+
+
+@pytest.mark.parametrize("method", ["projection", "eigen"])
+@pytest.mark.parametrize("m", [3, 16, 32, 64])
+def test_generate_k_has_the_bits_of_the_numpy_norm_scaling(m, method):
+    if method == "projection":
+        ones, idx = _feasible_basis(m)
+        dim, direction = m, lambda g: g - (ones @ g) * ones - (idx @ g) * idx
+    else:
+        eig = symmetric_eigen(build_design_matrix(m), tol=1e-14)
+        lam_max = eig.eigenvalues[0]
+        top = eig.eigenvectors[:, eig.eigenvalues >= lam_max - 1e-6 * lam_max]
+        dim, direction = top.shape[1], top.__matmul__
+    for k_target in (10405.0, 7.3):
+        for seed in range(200):
+            v = direction(np.random.default_rng(seed).standard_normal(dim))
+            want = v * np.sqrt(k_target) / np.linalg.norm(v)
+            assert np.array_equal(generate_k(m, k_target, method, seed), want)
 
 
 @pytest.mark.parametrize("method,sizes", [
