@@ -81,27 +81,32 @@ def half_wavelength_spacing(f0_hz: float) -> float:
 
 
 @functools.lru_cache
-def _angle_term(cfg: ArrayConfig, theta_rad: float) -> np.ndarray:
+def _angle_term(n_elements: int, f0_hz: float, spacing_m: float, theta_rad: float) -> np.ndarray:
     """The k-independent part ``m*f0*d*cos(theta)`` of the per-element phases.
     Cached, so the array is read-only: every steering vector toward theta shares it."""
-    term = np.arange(cfg.n_elements) * cfg.f0_hz * cfg.spacing_m * np.cos(theta_rad)
+    term = np.arange(n_elements) * f0_hz * spacing_m * np.cos(theta_rad)
     term.setflags(write=False)
     return term
 
 
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
     """Unit-norm steering vector toward ``loc``; entries have modulus 1/sqrt(M).
-    Cached per (array, bytes of ``k``, location), so read-only: callers share it."""
-    return _steering(cfg, _as_k(k, cfg.n_elements).tobytes(), loc)
+    Cached per (array, bytes of ``k``, location), keyed on their fields as plain
+    numbers, so read-only: callers share it."""
+    return _steering(cfg.n_elements, cfg.f0_hz, cfg.delta_f_hz, cfg.spacing_m,
+                     _as_k(k, cfg.n_elements).tobytes(), loc.r_m, loc.theta_rad)
 
 
 @functools.lru_cache(maxsize=8)
-def _steering(cfg: ArrayConfig, buf: bytes, loc: Location) -> np.ndarray:
-    "The steering vector of :func:`steering_vector` for the ``k`` whose bytes are ``buf``."
-    range_term = np.frombuffer(buf) * cfg.delta_f_hz * loc.r_m
+def _steering(n_elements: int, f0_hz: float, delta_f_hz: float, spacing_m: float, buf: bytes,
+              r_m: float, theta_rad: float) -> np.ndarray:
+    """The steering vector of :func:`steering_vector` for the array, ``k`` (whose
+    bytes are ``buf``) and location given by their fields."""
+    range_term = np.frombuffer(buf) * delta_f_hz * r_m
     # the per-element phases toward loc: a vectorized reference.phase_shift
-    phases = -2.0 * np.pi * (_angle_term(cfg, loc.theta_rad) + range_term) / SPEED_OF_LIGHT
-    h = np.exp(1j * phases) / math.sqrt(cfg.n_elements)
+    phases = -2.0 * np.pi * (_angle_term(n_elements, f0_hz, spacing_m, theta_rad)
+                             + range_term) / SPEED_OF_LIGHT
+    h = np.exp(1j * phases) / math.sqrt(n_elements)
     h.setflags(write=False)
     return h
 

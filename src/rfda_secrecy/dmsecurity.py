@@ -72,9 +72,15 @@ class PowerConfig:
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
     """Circularly-symmetric unit-variance complex Gaussian draws: ``size`` real
     parts, then ``size`` imaginary parts, taken from ``rng`` in one call."""
-    parts = rng.standard_normal((2, size))
-    z = np.empty(size, dtype=complex)
-    z.real, z.imag = parts
+    return complex_from_parts(rng.standard_normal((2, size)))
+
+
+def complex_from_parts(parts: np.ndarray) -> np.ndarray:
+    """The complex draws of standard-normal ``parts`` of shape (..., 2, M): along
+    the second-to-last axis, the real parts, then the imaginary parts, over
+    sqrt(2).  A stack of rows gives each row the bits of that row alone."""
+    z = np.empty(parts.shape[:-2] + parts.shape[-1:], dtype=complex)
+    z.real, z.imag = parts[..., 0, :], parts[..., 1, :]
     z /= math.sqrt(2.0)
     return z
 

@@ -29,7 +29,7 @@ import numpy as np
 from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, correlation2_grid,
                          half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capacity_eve_an,
-                         complex_gaussian, secrecy_capacity, c_an_lb, eta)
+                         complex_from_parts, complex_gaussian, secrecy_capacity, c_an_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                      RetryRequiredError)
 from .freqdesign import FIXTURES, generate_k, load_frequency_table, require_feasible
@@ -172,18 +172,23 @@ ESTIMATORS = {
 
 
 def estimator(s: Scenario, trials: int = DEFAULT_TRIALS, seed: int = 0,
-              n_seeds: int | None = None, beta: float | None = None) -> tuple[Callable, dict]:
+              n_seeds: int | None = None, beta: float | None = None,
+              strict: bool = False) -> tuple[Callable, dict]:
     """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) ->
     (value, stderr or None)``, and the settings it reads, which a manifest records.  A
     mode refuses ``n_seeds`` (beta_seeds) or ``beta`` given that it does not read;
+    ``strict`` (the CLI's rule) refuses too one that the scenario's k source does
+    not read, where a library call may pass a count that a fixture k ignores.
     ``trials`` and ``seed`` always hold a value, so it accepts them unread."""
     _, reads, evaluator = ESTIMATORS[s.mode]
     if beta is not None:  # the override draws no k, so it reads no beta_seeds
         reads = {name: kind for name, kind in reads.items() if name != "beta_seeds"}
     values = {"beta": beta, "beta_seeds": n_seeds, "seed": seed, "trials": trials}
     for name, flag in (("beta", "--beta"), ("beta_seeds", "--beta-seeds")):
-        if values[name] is not None and name not in reads:
-            at = " at a given beta (--beta)" if beta is not None and name != "beta" else ""
+        if values[name] is not None and (
+                name not in reads or strict and not isinstance(s.k_source, reads[name])):
+            at = (" at a given beta (--beta)" if beta is not None and name != "beta"
+                  else " with a fixture k" if name in reads else "")
             raise ValueError(f"{s.mode.value} mode{at} reads no {name} ({flag})")
     values["beta_seeds"] = DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds
     return evaluator(values), {name: values[name] for name, kind in reads.items()
@@ -335,12 +340,16 @@ def _trial_streams(seed: int):
     far more: its constructor collects OS entropy that a given key overrides."""
     bits = np.random.Philox(key=0)
     rng, state = np.random.Generator(bits), bits.state
+    # the setter reads Python ints faster than numpy scalars, so the state's arrays
+    # become lists, and one key list serves every trial
+    state["state"]["counter"] = state["state"]["counter"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     # as in Philox's own key conversion, a seed >= 2**63 goes through float64 and
     # loses its low bits, as the recorded runs did; one rounded up to 2**64 wraps to 0
-    key = (seed if seed < 2 ** 63 else int(float(seed))) % 2 ** 64
+    key = state["state"]["key"] = [(seed if seed < 2 ** 63 else int(float(seed))) % 2 ** 64, 0]
 
     def stream(trial: int) -> np.random.Generator:
-        state["state"]["key"] = np.array([key, trial], dtype=np.uint64)
+        key[1] = trial
         bits.state = state
         return rng
 
@@ -435,9 +444,11 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     source, the fixture row otherwise) and draws a fresh AN realization from
     its own stream, ``Philox(key=[seed, trial])`` (which keys a seed >= 2**63
     through float64, dropping its low bits), so identical inputs give
-    bit-identical output.  The draws run trial by trial, in that order; the
-    evaluation runs once per block of up to 128 trials, as stacked products
-    that give every trial the bits of its one-trial evaluation
+    bit-identical output.  The draws run trial by trial, in that order, each
+    AN draw as standard-normal parts into the block's buffer; the evaluation
+    runs once per block of up to 128 trials: it makes the block's noise
+    complex with the bits of ``complex_gaussian``, then evaluates stacked
+    products that give every trial the bits of its one-trial evaluation
     (``reference.trial_capacity``).  A trial whose AN draw is parallel to the
     intended channel replays its draws on a fresh copy of its stream and
     redraws from there, 64 draws at most.  When ``k`` is a fixture row and no
@@ -453,10 +464,11 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     an = power.delta < 1.0
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
     stream = _trial_streams(seed)
-    # one block's draws, written in place: row j holds trial start + j
+    # one block's draws, written in place: row j holds trial start + j, its AN
+    # noise as the standard-normal real parts, then imaginary parts
     rows = min(trials, _BLOCK)
-    ks = np.empty((rows, m))
-    h_bob, h_eve, z = (np.empty((rows, m), dtype=complex) for _ in range(3))
+    ks, noise = np.empty((rows, m)), np.empty((rows, 2, m))
+    h_bob, h_eve = (np.empty((rows, m), dtype=complex) for _ in range(2))
 
     def draw(rng: np.random.Generator, j: int) -> np.random.Generator:
         """A trial's draws from ``rng`` into row j, in the order of the one-trial
@@ -466,7 +478,7 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
         if an:
             h_bob[j] = steering_vector(s.array, k, s.bob)
             h_eve[j] = steering_vector(s.array, k, s.eve)
-            z[j] = complex_gaussian(rng, m)
+            rng.standard_normal(out=noise[j])
         return rng
 
     def evaluate(start: int, n: int) -> np.ndarray:
@@ -474,6 +486,7 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
         corr2 = _correlation2(s.array, ks[:n], *pq)
         if not an:
             return secrecy_capacity(cb, capacity_eve_an(power, corr2, 0.0))
+        z = complex_from_parts(noise[:n])  # as complex_gaussian makes each row
         redraws: dict[int, np.random.Generator] = {}
         for attempt in range(1, 65):
             try:

@@ -11,7 +11,8 @@ from rfda_secrecy.freqdesign import FIXTURES, generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion, beta_boundary
-from rfda_secrecy.sweep import beampattern_grid, default_scenario, fixture_vector, mc_capacity
+from rfda_secrecy.sweep import (GeneratedK, beampattern_grid, default_scenario, fixture_vector,
+                                mc_capacity)
 
 C = SPEED_OF_LIGHT
 
@@ -378,7 +379,8 @@ def test_beampattern_grid_raises_at_the_first_bad_location_of_the_pointwise_loop
 # ---------------------------------------------------------------------------
 
 def _uncached(cfg, k, loc):
-    return _steering.__wrapped__(cfg, np.asarray(k, dtype=float).tobytes(), loc)
+    return _steering.__wrapped__(cfg.n_elements, cfg.f0_hz, cfg.delta_f_hz, cfg.spacing_m,
+                                 np.asarray(k, dtype=float).tobytes(), loc.r_m, loc.theta_rad)
 
 
 @pytest.mark.parametrize("m", [2, 16, 32])
@@ -439,3 +441,23 @@ def test_fixture_monte_carlo_builds_each_steering_vector_once():
     _steering.cache_clear()
     mc_capacity(default_scenario(), 300, 0, Scheme.WITH_AN)
     assert (_steering.cache_info().misses, _steering.cache_info().hits) == (2, 598)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_generated_monte_carlo_draws_one_k_per_trial(scheme, monkeypatch):
+    # one generate_k call per trial, whatever the scheme or the block, none for a fixture k
+    import rfda_secrecy.sweep as sweep_mod
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate_k(*args, **kwargs)
+
+    monkeypatch.setattr(sweep_mod, "generate_k", counted)
+    s = default_scenario(array=ArrayConfig.half_wavelength(32, 1e9, 1e6),
+                         k_source=GeneratedK(10405.0, "projection", 0))
+    mc_capacity(s, 300, 0, scheme)
+    assert len(calls) == 300
+    mc_capacity(default_scenario(), 300, 0, scheme)
+    assert len(calls) == 300

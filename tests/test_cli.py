@@ -328,7 +328,7 @@ def test_sweep_rate_gaps_in_csv(tmp_path, capsys):
 
 def test_sweep_power_outputs_and_determinism(tmp_path, capsys):
     argv = ["sweep", "power", "--pt-min", "0", "--pt-max", "6", "--pt-step", "2",
-            "--beta-seeds", "5", "--out", str(tmp_path), "--svg"]
+            "--out", str(tmp_path), "--svg"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     run_dir = tmp_path / out.strip().split("/")[-1]
@@ -549,6 +549,8 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "-7"]),
     (None, ["capacity", "--mode", "mc", "--trials", "50", "--beta-seeds", "5"]),
     (None, ["sweep", "power", "--mode", "mc", "--trials", "5", "--beta-seeds", "5"]),
+    (None, ["capacity", "--beta-seeds", "4"]),
+    (None, ["sweep", "delta", "--beta-seeds", "4"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "10", "--delta", "0.5"]),
     (None, ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45",
             "--dr-m", "3"]),
@@ -604,6 +606,10 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["beampattern", "--bob-r-m", "1e300"]),
     (None, ["beampattern", "--bob-r-m", "1e300", "--dr-m", "1e280"]),
     (None, ["beampattern", "--dtheta-deg", "1e-15"]),
+    (None, ["beampattern", "--dtheta-deg", "1e-12", "--theta-step-deg", "1e-12",
+            "--r-min", "100", "--r-max", "100"]),
+    (None, ["sweep", "power", "--pt-min", "1", "--pt-max", "1.0000000001",
+            "--pt-step", "1e-11"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -772,6 +778,7 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     (None, ["--k-target", "10405", "--fixture-path", "table.csv"], "--k-target"),
     (None, ["--mode", "mc", "--trials", "5", "--beta-seeds", "5"], "--beta-seeds"),
     (None, ["--k-target", "10405", "--beta", "0.3", "--beta-seeds", "4"], "--beta-seeds"),
+    (None, ["--beta-seeds", "4"], "--beta-seeds"),
 ])
 def test_a_flag_that_cannot_apply_is_named_in_the_error(tmp_path, capsys, config, argv,
                                                           flag):
@@ -820,10 +827,12 @@ def test_beta_seeds_is_part_of_the_run_id(tmp_path, capsys):
     assert few_dir != many_dir
     mc = ("--mode", "mc", "--trials", "20")
     assert sweep(*mc)[1] is None
-    # a fixture k gives one beta whatever the count, so it records none and shares a run
-    fixture = sweep("--beta-seeds", "5", k=())
-    assert fixture == sweep("--beta-seeds", "6", k=()) == sweep(k=())
-    assert fixture[1] is None
+    # a fixture k gives one beta whatever the count, so it takes none and records none
+    assert sweep(k=())[1] is None
+    code, out, err = run(capsys, "sweep", "power", "--pt-max", "2", "--beta-seeds", "5",
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "--beta-seeds" in err
 
 
 def test_seed_is_part_of_the_run_id_only_in_mc_mode(tmp_path, capsys):

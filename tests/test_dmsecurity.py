@@ -5,8 +5,8 @@ import pytest
 
 from rfda_secrecy.arraymodel import ArrayConfig, Location, steering_vector
 from rfda_secrecy.dmsecurity import (PowerConfig, an_leakage, an_vector, c_an_lb, capacity_bob,
-                                     capacity_eve_an, complex_gaussian, dbm_to_mw, eta,
-                                     secrecy_capacity, sinr_eve)
+                                     capacity_eve_an, complex_from_parts, complex_gaussian,
+                                     dbm_to_mw, eta, secrecy_capacity, sinr_eve)
 from rfda_secrecy.errors import RetryRequiredError
 from rfda_secrecy.reference import (an_vector_pointwise, c_lb, random_qpsk,
                                     receive_signal, transmit_signal)
@@ -50,6 +50,16 @@ def test_complex_gaussian_draws_the_real_parts_then_the_imaginary_parts():
         for _ in range(50):
             expected = (want.standard_normal(m) + 1j * want.standard_normal(m)) / math.sqrt(2.0)
             assert np.array_equal(complex_gaussian(got, m), expected)
+
+
+def test_complex_from_parts_gives_a_stacked_row_the_bits_of_the_row_alone():
+    # a stack converts each row as that row alone, signed zeros and non-finite parts too
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-320, -2.5])
+    parts = np.array([[special, special[::-1]], [special[::-1], special], [-special, special]])
+    with np.errstate(invalid="ignore"):
+        stacked = complex_from_parts(parts)
+        for j in range(len(parts)):
+            assert stacked[j].tobytes() == complex_from_parts(parts[j]).tobytes()
 
 
 def test_an_vector_orthogonality_and_norm():

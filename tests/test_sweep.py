@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import ArrayConfig, Location, correlation2, steering_vector
-from rfda_secrecy.dmsecurity import PowerConfig, an_vector, capacity_bob, complex_gaussian
+from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, complex_from_parts,
+                                     complex_gaussian)
 from rfda_secrecy.errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                                  RetryRequiredError)
 from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
@@ -295,11 +296,25 @@ def test_mc_capacity_blocks_equal_the_per_trial_reference(case, scheme):
         assert mc_capacity(s, trials, POINT_SEED, scheme) == _mean_stderr(values[:trials])
 
 
+@pytest.mark.parametrize("m", [2, 3, 16, 32])
+def test_block_noise_has_the_bits_of_complex_gaussian_row_by_row(m):
+    # mc_capacity draws each trial's AN parts into its block row and converts the
+    # block at once; two blocks of rows, each against its trial's complex_gaussian
+    stream, fresh = _trial_streams(POINT_SEED), _trial_streams(POINT_SEED)
+    noise = np.empty((_BLOCK, 2, m))
+    for start in (0, _BLOCK):
+        for j in range(_BLOCK):
+            stream(start + j).standard_normal(out=noise[j])
+        z = complex_from_parts(noise)
+        for j in range(_BLOCK):
+            assert z[j].tobytes() == complex_gaussian(fresh(start + j), m).tobytes()
+
+
 @pytest.mark.parametrize("parallel", [63, 64])
 @pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
 def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, parallel,
                                                                      monkeypatch):
-    import rfda_secrecy.reference as reference_mod
+    import rfda_secrecy.dmsecurity as dmsecurity_mod
     import rfda_secrecy.sweep as sweep_mod
 
     s = _BLOCK_CASES[case]
@@ -314,12 +329,16 @@ def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, paral
     with pytest.raises(RetryRequiredError):
         an_vector(h_bob, (0.6 - 0.8j) * h_bob)
 
-    def parallel_at_bad(rng, size):
-        z = complex_gaussian(rng, size)
-        return (0.6 - 0.8j) * h_bob if z.tobytes() in turned else z
+    def parallel_at_bad(parts):
+        # every AN draw, of a block or of complex_gaussian, becomes complex here
+        z = complex_from_parts(parts)
+        for row in z.reshape(-1, z.shape[-1]):
+            if row.tobytes() in turned:
+                row[:] = (0.6 - 0.8j) * h_bob
+        return z
 
-    for module in (sweep_mod, reference_mod):
-        monkeypatch.setattr(module, "complex_gaussian", parallel_at_bad)
+    for module in (sweep_mod, dmsecurity_mod):
+        monkeypatch.setattr(module, "complex_from_parts", parallel_at_bad)
     trials = 2 * _BLOCK + 1
     if parallel == 64:
         for run in (lambda: trial_capacity(s, Scheme.WITH_AN, POINT_SEED, bad),
