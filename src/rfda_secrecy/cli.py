@@ -43,7 +43,7 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     if not span < _MAX_AXIS_POINTS:
         raise ValueError(f"grid {lo}:{hi}:{step} has more than {_MAX_AXIS_POINTS} points")
     points = [round(lo + i * step, 10) for i in range(int(math.floor(span)) + 1)]
-    if len(set(points)) < len(points):  # rounding keeps the order, so repeats are neighbours
+    if any(b <= a for a, b in zip(points, points[1:])):  # rounding can merge neighbours
         raise ValueError(f"grid step {step} repeats points rounded to 10 decimals")
     return points
 
@@ -242,7 +242,7 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
-    evaluate, _ = estimator(s, args.trials, args.seed, args.beta_seeds, args.beta, strict=True)
+    evaluate, _ = estimator(s, args.trials, args.seed, args.beta_seeds, args.beta)
     for scheme in _SCHEME_CHOICES[args.scheme]:
         value, err = evaluate(s, scheme)
         print(f"{scheme.value}={value:.4f}" + ("" if err is None else f" stderr={err:.4f}"))
@@ -251,7 +251,7 @@ def _cmd_capacity(args: argparse.Namespace) -> int:
 
 def _evaluation(args: argparse.Namespace) -> dict:
     return dict(schemes=_SCHEME_CHOICES[args.scheme], trials=args.trials, seed=args.seed,
-                n_seeds=getattr(args, "beta_seeds", None), strict=True)
+                n_seeds=getattr(args, "beta_seeds", None))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -172,21 +172,19 @@ ESTIMATORS = {
 
 
 def estimator(s: Scenario, trials: int = DEFAULT_TRIALS, seed: int = 0,
-              n_seeds: int | None = None, beta: float | None = None,
-              strict: bool = False) -> tuple[Callable, dict]:
+              n_seeds: int | None = None, beta: float | None = None) -> tuple[Callable, dict]:
     """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) ->
     (value, stderr or None)``, and the settings it reads, which a manifest records.  A
-    mode refuses ``n_seeds`` (beta_seeds) or ``beta`` given that it does not read;
-    ``strict`` (the CLI's rule) refuses too one that the scenario's k source does
-    not read, where a library call may pass a count that a fixture k ignores.
-    ``trials`` and ``seed`` always hold a value, so it accepts them unread."""
+    mode refuses ``n_seeds`` (beta_seeds) or ``beta`` given that it does not read for
+    the scenario's k source; ``trials`` and ``seed`` always hold a value, so it
+    accepts them unread."""
     _, reads, evaluator = ESTIMATORS[s.mode]
     if beta is not None:  # the override draws no k, so it reads no beta_seeds
         reads = {name: kind for name, kind in reads.items() if name != "beta_seeds"}
     values = {"beta": beta, "beta_seeds": n_seeds, "seed": seed, "trials": trials}
     for name, flag in (("beta", "--beta"), ("beta_seeds", "--beta-seeds")):
-        if values[name] is not None and (
-                name not in reads or strict and not isinstance(s.k_source, reads[name])):
+        if values[name] is not None and not (
+                name in reads and isinstance(s.k_source, reads[name])):
             at = (" at a given beta (--beta)" if beta is not None and name != "beta"
                   else " with a fixture k" if name in reads else "")
             raise ValueError(f"{s.mode.value} mode{at} reads no {name} ({flag})")

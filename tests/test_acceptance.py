@@ -379,8 +379,8 @@ def test_criterion_9_determinism():
     start = time.perf_counter()
     s = default_scenario()
     grid = [0.0, 10.0, 20.0, 30.0]
-    lb_text_1 = result_csv_text(sweep_power(s, grid, n_seeds=20))
-    lb_text_2 = result_csv_text(sweep_power(s, grid, n_seeds=20))
+    lb_text_1 = result_csv_text(sweep_power(s, grid))
+    lb_text_2 = result_csv_text(sweep_power(s, grid))
     s_mc = default_scenario(mode=Mode.MONTE_CARLO)
     mc_text_1 = result_csv_text(sweep_power(s_mc, grid, trials=500, seed=21))
     mc_text_2 = result_csv_text(sweep_power(s_mc, grid, trials=500, seed=21))
@@ -396,10 +396,10 @@ def test_criterion_9_determinism():
 def test_criterion_9_run_directory_reproducible(tmp_path):
     "Re-running an unchanged sweep rewrites byte-identical files on disk."
     s = default_scenario()
-    result = sweep_power(s, [0.0, 15.0, 30.0], n_seeds=10)
+    result = sweep_power(s, [0.0, 15.0, 30.0])
     run_dir = write_run(result, tmp_path, "sweep-power")
     before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-    result2 = sweep_power(s, [0.0, 15.0, 30.0], n_seeds=10)
+    result2 = sweep_power(s, [0.0, 15.0, 30.0])
     run_dir2 = write_run(result2, tmp_path, "sweep-power")
     after = {p.name: p.read_bytes() for p in run_dir2.iterdir()}
     identical = run_dir == run_dir2 and before == after

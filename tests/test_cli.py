@@ -608,8 +608,6 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["beampattern", "--dtheta-deg", "1e-15"]),
     (None, ["beampattern", "--dtheta-deg", "1e-12", "--theta-step-deg", "1e-12",
             "--r-min", "100", "--r-max", "100"]),
-    (None, ["sweep", "power", "--pt-min", "1", "--pt-max", "1.0000000001",
-            "--pt-step", "1e-11"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     monkeypatch.chdir(tmp_path)

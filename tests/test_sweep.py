@@ -447,21 +447,21 @@ def test_csv_round_trip_preserves_full_precision(tmp_path):
 def test_sweep_power_lb_shapes_and_delta_independence():
     s = default_scenario()
     grid = [0.0, 5.0, 10.0]
-    result = sweep_power(s, grid, n_seeds=5)
+    result = sweep_power(s, grid)
     assert result.axis_name == "pt_dbm"
     assert result.axis_values == grid
     assert set(result.series) == {"with_an", "without_an"}
     assert all(v is not None for v in result.series["with_an"])
     # the signal-only series ignores the power split entirely
     s2 = default_scenario(power=replace(s.power, delta=0.3))
-    result2 = sweep_power(s2, grid, n_seeds=5)
+    result2 = sweep_power(s2, grid)
     assert result2.series["without_an"] == result.series["without_an"]
     assert result2.series["with_an"] != result.series["with_an"]
 
 
 def test_sweep_delta_without_an_is_flat():
     s = default_scenario()
-    result = sweep_delta(s, [0.2, 0.4, 0.6, 0.8], n_seeds=5)
+    result = sweep_delta(s, [0.2, 0.4, 0.6, 0.8])
     flat = result.series["without_an"]
     assert max(flat) - min(flat) == 0.0
 
@@ -493,7 +493,7 @@ _SETTINGS = {"seed": 3, "trials": 4}
 
 
 @pytest.mark.parametrize("mode, k_source, given, recorded", [
-    (Mode.ANALYTIC_LB, FixtureK(), {**_SETTINGS, "n_seeds": 5}, {}),
+    (Mode.ANALYTIC_LB, FixtureK(), _SETTINGS, {}),
     (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "n_seeds": 5}, {"beta_seeds": 5}),
     (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "beta": 0.3}, {"beta": 0.3}),
     (Mode.MONTE_CARLO, FixtureK(), _SETTINGS, _SETTINGS),
@@ -514,6 +514,17 @@ def test_sweep_rate_manifest_records_no_evaluation_settings(mode, k_source, give
     assert power_meta["config"]["mode"] == mode.value
 
 
+@pytest.mark.parametrize("sweep, grid", [(sweep_power, ([0.0],)), (sweep_delta, ([0.5],)),
+                                         (sweep_bandwidth, ())],
+                         ids=["power", "delta", "bandwidth"])
+def test_lb_sweep_over_a_fixture_k_refuses_a_beta_seed_count(sweep, grid):
+    # a fixture row gives one beta whatever the count, so the library refuses the
+    # count as the CLI does rather than run as without it
+    s = default_scenario()
+    with pytest.raises(ValueError, match=r"with a fixture k reads no beta_seeds"):
+        sweep(s, *grid, n_seeds=5)
+
+
 def test_every_mode_has_an_estimator_whose_unread_keys_are_read_by_capacity():
     # a misspelt unread key would leave the key it meant in every run id
     assert set(ESTIMATORS) == set(Mode)
@@ -532,12 +543,12 @@ def test_sweep_rate_csv_keeps_gaps_visible(tmp_path):
 
 def test_write_run_reproducible(tmp_path):
     s = default_scenario()
-    result = sweep_power(s, [0.0, 10.0, 20.0], n_seeds=5)
+    result = sweep_power(s, [0.0, 10.0, 20.0])
     run_dir = write_run(result, tmp_path, "sweep-power")
     assert run_dir.name == f"sweep-power-{result.meta['config_hash']}"
     first_csv = (run_dir / "result.csv").read_bytes()
     first_manifest = (run_dir / "manifest.json").read_bytes()
-    result2 = sweep_power(s, [0.0, 10.0, 20.0], n_seeds=5)
+    result2 = sweep_power(s, [0.0, 10.0, 20.0])
     run_dir2 = write_run(result2, tmp_path, "sweep-power")
     assert run_dir2 == run_dir
     assert (run_dir / "result.csv").read_bytes() == first_csv
