@@ -21,15 +21,19 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (DEFAULT_TRIALS, READS, SEED_LIMIT, Scenario, beampattern_csv_text,
-                    beampattern_grid, estimator, k_norm2, read_config, run_manifest,
-                    scenario_from_config, sweep_bandwidth, sweep_delta, sweep_power, sweep_rate,
-                    validate_fixtures, write_run, write_run_dir)
+from .sweep import (DEFAULT_TRIALS, ESTIMATORS, READS, SEED_LIMIT, Scenario,
+                    beampattern_csv_text, beampattern_grid, estimator, k_norm2, read_config,
+                    run_manifest, scenario_from_config, sweep_bandwidth, sweep_delta, sweep_power,
+                    sweep_rate, validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,), "no-an": (Scheme.WITHOUT_AN,), "both": tuple(Scheme)}
 _MAX_AXIS_POINTS = 10_000
 _MAX_BEAMPATTERN_POINTS = 1_000_000
+# error -> (exit code, message prefix), each subclass before its base; ConfigError is a ValueError
+_EXITS = {InfeasibleRateError: (3, "infeasible rate: "),
+          ConvergenceError: (4, "solver did not converge: "), FixtureError: (5, "fixture: "),
+          OSError: (5, "i/o: "), ValueError: (2, "")}
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
@@ -167,6 +171,17 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return scenario_from_config(cfg)
 
 
+def _scenario_in_mode(args: argparse.Namespace, command: str) -> Scenario:
+    """The scenario of the flags given.  Where ``command`` reads the mode, a flag whose
+    key that mode leaves unread is refused, bar --k-seed, which the benchmark passes."""
+    s = _scenario_from_args(args)
+    unread = ESTIMATORS[s.mode][0] - {"k_source.seed"} if "mode" in READS[command] else set()
+    for flag, (_, path, _) in _SCENARIO_FLAGS.items():
+        if path in unread and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise ValueError(f"{s.mode.value} mode reads no {path} ({flag})")
+    return s
+
+
 def _cmd_mmin(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
     print(f"{m_min(args.beta, s.region, s.bob.theta_rad, s.array):.2f}")
@@ -241,7 +256,7 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario_in_mode(args, "capacity")
     evaluate, _ = estimator(s, args.trials, args.seed, args.beta_seeds, args.beta)
     for scheme in _SCHEME_CHOICES[args.scheme]:
         value, err = evaluate(s, scheme)
@@ -255,7 +270,7 @@ def _evaluation(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    result = args.run(_scenario_from_args(args), args)
+    result = args.run(_scenario_in_mode(args, args.kind), args)
     run_dir = write_run(result, args.out, f"sweep-{args.kind}")
     if args.svg:
         (run_dir / "plot.svg").write_text(line_chart(result, title=f"{args.kind} sweep"))
@@ -361,21 +376,10 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except InfeasibleRateError as exc:
-        print(f"error: infeasible rate: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: solver did not converge: {exc}", file=sys.stderr)
-        return 4
-    except FixtureError as exc:
-        print(f"error: fixture: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"error: i/o: {exc}", file=sys.stderr)
-        return 5
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_EXITS) as exc:  # any other error propagates
+        code, prefix = next(rule for error, rule in _EXITS.items() if isinstance(exc, error))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

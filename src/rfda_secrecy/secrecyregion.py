@@ -172,15 +172,14 @@ def solve_m_min(rs_bits: float, power: PowerConfig, region: SecrecyRegion,
     power = scheme.power(power)
     an = power.delta < 1.0
     m_current = floor = 2 if an else 1
-    history = [m_current]
+    last = [m_current]
     for _ in range(max_iter):
         eta_value = (fixed_eta if fixed_eta is not None else eta(m_current)) if an else 0.0
         beta = beta_max_an(power, eta_value, rs_bits)
         m_next = max(floor, math.ceil(m_min(beta, region, theta_b_rad, cfg)))
         if m_next == m_current:
             return m_current
-        history.append(m_next)
-        m_current = m_next
+        last, m_current = [m_current, m_next], m_next
     raise ConvergenceError(
         f"element-count fixed point did not settle in {max_iter} iterations; "
-        f"last iterates {history[-2:]}")
+        f"last iterates {last}")

@@ -1,11 +1,14 @@
 """Minimal self-contained SVG line charts for sweep results.
 
 Exists for desk inspection of sweep outputs, not publication plots: axes,
-tick labels at the extremes, one polyline per series and a legend.  Gaps
-(None values) split a series into separate polyline segments.
+tick labels at the extremes, one polyline per value series and a legend; a
+``<scheme>_stderr`` column is not drawn.  Gaps (None values) split a series
+into separate polyline segments.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 from .sweep import SweepResult
 
@@ -15,16 +18,12 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 20, 30, 45
 
 
-def _finite(values):
-    return [v for v in values if v is not None]
-
-
 def line_chart(result: SweepResult, title: str = "") -> str:
     "Render a sweep as an SVG document string."
     xs = result.axis_values
-    ys = []
-    for values in result.series.values():
-        ys.extend(_finite(values))
+    series = {name: values for name, values in result.series.items()
+              if not name.endswith("_stderr")}
+    ys = [y for values in series.values() for y in values if y is not None]
     if not ys:
         raise ValueError("nothing to plot: every series value is a gap")
     x_lo, x_hi = min(xs), max(xs)
@@ -64,24 +63,14 @@ def line_chart(result: SweepResult, title: str = "") -> str:
         parts.append(f'<text x="{_MARGIN_L - 6}" y="{sy(y_val) + 4:.2f}" '
                      f'text-anchor="end" font-size="11">{y_val:.4g}</text>')
 
-    for idx, (name, values) in enumerate(result.series.items()):
+    for idx, (name, values) in enumerate(series.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for x, y in zip(xs, values):
-            if y is None:
-                if segment:
-                    segments.append(segment)
-                segment = []
-            else:
-                segment.append(f"{sx(x):.2f},{sy(y):.2f}")
-        if segment:
-            segments.append(segment)
-        for seg in segments:
+        for present, points in groupby(zip(xs, values), key=lambda point: point[1] is not None):
+            seg = [f"{sx(x):.2f},{sy(y):.2f}" for x, y in points] if present else []
             if len(seg) == 1:
                 cx, cy = seg[0].split(",")
                 parts.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
-            else:
+            elif seg:
                 parts.append(f'<polyline points="{" ".join(seg)}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')
         legend_y = _MARGIN_T + 14 * idx + 6

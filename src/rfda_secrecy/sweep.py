@@ -434,6 +434,8 @@ _BLOCK = 128
 "Trials drawn before they are evaluated together; bounds the kernel's temporaries."
 
 
+# an overflowing phase gives a NaN capacity, which the mean check refuses with no warning
+@np.errstate(over="ignore", invalid="ignore")
 def mc_capacity(s: Scenario, trials: int, seed: int,
                 scheme: Scheme = Scheme.WITH_AN) -> tuple[float, float]:
     """Monte Carlo mean secrecy capacity and its standard error.
@@ -460,11 +462,12 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     cb = capacity_bob(power)
     m = s.array.n_elements
     an = power.delta < 1.0
+    drawn = 1 if isinstance(s.k_source, FixtureK) and not an else trials
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
     stream = _trial_streams(seed)
     # one block's draws, written in place: row j holds trial start + j, its AN
     # noise as the standard-normal real parts, then imaginary parts
-    rows = min(trials, _BLOCK)
+    rows = min(drawn, _BLOCK)
     ks, noise = np.empty((rows, m)), np.empty((rows, 2, m))
     h_bob, h_eve = (np.empty((rows, m), dtype=complex) for _ in range(2))
 
@@ -479,11 +482,11 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
             rng.standard_normal(out=noise[j])
         return rng
 
-    def evaluate(start: int, n: int) -> np.ndarray:
-        "The capacities of trials ``start, ..., start + n - 1`` from the first n rows."
+    def evaluate(start: int, n: int) -> tuple[np.ndarray, np.ndarray | float]:
+        "(corr2, an2) of trials ``start, ..., start + n - 1`` from rows 0..n-1; an2 0.0 without AN."
         corr2 = _correlation2(s.array, ks[:n], *pq)
         if not an:
-            return secrecy_capacity(cb, capacity_eve_an(power, corr2, 0.0))
+            return corr2, 0.0
         z = complex_from_parts(noise[:n])  # as complex_gaussian makes each row
         redraws: dict[int, np.random.Generator] = {}
         for attempt in range(1, 65):
@@ -498,18 +501,15 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
                     if j not in redraws:
                         redraws[j] = draw(_trial_streams(seed)(start + j), j)
                     z[j] = complex_gaussian(redraws[j], m)
-        return secrecy_capacity(cb, capacity_eve_an(power, corr2, an_leakage(h_eve[:n], w)))
+        return corr2, an_leakage(h_eve[:n], w)
 
-    if isinstance(s.k_source, FixtureK) and not an:  # nothing to draw: one trial stands for all
-        draw(stream(0), 0)
-        values = np.full(trials, evaluate(0, 1)[0])
-    else:
-        values = np.empty(trials)
-        for start in range(0, trials, _BLOCK):
-            n = min(_BLOCK, trials - start)
-            for j in range(n):
-                draw(stream(start + j), j)
-            values[start:start + n] = evaluate(start, n)
+    values = np.empty(trials)
+    for start in range(0, drawn, _BLOCK):
+        n = min(_BLOCK, drawn - start)
+        for j in range(n):
+            draw(stream(start + j), j)
+        values[start:start + n] = secrecy_capacity(cb, capacity_eve_an(power, *evaluate(start, n)))
+    values[drawn:] = values[0]
     mean = float(values.mean())
     if not math.isfinite(mean):  # some trial's capacity is NaN or infinite
         raise ValueError(f"Monte Carlo capacity {mean}: a range or frequency overflows the phase")

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import rfda_secrecy
+from rfda_secrecy import cli
+from rfda_secrecy.arraymodel import _steering
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
-from rfda_secrecy.errors import ConvergenceError
+from rfda_secrecy.errors import ConfigError, ConvergenceError, FixtureError, InfeasibleRateError
 from rfda_secrecy.freqdesign import default_fixture_path
 from rfda_secrecy.sweep import (READS, FixtureK, GeneratedK, read_config,
                                 scenario_from_config, scenario_to_config)
@@ -276,8 +278,8 @@ _CONFIG = "--config {cfg}"
     pytest.param("beampattern --r-step 2 --theta-step-deg 1", "", _CONFIG,
                  {"power": {"pt_dbm": 10.0}, "mode": "mc",
                   "eve": {"r_m": 150.0, "theta_deg": 60.0}}, id="beampattern-power-mode-eve"),
-    pytest.param("sweep power --pt-max 3", "", "--eve-r-m 150 --eve-theta-deg 60", None,
-                 id="power-lb-eve"),
+    pytest.param("sweep power --pt-max 3", "", _CONFIG,
+                 {"eve": {"r_m": 150.0, "theta_deg": 60.0}}, id="power-lb-eve"),
     pytest.param("sweep power --mode mc --trials 50 --pt-max 2 --k-target 10405",
                  "--k-seed 1", "--k-seed 2", None, id="power-mc-k_seed"),
     pytest.param("sweep bandwidth", "", _CONFIG,
@@ -609,7 +611,7 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["beampattern", "--dtheta-deg", "1e-12", "--theta-step-deg", "1e-12",
             "--r-min", "100", "--r-max", "100"]),
 ])
-def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
+def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, recwarn, config, argv):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
@@ -618,6 +620,84 @@ def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, config, argv):
     assert code == 2
     assert out == ""
     assert err
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+@pytest.mark.parametrize("argv", [
+    "capacity --mode mc --trials 5 --bob-r-m 1e300",
+    "capacity --mode mc --trials 5 --eve-r-m 1e300",
+    "sweep power --mode mc --trials 5 --pt-max 1 --bob-r-m 1e300",
+])
+def test_an_overflowing_mc_phase_prints_only_its_refusal(tmp_path, monkeypatch, capsys,
+                                                         recwarn, argv):
+    # the NaN capacities of the phase are refused once, with no numpy warning before;
+    # an empty steering memo computes every vector, as a fresh process does
+    monkeypatch.chdir(tmp_path)
+    _steering.cache_clear()
+    assert run(capsys, *argv.split()) == (
+        2, "", "error: Monte Carlo capacity nan: a range or frequency overflows the phase\n")
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("capacity --eve-r-m 150", "lb mode reads no eve.r_m (--eve-r-m)"),
+    ("capacity --eve-theta-deg 60", "lb mode reads no eve.theta_deg (--eve-theta-deg)"),
+    ("capacity --mode mc --trials 5 --dr-m 3", "mc mode reads no region.dr_m (--dr-m)"),
+    ("capacity --mode mc --trials 5 --dtheta-deg 3",
+     "mc mode reads no region.dtheta_deg (--dtheta-deg)"),
+    ("sweep power --pt-max 3 --eve-r-m 150 --eve-theta-deg 60",
+     "lb mode reads no eve.r_m (--eve-r-m)"),
+    ("sweep delta --eve-theta-deg 60", "lb mode reads no eve.theta_deg (--eve-theta-deg)"),
+    ("sweep bandwidth --mode mc --trials 5 --dr-m 3", "mc mode reads no region.dr_m (--dr-m)"),
+    ("sweep power --config {mc} --dtheta-deg 3",
+     "mc mode reads no region.dtheta_deg (--dtheta-deg)"),
+])
+def test_a_flag_whose_key_the_mode_leaves_unread_exits_2(tmp_path, monkeypatch, capsys, argv,
+                                                        message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mc.json").write_text('{"mode": "mc"}')
+    assert run(capsys, *argv.format(mc="mc.json").split()) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # the benchmark passes --k-seed in mc mode and --seed in lb mode
+    "capacity --mode mc --trials 5 --k-target 10405 --k-seed 3",
+    "capacity --seed 3",
+    # the rate sweep reads the region and not the mode
+    "sweep rate --config {mc} --dtheta-deg 4 --rs-max 1",
+])
+def test_a_flag_the_mode_leaves_unread_but_that_stays_accepted(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mc.json").write_text('{"mode": "mc"}')
+    assert run(capsys, *argv.format(mc="mc.json").split())[0] == 0
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (InfeasibleRateError("too fast"), 3, "error: infeasible rate: too fast"),
+    (ConvergenceError("stuck"), 4, "error: solver did not converge: stuck"),
+    (FixtureError("bad row"), 5, "error: fixture: bad row"),
+    (FileNotFoundError("gone"), 5, "error: i/o: gone"),
+    (ConfigError("bad key"), 2, "error: bad key"),
+    (ValueError("bad value"), 2, "error: bad value"),
+])
+def test_each_error_type_maps_to_its_exit_code(monkeypatch, capsys, error, code, line):
+    # InfeasibleRateError, FixtureError and ConfigError are ValueErrors: the first
+    # two keep their own codes
+    def handler(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_mmin", handler)
+    assert run(capsys, *MMIN_ARGS) == (code, "", line + "\n")
+
+
+def test_an_unmapped_error_propagates(monkeypatch):
+    def handler(args):
+        raise KeyError("no exit code")
+
+    monkeypatch.setattr(cli, "_cmd_mmin", handler)
+    with pytest.raises(KeyError, match="no exit code"):
+        main(MMIN_ARGS)
 
 
 def test_sweep_rate_names_the_power_at_which_beta_overflows(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -226,9 +227,11 @@ def test_solve_m_min_reference_points():
     assert solve_m_min(1e-9, POWER30, REGION, THETA_B, CFG, Scheme.WITH_AN) == 2
     with pytest.raises(InfeasibleRateError):
         solve_m_min(9.3, POWER30, REGION, THETA_B, CFG, Scheme.WITH_AN)
-    with pytest.raises(ConvergenceError):
-        solve_m_min(3.0, PowerConfig(20.0, delta=0.6), REGION, THETA_B, CFG,
-                    Scheme.WITH_AN, max_iter=0)
+    # the iterates run 2, 9, 16, 17, 17: the error names the last two it reached
+    for max_iter, last in ((0, "[2]"), (1, "[2, 9]"), (3, "[16, 17]")):
+        with pytest.raises(ConvergenceError, match=re.escape(f"last iterates {last}")):
+            solve_m_min(3.0, PowerConfig(20.0, delta=0.6), REGION, THETA_B, CFG,
+                        Scheme.WITH_AN, max_iter=max_iter)
 
 
 def test_solve_m_min_fixed_eta_override():

@@ -606,6 +606,8 @@ def test_line_chart_renders_series_and_gaps():
     assert "polyline" in svg
     assert "with_an" in svg and "without_an" in svg
     assert "circle" in svg  # the gap isolates a single point
+    # with_an is two one-point segments and without_an one polyline: a gap draws nothing
+    assert (svg.count("<circle"), svg.count("<polyline")) == (2, 1)
     assert line_chart(result) == line_chart(result)
     # a one-point axis and a flat series each span zero width: both scale finitely
     one_point = line_chart(SweepResult("rs_bits", [1.0], {"with_an": [21.0]}))
@@ -616,6 +618,17 @@ def test_line_chart_renders_series_and_gaps():
         assert "nan" not in svg and "inf" not in svg
     with pytest.raises(ValueError):
         line_chart(SweepResult("x", [0.0, 1.0], {"y": [None, None]}))
+
+
+def test_line_chart_draws_the_values_of_an_mc_sweep_and_not_their_stderr():
+    values = {"with_an": [1.2, 2.5, 3.1], "without_an": [0.6315, 0.9, 1.4]}
+    mc = SweepResult("pt_dbm", [0.0, 1.0, 2.0],
+                     {"with_an": values["with_an"], "with_an_stderr": [0.1, 0.2, 0.1],
+                      "without_an": values["without_an"], "without_an_stderr": [0.0] * 3})
+    svg = line_chart(mc, title="power sweep")
+    # the chart of the values alone: same legend, colors and y range (from 0.6315)
+    assert svg == line_chart(SweepResult("pt_dbm", [0.0, 1.0, 2.0], values), title="power sweep")
+    assert "stderr" not in svg and ">0.6315</text>" in svg
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
