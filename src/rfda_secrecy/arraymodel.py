@@ -102,13 +102,22 @@ def _steering(n_elements: int, f0_hz: float, delta_f_hz: float, spacing_m: float
               r_m: float, theta_rad: float) -> np.ndarray:
     """The steering vector of :func:`steering_vector` for the array, ``k`` (whose
     bytes are ``buf``) and location given by their fields."""
-    range_term = np.frombuffer(buf) * delta_f_hz * r_m
-    # the per-element phases toward loc: a vectorized reference.phase_shift
-    phases = -2.0 * np.pi * (_angle_term(n_elements, f0_hz, spacing_m, theta_rad)
-                             + range_term) / SPEED_OF_LIGHT
-    h = np.exp(1j * phases) / math.sqrt(n_elements)
+    h = _steering_rows(n_elements, f0_hz, delta_f_hz, spacing_m, np.frombuffer(buf), r_m,
+                       theta_rad)
     h.setflags(write=False)
     return h
+
+
+def _steering_rows(n_elements: int, f0_hz: float, delta_f_hz: float, spacing_m: float,
+                   ks: np.ndarray, r_m: float, theta_rad: float) -> np.ndarray:
+    """The steering vector toward one location for each row of ``ks``: the phase
+    model of every steering vector, elementwise, so a row has the bits of its
+    one-row call."""
+    range_term = ks * delta_f_hz * r_m
+    # the per-element phases toward the location: a vectorized reference.phase_shift
+    phases = -2.0 * np.pi * (_angle_term(n_elements, f0_hz, spacing_m, theta_rad)
+                             + range_term) / SPEED_OF_LIGHT
+    return np.exp(1j * phases) / math.sqrt(n_elements)
 
 
 def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):

@@ -21,7 +21,7 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (DEFAULT_TRIALS, ESTIMATORS, READS, SEED_LIMIT, Scenario,
+from .sweep import (ESTIMATORS, READS, SEED_LIMIT, Scenario,
                     beampattern_csv_text, beampattern_grid, estimator, k_norm2, read_config,
                     run_manifest, scenario_from_config, sweep_bandwidth, sweep_delta, sweep_power,
                     sweep_rate, validate_fixtures, write_run, write_run_dir)
@@ -104,7 +104,7 @@ _FLAGS = {
     "--config": dict(help="JSON configuration file"),
     "--beta": dict(type=_number_in(0.0, 1.0), help="boundary correlation"),
     "--scheme": dict(choices=sorted(_SCHEME_CHOICES), default="both"),
-    "--trials": dict(type=_integer_in(1, math.inf), default=DEFAULT_TRIALS),
+    "--trials": dict(type=_integer_in(1, math.inf)),
     "--seed": dict(type=_integer_in(0, SEED_LIMIT), default=0),
     "--beta-seeds": dict(type=_integer_in(1, math.inf)),
     "--out": dict(default="out"),

@@ -186,7 +186,7 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
     # the method picks the map from a standard normal draw to a direction
     if method == "projection":
         ones, idx = _feasible_basis(n_elements)
-        dim, direction = n_elements, lambda g: g - (ones @ g) * ones - (idx @ g) * idx
+        dim, direction = n_elements, lambda g: g - ones.dot(g) * ones - idx.dot(g) * idx
     elif method == "eigen":
         # the orthogonality contract (1e-9 * sqrt(K) on the two linear
         # functionals) outruns the default sweep tolerance once M grows, so

@@ -20,14 +20,14 @@ import json
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, correlation2_grid,
-                         half_wavelength_spacing, steering_vector)
+from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, _steering_rows,
+                         correlation2_grid, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capacity_eve_an,
                          complex_from_parts, complex_gaussian, secrecy_capacity, c_an_lb, eta)
 from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
@@ -171,24 +171,26 @@ ESTIMATORS = {
 }
 
 
-def estimator(s: Scenario, trials: int = DEFAULT_TRIALS, seed: int = 0,
+def estimator(s: Scenario, trials: int | None = None, seed: int = 0,
               n_seeds: int | None = None, beta: float | None = None) -> tuple[Callable, dict]:
     """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) ->
     (value, stderr or None)``, and the settings it reads, which a manifest records.  A
-    mode refuses ``n_seeds`` (beta_seeds) or ``beta`` given that it does not read for
-    the scenario's k source; ``trials`` and ``seed`` always hold a value, so it
-    accepts them unread."""
+    mode refuses ``trials``, ``n_seeds`` (beta_seeds) or ``beta`` given that it does
+    not read for the scenario's k source; ``seed`` always holds a value, so it is
+    accepted unread."""
     _, reads, evaluator = ESTIMATORS[s.mode]
     if beta is not None:  # the override draws no k, so it reads no beta_seeds
         reads = {name: kind for name, kind in reads.items() if name != "beta_seeds"}
     values = {"beta": beta, "beta_seeds": n_seeds, "seed": seed, "trials": trials}
-    for name, flag in (("beta", "--beta"), ("beta_seeds", "--beta-seeds")):
+    for name, flag in (("beta", "--beta"), ("beta_seeds", "--beta-seeds"),
+                       ("trials", "--trials")):
         if values[name] is not None and not (
                 name in reads and isinstance(s.k_source, reads[name])):
-            at = (" at a given beta (--beta)" if beta is not None and name != "beta"
+            at = (" at a given beta (--beta)" if beta is not None and name == "beta_seeds"
                   else " with a fixture k" if name in reads else "")
             raise ValueError(f"{s.mode.value} mode{at} reads no {name} ({flag})")
     values["beta_seeds"] = DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds
+    values["trials"] = DEFAULT_TRIALS if trials is None else trials
     return evaluator(values), {name: values[name] for name, kind in reads.items()
                                if values[name] is not None and isinstance(s.k_source, kind)}
 
@@ -449,12 +451,15 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     runs once per block of up to 128 trials: it makes the block's noise
     complex with the bits of ``complex_gaussian``, then evaluates stacked
     products that give every trial the bits of its one-trial evaluation
-    (``reference.trial_capacity``).  A trial whose AN draw is parallel to the
-    intended channel replays its draws on a fresh copy of its stream and
-    redraws from there, 64 draws at most.  When ``k`` is a fixture row and no
-    power goes to AN (signal-only scheme, or delta = 1), no trial draws
-    anything: one trial is evaluated and stands for all of them.  A capacity
-    that is not finite raises ``ValueError``.
+    (``reference.trial_capacity``).  A generated ``k``'s steering vectors are
+    computed there, one stacked exp per location over the block's ``k`` rows;
+    a fixture ``k`` takes its two from the ``steering_vector`` memo on every AN
+    trial, because the benchmark pins that call count.  A trial whose AN draw
+    is parallel to the intended channel replays its draws on a fresh copy of
+    its stream and redraws from there, 64 draws at most.  When ``k`` is a
+    fixture row and no power goes to AN (signal-only scheme, or delta = 1), no
+    trial draws anything: one trial is evaluated and stands for all of them.
+    A capacity that is not finite raises ``ValueError``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -462,7 +467,8 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
     cb = capacity_bob(power)
     m = s.array.n_elements
     an = power.delta < 1.0
-    drawn = 1 if isinstance(s.k_source, FixtureK) and not an else trials
+    fixture = isinstance(s.k_source, FixtureK)
+    drawn = 1 if fixture and not an else trials
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
     stream = _trial_streams(seed)
     # one block's draws, written in place: row j holds trial start + j, its AN
@@ -477,16 +483,21 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
         k = _as_k(resolve_k(s, rng), m)
         ks[j] = k
         if an:
-            h_bob[j] = steering_vector(s.array, k, s.bob)
-            h_eve[j] = steering_vector(s.array, k, s.eve)
+            if fixture:  # memo calls the benchmark pins; fold into evaluate once it counts trials
+                h_bob[j] = steering_vector(s.array, k, s.bob)
+                h_eve[j] = steering_vector(s.array, k, s.eve)
             rng.standard_normal(out=noise[j])
         return rng
 
     def evaluate(start: int, n: int) -> tuple[np.ndarray, np.ndarray | float]:
         "(corr2, an2) of trials ``start, ..., start + n - 1`` from rows 0..n-1; an2 0.0 without AN."
-        corr2 = _correlation2(s.array, ks[:n], *pq)
+        # a fixture k repeats one row, whose corr2 broadcasts over the block
+        corr2 = _correlation2(s.array, ks[:1] if fixture else ks[:n], *pq)
         if not an:
             return corr2, 0.0
+        if not fixture:  # a generated k's steering vectors, one stacked exp per location
+            h_bob[:n], h_eve[:n] = (_steering_rows(*astuple(s.array), ks[:n], loc.r_m,
+                                                   loc.theta_rad) for loc in (s.bob, s.eve))
         z = complex_from_parts(noise[:n])  # as complex_gaussian makes each row
         redraws: dict[int, np.random.Generator] = {}
         for attempt in range(1, 65):

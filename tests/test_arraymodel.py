@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, _steering,
-                                     correlation2, correlation2_grid, half_wavelength_spacing,
-                                     steering_vector)
+                                     _steering_rows, correlation2, correlation2_grid,
+                                     half_wavelength_spacing, steering_vector)
 from rfda_secrecy.freqdesign import FIXTURES, generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
@@ -393,6 +393,22 @@ def test_steering_vector_has_the_bits_of_the_uncached_body_and_the_element_phase
             phases = [phase_shift(cfg, km, i, loc) for i, km in enumerate(k, start=1)]
             np.testing.assert_allclose(got, np.exp(1j * np.array(phases)) / math.sqrt(m),
                                        rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [2, 3, 16, 32, 64])
+def test_steering_rows_have_the_bits_of_the_one_row_body_row_by_row(m):
+    # mc_capacity computes a generated k's block of vectors in one call
+    cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
+    generated = [generate_k(m, 10405.0, seed=seed) for seed in range(20)] if m >= 3 else []
+    ks = np.array([*_vectors(m), *generated,
+                   *np.random.default_rng(m).standard_normal((20, m)) * 100.0])
+    for loc in (Location(0.0, _BOB.theta_rad), _BOB, Location(1e5, _BOB.theta_rad),
+                Location(_BOB.r_m, 1e-9), Location(_BOB.r_m, math.pi - 1e-9)):
+        rows = _steering_rows(cfg.n_elements, cfg.f0_hz, cfg.delta_f_hz, cfg.spacing_m, ks,
+                              loc.r_m, loc.theta_rad)
+        assert rows.shape == ks.shape
+        for k, row in zip(ks, rows):
+            assert row.tobytes() == _uncached(cfg, k, loc).tobytes()
 
 
 def test_steering_vector_is_read_only():

@@ -204,14 +204,16 @@ _UNREAD_IN_MODE = {"lb": {"eve.r_m", "eve.theta_deg"},
 _K_SOURCES = {"fixture": ({"type": "fixture"}, {"k_source.label", "k_source.path"}),
               "generated": ({"type": "generated", "k_target": 10405.0},
                             {"k_source.k_target", "k_source.method", "k_source.seed"})}
-# command that writes a run directory -> its arguments: small grids, few trials
+# command that writes a run directory -> its arguments: small grids; an mc run adds
+# few trials (_MC_TRIALS), since lb refuses --trials
 _RUN_COMMANDS = {
     "beampattern": ["--r-step", "8", "--theta-step-deg", "5"],
-    "sweep power": ["--pt-max", "2", "--trials", "20"],
-    "sweep delta": ["--delta-max", "0.15", "--trials", "20"],
-    "sweep bandwidth": ["--trials", "20"],
+    "sweep power": ["--pt-max", "2"],
+    "sweep delta": ["--delta-max", "0.15"],
+    "sweep bandwidth": [],
     "sweep rate": ["--rs-max", "2"],
 }
+_MC_TRIALS = ["--trials", "20"]
 
 
 def _key_cases() -> list:
@@ -267,7 +269,8 @@ def test_a_key_that_a_command_does_not_read_leaves_its_run_directory(tmp_path, c
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(config))
         runs.append(_run_files(capsys, tmp_path / "out",
-                               [*command.split(), *_RUN_COMMANDS[command], "--config", str(path)]))
+                               [*command.split(), *_RUN_COMMANDS[command],
+                                *_MC_TRIALS * (base["mode"] == "mc"), "--config", str(path)]))
     assert runs[0] == runs[1]
 
 
@@ -610,6 +613,9 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["beampattern", "--dtheta-deg", "1e-15"]),
     (None, ["beampattern", "--dtheta-deg", "1e-12", "--theta-step-deg", "1e-12",
             "--r-min", "100", "--r-max", "100"]),
+    (None, ["capacity", "--trials", "5"]),
+    (None, ["sweep", "power", "--k-target", "10405", "--trials", "5"]),
+    (None, ["sweep", "bandwidth", "--trials", "5"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, recwarn, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -764,14 +770,14 @@ _BASES = {
     "region": ["--beta", "0.4"],
     "gen-k": ["--m", "8", "--k-target", "100"],
     "beampattern": ["--r-step", "8", "--theta-step-deg", "5"],
-    "capacity": ["--trials", "2"],
-    "sweep power": ["--pt-max", "2", "--trials", "2"],
-    "sweep delta": ["--delta-max", "0.15", "--trials", "2"],
-    "sweep bandwidth": ["--trials", "2"],
+    "capacity": [],
+    "sweep power": ["--pt-max", "2"],
+    "sweep delta": ["--delta-max", "0.15"],
+    "sweep bandwidth": [],
     "sweep rate": ["--rs-max", "2"],
     "validate-fixtures": [],
 }
-_MC = (("--mode", "mc"),)
+_MC = (("--mode", "mc"), ("--trials", "2"))  # lb refuses --trials
 _GENERATED = (("--k-target", "10405"), ("--beta-seeds", "2"))
 # flag -> the (flag, value) pairs the base needs before the flag can show; a pair
 # whose flag the command does not take is left out
@@ -857,6 +863,8 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     (None, ["--mode", "mc", "--trials", "5", "--beta-seeds", "5"], "--beta-seeds"),
     (None, ["--k-target", "10405", "--beta", "0.3", "--beta-seeds", "4"], "--beta-seeds"),
     (None, ["--beta-seeds", "4"], "--beta-seeds"),
+    (None, ["--trials", "5"], "--trials"),
+    (None, ["--beta", "0.3", "--trials", "5"], "--trials"),
 ])
 def test_a_flag_that_cannot_apply_is_named_in_the_error(tmp_path, capsys, config, argv,
                                                           flag):

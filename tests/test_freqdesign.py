@@ -233,6 +233,17 @@ def test_generate_k_has_the_bits_of_the_numpy_norm_scaling(m, method):
             assert np.array_equal(generate_k(m, k_target, method, seed), want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=st.sampled_from([3, 16, 32, 64]), seed=st.integers(0, 2 ** 63 - 1),
+       scale=st.floats(1e-6, 1e6))
+def test_projection_dot_has_the_bits_of_the_matmul_projection(m, seed, scale):
+    # generate_k projects through the undispatched 1-D dot, not the @ operator
+    ones, idx = _feasible_basis(m)
+    g = np.random.default_rng(seed).standard_normal(m) * scale
+    dot = g - ones.dot(g) * ones - idx.dot(g) * idx
+    assert dot.tobytes() == (g - (ones @ g) * ones - (idx @ g) * idx).tobytes()
+
+
 @pytest.mark.parametrize("method,sizes", [
     ("projection", (3, 4, 7, 16, 33, 64)),
     ("eigen", (3, 4, 7, 16, 33, 64)),

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rfda_secrecy.arraymodel import ArrayConfig, Location, correlation2, steering_vector
+from rfda_secrecy.arraymodel import (ArrayConfig, Location, _steering, correlation2,
+                                     steering_vector)
 from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, complex_from_parts,
                                      complex_gaussian)
 from rfda_secrecy.errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
@@ -18,12 +19,13 @@ from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
 from rfda_secrecy.svgchart import line_chart
-from rfda_secrecy.sweep import (ESTIMATORS, READS, _BLOCK, FixtureK, GeneratedK, Mode, Scenario,
-                                SweepResult, _point_seed, _trial_streams, beampattern_grid,
-                                beta_for_scenario, config_hash, default_scenario, fixture_vector,
-                                lb_capacity, mc_capacity, resolve_k, result_csv_text,
-                                scenario_from_config, scenario_to_config, sweep_bandwidth,
-                                sweep_delta, sweep_power, sweep_rate, validate_fixtures, write_run)
+from rfda_secrecy.sweep import (DEFAULT_TRIALS, ESTIMATORS, READS, _BLOCK, FixtureK, GeneratedK,
+                                Mode, Scenario, SweepResult, _point_seed, _trial_streams,
+                                beampattern_grid, beta_for_scenario, config_hash,
+                                default_scenario, estimator, fixture_vector, lb_capacity,
+                                mc_capacity, resolve_k, result_csv_text, scenario_from_config,
+                                scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
+                                sweep_rate, validate_fixtures, write_run)
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
 
@@ -283,6 +285,11 @@ _BLOCK_CASES = {
     "fixture": default_scenario(mode=Mode.MONTE_CARLO),
     "generated": default_scenario(mode=Mode.MONTE_CARLO,
                                   k_source=GeneratedK(10405.0, "projection", 2)),
+    # the benchmark's generated-k array size, and the other k method
+    "generated-m32": default_scenario(mode=Mode.MONTE_CARLO,
+                                      array=ArrayConfig.half_wavelength(32, 1e9, 1e6),
+                                      k_source=GeneratedK(10405.0, "projection", 2)),
+    "eigen": default_scenario(mode=Mode.MONTE_CARLO, k_source=GeneratedK(10405.0, "eigen", 2)),
 }
 
 
@@ -294,6 +301,14 @@ def test_mc_capacity_blocks_equal_the_per_trial_reference(case, scheme):
     values = [trial_capacity(s, scheme, POINT_SEED, t) for t in range(2 * _BLOCK + 1)]
     for trials in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
         assert mc_capacity(s, trials, POINT_SEED, scheme) == _mean_stderr(values[:trials])
+
+
+@pytest.mark.parametrize("case", ["generated", "generated-m32", "eigen"])
+def test_generated_monte_carlo_computes_its_steering_vectors_outside_the_memo(case):
+    # a generated k misses the memo on every trial, so its block computes them stacked
+    before = _steering.cache_info()
+    mc_capacity(_BLOCK_CASES[case], _BLOCK + 1, POINT_SEED)
+    assert _steering.cache_info() == before
 
 
 @pytest.mark.parametrize("m", [2, 3, 16, 32])
@@ -490,12 +505,13 @@ def test_sweep_rate_gaps_and_all_infeasible():
 
 
 _SETTINGS = {"seed": 3, "trials": 4}
+_LB_SETTINGS = {"seed": 3}  # lb refuses a trial count, and accepts the seed unread
 
 
 @pytest.mark.parametrize("mode, k_source, given, recorded", [
-    (Mode.ANALYTIC_LB, FixtureK(), _SETTINGS, {}),
-    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "n_seeds": 5}, {"beta_seeds": 5}),
-    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_SETTINGS, "beta": 0.3}, {"beta": 0.3}),
+    (Mode.ANALYTIC_LB, FixtureK(), _LB_SETTINGS, {}),
+    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_LB_SETTINGS, "n_seeds": 5}, {"beta_seeds": 5}),
+    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {**_LB_SETTINGS, "beta": 0.3}, {"beta": 0.3}),
     (Mode.MONTE_CARLO, FixtureK(), _SETTINGS, _SETTINGS),
     (Mode.MONTE_CARLO, GeneratedK(10405.0), _SETTINGS, _SETTINGS),
 ], ids=["lb-fixture", "lb-generated", "lb-generated-at-beta", "mc-fixture", "mc-generated"])
@@ -523,6 +539,19 @@ def test_lb_sweep_over_a_fixture_k_refuses_a_beta_seed_count(sweep, grid):
     s = default_scenario()
     with pytest.raises(ValueError, match=r"with a fixture k reads no beta_seeds"):
         sweep(s, *grid, n_seeds=5)
+
+
+@pytest.mark.parametrize("k_source, extra", [(FixtureK(), {}), (GeneratedK(10405.0), {}),
+                                             (GeneratedK(10405.0), {"beta": 0.3})],
+                         ids=["fixture", "generated", "generated-at-beta"])
+def test_lb_sweep_refuses_a_trial_count(k_source, extra):
+    # the lower bound runs no trial, so a given count is refused, not recorded;
+    # an unset one resolves to DEFAULT_TRIALS in mc alone
+    s = default_scenario(k_source=k_source)
+    with pytest.raises(ValueError, match=r"^lb mode reads no trials \(--trials\)$"):
+        sweep_power(s, [0.0], trials=4, **extra)
+    assert estimator(replace(s, mode=Mode.MONTE_CARLO))[1] == {"seed": 0,
+                                                             "trials": DEFAULT_TRIALS}
 
 
 def test_every_mode_has_an_estimator_whose_unread_keys_are_read_by_capacity():
