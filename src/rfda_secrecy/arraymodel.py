@@ -80,15 +80,6 @@ def half_wavelength_spacing(f0_hz: float) -> float:
     return SPEED_OF_LIGHT / (2.0 * f0_hz)
 
 
-@functools.lru_cache
-def _angle_term(n_elements: int, f0_hz: float, spacing_m: float, theta_rad: float) -> np.ndarray:
-    """The k-independent part ``m*f0*d*cos(theta)`` of the per-element phases.
-    Cached, so the array is read-only: every steering vector toward theta shares it."""
-    term = np.arange(n_elements) * f0_hz * spacing_m * np.cos(theta_rad)
-    term.setflags(write=False)
-    return term
-
-
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:
     """Unit-norm steering vector toward ``loc``; entries have modulus 1/sqrt(M).
     Cached per (array, bytes of ``k``, location), keyed on their fields as plain
@@ -114,9 +105,9 @@ def _steering_rows(n_elements: int, f0_hz: float, delta_f_hz: float, spacing_m: 
     model of every steering vector, elementwise, so a row has the bits of its
     one-row call."""
     range_term = ks * delta_f_hz * r_m
+    angle_term = np.arange(n_elements) * f0_hz * spacing_m * np.cos(theta_rad)
     # the per-element phases toward the location: a vectorized reference.phase_shift
-    phases = -2.0 * np.pi * (_angle_term(n_elements, f0_hz, spacing_m, theta_rad)
-                             + range_term) / SPEED_OF_LIGHT
+    phases = -2.0 * np.pi * (angle_term + range_term) / SPEED_OF_LIGHT
     return np.exp(1j * phases) / math.sqrt(n_elements)
 
 

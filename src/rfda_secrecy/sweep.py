@@ -14,7 +14,6 @@ a given seed.  Trials are drawn serially and evaluated in blocks.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -361,24 +360,12 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-@functools.lru_cache
-def _fixture_rows(path: str | None) -> dict[str, np.ndarray]:
-    """The rows of the fixture table at ``path`` by label (the first of a repeated
-    one), read once per process.  Cached, so the arrays are read-only; a table
-    that fails to load is not cached, and raises again on the next call."""
-    rows: dict[str, np.ndarray] = {}
-    for label, vec in load_frequency_table(path):
-        vec.setflags(write=False)
-        rows.setdefault(label, vec)
-    return rows
-
-
 def fixture_vector(label: str, path: str | None = None) -> np.ndarray:
-    "One labeled row of the fixture table, read-only."
-    try:
-        return _fixture_rows(path)[label]
-    except KeyError:
-        raise FixtureError(f"fixture row {label!r} not found") from None
+    "The first row labeled ``label`` of the fixture table at ``path``."
+    for row_label, vec in load_frequency_table(path):
+        if row_label == label:
+            return vec
+    raise FixtureError(f"fixture row {label!r} not found")
 
 
 def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -436,66 +423,61 @@ _BLOCK = 128
 "Trials drawn before they are evaluated together; bounds the kernel's temporaries."
 
 
-# an overflowing phase gives a NaN capacity, which the mean check refuses with no warning
-@np.errstate(over="ignore", invalid="ignore")
-def mc_capacity(s: Scenario, trials: int, seed: int,
-                scheme: Scheme = Scheme.WITH_AN) -> tuple[float, float]:
-    """Monte Carlo mean secrecy capacity and its standard error.
+def _mc_draws(s: Scenario, trials: int, seed: int,
+              an: bool) -> tuple[np.ndarray, np.ndarray | float]:
+    """The draw pass of :func:`mc_capacity`: every trial's ``(corr2, an2)``, Eve's
+    squared correlation and, when ``an``, her AN leakage (0.0 without AN).  Neither
+    depends on the transmit power or the split.
 
-    Each trial resolves its frequency vector (a fresh draw for a generated
-    source, the fixture row otherwise) and draws a fresh AN realization from
-    its own stream, ``Philox(key=[seed, trial])`` (which keys a seed >= 2**63
-    through float64, dropping its low bits), so identical inputs give
-    bit-identical output.  The draws run trial by trial, in that order, each
-    AN draw as standard-normal parts into the block's buffer; the evaluation
-    runs once per block of up to 128 trials: it makes the block's noise
-    complex with the bits of ``complex_gaussian``, then evaluates stacked
-    products that give every trial the bits of its one-trial evaluation
-    (``reference.trial_capacity``).  A generated ``k``'s steering vectors are
-    computed there, one stacked exp per location over the block's ``k`` rows;
-    a fixture ``k`` takes its two from the ``steering_vector`` memo on every AN
-    trial, because the benchmark pins that call count.  A trial whose AN draw
-    is parallel to the intended channel replays its draws on a fresh copy of
-    its stream and redraws from there, 64 draws at most.  When ``k`` is a
-    fixture row and no power goes to AN (signal-only scheme, or delta = 1), no
-    trial draws anything: one trial is evaluated and stands for all of them.
-    A capacity that is not finite raises ``ValueError``.
+    A fixture row is read and checked once, and its one ``corr2`` stands for every
+    trial, so without AN nothing is drawn.  Otherwise trial t draws from
+    ``Philox(key=[seed, t])`` (a seed >= 2**63 keyed through float64, dropping its
+    low bits): a generated ``k``, then the AN noise as standard-normal parts into
+    the block's buffer; a fixture ``k`` takes its two steering vectors from the
+    ``steering_vector`` memo, whose call count the benchmark pins.  Each block of up
+    to 128 trials is then evaluated in stacked products that give every trial the
+    bits of its one-trial evaluation (``reference.trial_capacity``).  A trial whose
+    AN draw is parallel to the intended channel replays its draws on a fresh copy of
+    its stream and redraws from there, 64 draws at most.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    power = scheme.power(s.power)
-    cb = capacity_bob(power)
     m = s.array.n_elements
-    an = power.delta < 1.0
-    fixture = isinstance(s.k_source, FixtureK)
-    drawn = 1 if fixture and not an else trials
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
+    fixture = isinstance(s.k_source, FixtureK)
+    if fixture:
+        k = _as_k(resolve_k(s), m)
+        corr2 = np.full(trials, _correlation2(s.array, k, *pq))
+        if not an:
+            return corr2, 0.0
+    else:
+        corr2 = np.empty(trials)
+    an2 = np.empty(trials) if an else 0.0
     stream = _trial_streams(seed)
     # one block's draws, written in place: row j holds trial start + j, its AN
     # noise as the standard-normal real parts, then imaginary parts
-    rows = min(drawn, _BLOCK)
+    rows = min(trials, _BLOCK)
     ks, noise = np.empty((rows, m)), np.empty((rows, 2, m))
     h_bob, h_eve = (np.empty((rows, m), dtype=complex) for _ in range(2))
 
     def draw(rng: np.random.Generator, j: int) -> np.random.Generator:
-        """A trial's draws from ``rng`` into row j, in the order of the one-trial
-        path: k, then the AN noise.  Returns ``rng``, past those draws."""
-        k = _as_k(resolve_k(s, rng), m)
-        ks[j] = k
+        "A trial's draws from ``rng`` into row j (k, then AN noise); returns ``rng`` past them."
+        if fixture:  # memo calls the benchmark pins
+            h_bob[j] = steering_vector(s.array, k, s.bob)
+            h_eve[j] = steering_vector(s.array, k, s.eve)
+        else:
+            ks[j] = resolve_k(s, rng)
         if an:
-            if fixture:  # memo calls the benchmark pins; fold into evaluate once it counts trials
-                h_bob[j] = steering_vector(s.array, k, s.bob)
-                h_eve[j] = steering_vector(s.array, k, s.eve)
             rng.standard_normal(out=noise[j])
         return rng
 
-    def evaluate(start: int, n: int) -> tuple[np.ndarray, np.ndarray | float]:
-        "(corr2, an2) of trials ``start, ..., start + n - 1`` from rows 0..n-1; an2 0.0 without AN."
-        # a fixture k repeats one row, whose corr2 broadcasts over the block
-        corr2 = _correlation2(s.array, ks[:1] if fixture else ks[:n], *pq)
-        if not an:
-            return corr2, 0.0
-        if not fixture:  # a generated k's steering vectors, one stacked exp per location
+    for start in range(0, trials, _BLOCK):
+        n = min(_BLOCK, trials - start)
+        for j in range(n):
+            draw(stream(start + j), j)
+        if not fixture:
+            corr2[start:start + n] = _correlation2(s.array, ks[:n], *pq)
+            if not an:
+                continue
+            # a generated k's steering vectors, one stacked exp per location
             h_bob[:n], h_eve[:n] = (_steering_rows(*astuple(s.array), ks[:n], loc.r_m,
                                                    loc.theta_rad) for loc in (s.bob, s.eve))
         z = complex_from_parts(noise[:n])  # as complex_gaussian makes each row
@@ -512,15 +494,27 @@ def mc_capacity(s: Scenario, trials: int, seed: int,
                     if j not in redraws:
                         redraws[j] = draw(_trial_streams(seed)(start + j), j)
                     z[j] = complex_gaussian(redraws[j], m)
-        return corr2, an_leakage(h_eve[:n], w)
+        an2[start:start + n] = an_leakage(h_eve[:n], w)
+    return corr2, an2
 
-    values = np.empty(trials)
-    for start in range(0, drawn, _BLOCK):
-        n = min(_BLOCK, drawn - start)
-        for j in range(n):
-            draw(stream(start + j), j)
-        values[start:start + n] = secrecy_capacity(cb, capacity_eve_an(power, *evaluate(start, n)))
-    values[drawn:] = values[0]
+
+# an overflowing phase gives a NaN capacity, which the mean check refuses with no warning
+@np.errstate(over="ignore", invalid="ignore")
+def mc_capacity(s: Scenario, trials: int, seed: int,
+                scheme: Scheme = Scheme.WITH_AN) -> tuple[float, float]:
+    """Monte Carlo mean secrecy capacity and its standard error, in two steps.
+
+    The draw pass (:func:`_mc_draws`) gives every trial's ``(corr2, an2)``, which
+    do not depend on the power; the price is one secrecy-capacity expression at
+    the scheme's power over all trials, then their mean and its standard error.
+    Identical inputs give bit-identical output.  A capacity that is not finite
+    raises ``ValueError``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    power = scheme.power(s.power)
+    corr2, an2 = _mc_draws(s, trials, seed, power.delta < 1.0)
+    values = secrecy_capacity(capacity_bob(power), capacity_eve_an(power, corr2, an2))
     mean = float(values.mean())
     if not math.isfinite(mean):  # some trial's capacity is NaN or infinite
         raise ValueError(f"Monte Carlo capacity {mean}: a range or frequency overflows the phase")
@@ -653,10 +647,14 @@ def sweep_rate(s: Scenario, grid_rs, schemes=tuple(Scheme),
 
     Rates beyond a scheme's feasibility limit appear as explicit gaps (empty
     CSV cells).  Raises :class:`InfeasibleRateError` only when the entire
-    grid is infeasible for every requested scheme.
+    grid is infeasible for every requested scheme.  ``fixed_eta`` fixes the
+    AN leakage factor, so it is refused when no requested scheme feeds AN.
     """
     grid = [float(g) for g in grid_rs]
     schemes = list(schemes)
+    if fixed_eta is not None and all(sch.power(s.power).delta == 1.0 for sch in schemes):
+        raise ValueError("no requested scheme feeds AN, so the rate solver reads no "
+                         "fixed_eta (--fixed-eta)")
 
     def evaluate(scheme: Scheme, i: int) -> tuple[float | None, None]:
         try:

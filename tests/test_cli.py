@@ -865,13 +865,19 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     (None, ["--beta-seeds", "4"], "--beta-seeds"),
     (None, ["--trials", "5"], "--trials"),
     (None, ["--beta", "0.3", "--trials", "5"], "--trials"),
+    # a sweep row names its command; the others run capacity
+    (None, ["sweep", "rate", "--scheme", "no-an", "--fixed-eta", "0.5"], "--fixed-eta"),
+    (None, ["sweep", "rate", "--delta", "1", "--fixed-eta", "0.5"], "--fixed-eta"),
+    ({"power": {"delta": 1.0}}, ["sweep", "rate", "--fixed-eta", "0.9"], "--fixed-eta"),
 ])
 def test_a_flag_that_cannot_apply_is_named_in_the_error(tmp_path, capsys, config, argv,
                                                           flag):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [*argv, "--config", str(tmp_path / "cfg.json")]
-    code, out, err = run(capsys, "capacity", *argv)
+    if argv[0] != "sweep":
+        argv = ["capacity", *argv]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert flag in err
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import (ArrayConfig, Location, _steering, correlation2,
                                      steering_vector)
-from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, complex_from_parts,
-                                     complex_gaussian)
+from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
+                                     complex_from_parts, complex_gaussian, secrecy_capacity)
 from rfda_secrecy.errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
                                  RetryRequiredError)
 from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
@@ -20,8 +20,8 @@ from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
 from rfda_secrecy.svgchart import line_chart
 from rfda_secrecy.sweep import (DEFAULT_TRIALS, ESTIMATORS, READS, _BLOCK, FixtureK, GeneratedK,
-                                Mode, Scenario, SweepResult, _point_seed, _trial_streams,
-                                beampattern_grid, beta_for_scenario, config_hash,
+                                Mode, Scenario, SweepResult, _mc_draws, _point_seed,
+                                _trial_streams, beampattern_grid, beta_for_scenario, config_hash,
                                 default_scenario, estimator, fixture_vector, lb_capacity,
                                 mc_capacity, resolve_k, result_csv_text, scenario_from_config,
                                 scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
@@ -108,7 +108,10 @@ def test_fixture_vector_lookup():
         fixture_vector("K99999")
 
 
-def test_fixture_table_is_parsed_once_per_path(tmp_path, monkeypatch):
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("trials", [1, 300])
+def test_fixture_monte_carlo_parses_the_table_once_per_call(tmp_path, monkeypatch, trials,
+                                                            scheme):
     import rfda_secrecy.sweep as sweep_mod
 
     table = tmp_path / "table.csv"
@@ -116,11 +119,13 @@ def test_fixture_table_is_parsed_once_per_path(tmp_path, monkeypatch):
     real, calls = sweep_mod.load_frequency_table, []
     monkeypatch.setattr(sweep_mod, "load_frequency_table",
                         lambda path: calls.append(path) or real(path))
-    rows = [fixture_vector(label, str(table)) for label in (*FIXTURES, *FIXTURES)]
+    s = default_scenario(mode=Mode.MONTE_CARLO, k_source=FixtureK("K12905", str(table)))
+    first = mc_capacity(s, trials, 3, scheme)
     assert calls == [str(table)]
-    # every caller shares the cached rows, so none may write to them
-    assert not any(k.flags.writeable for k in rows)
-    np.testing.assert_array_equal(rows[0], fixture_vector("K10405"))
+    # nothing is kept between calls: the next one reads the table again
+    assert mc_capacity(s, trials, 3, scheme) == first
+    assert calls == [str(table)] * 2
+    assert first == mc_capacity(replace(s, k_source=FixtureK("K12905")), trials, 3, scheme)
 
 
 def test_resolve_k_generated_deterministic():
@@ -365,6 +370,31 @@ def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, paral
     assert mc_capacity(s, trials, POINT_SEED) == _mean_stderr(values)
 
 
+@pytest.mark.parametrize("k_source, m", [
+    (FixtureK("K12905"), 16),
+    (GeneratedK(10405.0, "projection", 2), 16),
+    (GeneratedK(10405.0, "eigen", 2), 32),
+])
+def test_one_draw_pass_priced_at_each_power_and_split_is_mc_capacity(k_source, m):
+    # the draws do not depend on the power: one pass, priced at every point, gives
+    # each point's mc_capacity at the same seed; 130 trials cross a block edge
+    s = default_scenario(mode=Mode.MONTE_CARLO, k_source=k_source,
+                         array=ArrayConfig.half_wavelength(m, 1e9, 1e6))
+    trials = _BLOCK + 2
+    corr2, an2 = _mc_draws(s, trials, POINT_SEED, an=True)
+    signal_corr2, no_an2 = _mc_draws(s, trials, POINT_SEED, an=False)
+    assert signal_corr2.tobytes() == corr2.tobytes() and no_an2 == 0.0
+    for pt_dbm in (0.0, 20.0, 40.0):
+        for delta in (0.2, 0.6, 0.95):
+            point = replace(s, power=replace(s.power, pt_dbm=pt_dbm, delta=delta))
+            values = secrecy_capacity(capacity_bob(point.power),
+                                      capacity_eve_an(point.power, corr2, an2))
+            assert mc_capacity(point, trials, POINT_SEED) == _mean_stderr(values)
+        power = Scheme.WITHOUT_AN.power(point.power)
+        values = secrecy_capacity(capacity_bob(power), capacity_eve_an(power, signal_corr2, 0.0))
+        assert mc_capacity(point, trials, POINT_SEED, Scheme.WITHOUT_AN) == _mean_stderr(values)
+
+
 def test_mc_capacity_memory_does_not_grow_with_trials():
     s = default_scenario(mode=Mode.MONTE_CARLO, array=ArrayConfig.half_wavelength(64, 1e9, 1e6),
                          k_source=GeneratedK(10405.0, "projection", 0))
@@ -502,6 +532,16 @@ def test_sweep_rate_gaps_and_all_infeasible():
     assert result.meta["sweep"]["fixed_eta"] is None
     with pytest.raises(InfeasibleRateError):
         sweep_rate(s, [9.0, 9.5], schemes=(Scheme.WITH_AN,))
+
+
+def test_sweep_rate_refuses_fixed_eta_when_no_scheme_feeds_an():
+    s = default_scenario()
+    no_an = replace(s, power=replace(s.power, delta=1.0))
+    for scenario, schemes in ((s, (Scheme.WITHOUT_AN,)), (no_an, tuple(Scheme))):
+        with pytest.raises(ValueError, match=r"reads no fixed_eta \(--fixed-eta\)"):
+            sweep_rate(scenario, [1.0], schemes, fixed_eta=0.5)
+    # one scheme that feeds AN reads it
+    assert sweep_rate(s, [1.0], fixed_eta=0.5).meta["sweep"]["fixed_eta"] == 0.5
 
 
 _SETTINGS = {"seed": 3, "trials": 4}
