@@ -150,8 +150,15 @@ def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.
 
     The locations are not checked: callers validate them as :class:`Location`.
     Each location holds an M-element phase vector while it is evaluated, so
-    callers keep batches small (``beampattern_grid`` passes one range row).
+    callers keep batches small (``beampattern_grid`` passes one range row).  A
+    correlation that is not finite, where a range or frequency overflows the
+    phase, raises ``ValueError``.
     """
     karr = _as_k(k, cfg.n_elements)
-    p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
-    return _correlation2(cfg, karr, p[..., None], q[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
+        corr2 = _correlation2(cfg, karr, p[..., None], q[..., None])
+    if not np.isfinite(corr2).all():
+        raise ValueError("a squared correlation is not finite: a range or frequency "
+                         "overflows the phase")
+    return corr2

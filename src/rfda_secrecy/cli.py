@@ -224,34 +224,31 @@ def _cmd_gen_k(args: argparse.Namespace) -> int:
     return 0
 
 
-def _region_bound(given, bound: float, bob: float, half_width: str) -> float:
-    "A grid bound: ``given``, or else the region's ``bound`` unless it rounds onto ``bob``."
-    if given is not None:
-        return given
-    if bound == bob:
-        raise ValueError(f"{half_width} rounds away at Bob's coordinate {bob!r}: the "
-                         f"default grid would hold that one value")
-    return bound
+def _axis(given_lo, given_hi, step: float, bob: float, half: float, flag: str) -> list[float]:
+    "A grid axis between the bounds given, else Bob's coordinate -/+ 3 half-widths ``half``."
+    bounds = []
+    for given, bound in ((given_lo, bob - 3 * half), (given_hi, bob + 3 * half)):
+        if given is None and bound == bob:
+            raise ValueError(f"{flag} {half:g} rounds away at Bob's coordinate {bob!r}: the "
+                             f"default grid would hold that one value")
+        bounds.append(bound if given is None else given)
+    return _grid(*bounds, step)
 
 
 def _cmd_beampattern(args: argparse.Namespace) -> int:
     s = _scenario_from_args(args)
-    r, dr, r_half = s.bob.r_m, 3 * s.region.dr_m, f"--dr-m {s.region.dr_m:g}"
-    r_values = _grid(_region_bound(args.r_min, r - dr, r, r_half),
-                     _region_bound(args.r_max, r + dr, r, r_half), args.r_step)
-    theta, dtheta = s.bob.theta_rad, 3 * s.region.dtheta_rad
-    bob_deg = math.degrees(theta)
-    theta_half = f"--dtheta-deg {math.degrees(s.region.dtheta_rad):g}"
-    theta_lo = _region_bound(args.theta_min_deg, math.degrees(theta - dtheta), bob_deg, theta_half)
-    theta_hi = _region_bound(args.theta_max_deg, math.degrees(theta + dtheta), bob_deg, theta_half)
-    theta_deg = _grid(theta_lo, theta_hi, args.theta_step_deg)
+    # the region sets nothing but the default grid, which the manifest records
+    config = read_config(s, "beampattern")
+    bob, region = config["bob"], config.pop("region")
+    r_values = _axis(args.r_min, args.r_max, args.r_step, bob["r_m"], region["dr_m"], "--dr-m")
+    theta_deg = _axis(args.theta_min_deg, args.theta_max_deg, args.theta_step_deg,
+                      bob["theta_deg"], region["dtheta_deg"], "--dtheta-deg")
     if len(r_values) * len(theta_deg) > _MAX_BEAMPATTERN_POINTS:
         raise ValueError(f"beampattern grid exceeds {_MAX_BEAMPATTERN_POINTS} points")
-    rows = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
-    # the region sets nothing but the default grid, which the manifest records
-    config = {name: v for name, v in read_config(s, "beampattern").items() if name != "region"}
+    power = beampattern_grid(s, r_values, [math.radians(t) for t in theta_deg])
     manifest = run_manifest({"config": config, "grid": {"r": r_values, "theta_deg": theta_deg}})
-    print(write_run_dir(args.out, "beampattern", beampattern_csv_text(rows), manifest))
+    print(write_run_dir(args.out, "beampattern", beampattern_csv_text(r_values, theta_deg, power),
+                        manifest))
     return 0
 
 

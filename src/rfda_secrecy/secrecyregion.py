@@ -97,11 +97,13 @@ def ellipse_semi_axes(cfg: ArrayConfig, n_elements: int, k_norm2: float,
 
     Inside the ellipse the beampattern stays above ``beta * M^2``.  For
     ``beta >= 1`` the ellipse degenerates to the aim point and both axes are
-    zero.
+    zero.  A radial axis that overflows raises ``ValueError``.
     """
     if k_norm2 <= 0:
         raise ValueError("k_norm2 must be positive")
     dr = math.sqrt(_radial_norm2(cfg, beta, n_elements) / k_norm2)
+    if not math.isfinite(dr):
+        raise ValueError(f"the radial semi-axis overflows at k_norm2={k_norm2!r} and beta={beta}")
     return dr, _angular_width(cfg, beta, n_elements, theta_b_rad)
 
 

@@ -96,17 +96,25 @@ def default_scenario(**overrides) -> Scenario:
 # configuration mapping (JSON round trip)
 # ---------------------------------------------------------------------------
 
+def _degrees(rad: float) -> float:
+    """``math.degrees(rad)``, or where that maps back to other radians, its neighbour
+    that maps back to ``rad``, so that a configuration re-runs its own scenario.
+    Radians that no degree value maps to (built in Python) keep ``math.degrees``."""
+    deg = math.degrees(rad)
+    near = (deg, math.nextafter(deg, -math.inf), math.nextafter(deg, math.inf))
+    return next((d for d in near if math.radians(d) == rad), deg)
+
+
 def scenario_to_config(s: Scenario) -> dict:
-    "Fully resolved, JSON-serializable configuration."
+    "Fully resolved, JSON-serializable configuration, from which the scenario is rebuilt."
     k_type = "generated" if isinstance(s.k_source, GeneratedK) else "fixture"
     return {
         "array": {"M": s.array.n_elements, "f0_hz": s.array.f0_hz,
                   "delta_f_hz": s.array.delta_f_hz,
                   "spacing": {"meters": s.array.spacing_m}},
-        "bob": {"r_m": s.bob.r_m, "theta_deg": math.degrees(s.bob.theta_rad)},
-        "eve": {"r_m": s.eve.r_m, "theta_deg": math.degrees(s.eve.theta_rad)},
-        "region": {"dr_m": s.region.dr_m,
-                   "dtheta_deg": math.degrees(s.region.dtheta_rad)},
+        "bob": {"r_m": s.bob.r_m, "theta_deg": _degrees(s.bob.theta_rad)},
+        "eve": {"r_m": s.eve.r_m, "theta_deg": _degrees(s.eve.theta_rad)},
+        "region": {"dr_m": s.region.dr_m, "dtheta_deg": _degrees(s.region.dtheta_rad)},
         "power": {"pt_dbm": s.power.pt_dbm, "sigma_b2_dbm": s.power.sigma_b2_dbm,
                   "sigma_e2_dbm": s.power.sigma_e2_dbm, "delta": s.power.delta},
         "k_source": {"type": k_type, **asdict(s.k_source)},
@@ -702,8 +710,9 @@ def validate_fixtures(path: str | Path | None = None) -> dict:
     return {"rows": report_rows, "ok": all(r["ok"] for r in report_rows)}
 
 
-def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> list[tuple[float, float, float]]:
-    """Normalized beampattern samples (r, theta_deg, power / M^2) on a grid.
+def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> np.ndarray:
+    """Normalized beampattern power / M^2 on a grid: entry ``[i, j]`` is at range
+    ``r_values[i]`` and angle ``theta_values_rad[j]``, an empty array if either is.
 
     One frequency vector is drawn (or loaded) for the whole grid, so the rows
     describe a single realized pattern.  Every range and angle is checked as a
@@ -713,29 +722,21 @@ def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> list[tuple[floa
     k = resolve_k(s)
     r_values = [float(r) for r in r_values]
     thetas = [float(theta) for theta in theta_values_rad]
-    if not r_values or not thetas:
-        return []
-    for theta in thetas:
-        Location(r_values[0], theta)
-    for r in r_values[1:]:
-        Location(r, thetas[0])
-    theta_deg = [math.degrees(theta) for theta in thetas]
-    rows = []
-    for r in r_values:
-        power = correlation2_grid(s.array, k, s.bob, r, thetas).tolist()
-        rows.extend(zip([r] * len(thetas), theta_deg, power))
-    return rows
+    power = np.empty((len(r_values), len(thetas)))
+    if power.size:  # row-major: the first range at every angle, then each other range
+        walk = [(r_values[0], t) for t in thetas] + [(r, thetas[0]) for r in r_values[1:]]
+        for r, theta in walk:
+            Location(r, theta)
+    for row, r in zip(power, r_values):
+        row[:] = correlation2_grid(s.array, k, s.bob, r, thetas)
+    return power
 
 
-def beampattern_csv_text(rows) -> str:
-    "CSV of ``(r, theta_deg, power)`` rows; each distinct range and angle is formatted once."
-    texts: dict = {}
-
-    def text(value) -> str:
-        if not value or value not in texts:  # 0.0 and -0.0 are one key but print apart
-            texts[value] = _fmt(value)
-        return texts[value]
-
-    lines = ["r_m,theta_deg,normalized_power"]
-    lines += [f"{text(r)},{text(t)},{_fmt(p)}" for r, t, p in rows]
-    return "\n".join(lines) + "\n"
+def beampattern_csv_text(r_values, theta_deg, power) -> str:
+    """CSV of a :func:`beampattern_grid` ``power`` array, one line per point in
+    row-major order: the range ``r_values[i]``, the angle ``theta_deg[j]`` as given
+    and ``power[i, j]``.  Each range and angle is formatted once."""
+    angles = [_fmt(t) for t in theta_deg]
+    rows = zip(map(_fmt, r_values), np.asarray(power).tolist())
+    return "r_m,theta_deg,normalized_power\n" + "".join(
+        [f"{r},{t},{p!r}\n" for r, row in rows for t, p in zip(angles, row)])

@@ -325,6 +325,22 @@ def test_correlation2_grid_rejects_a_vector_of_the_wrong_length():
         correlation2_grid(cfg, np.zeros(5), _BOB, [100.0], [1.0])
 
 
+def test_a_phase_that_overflows_raises_in_every_correlation_path():
+    # the mismatch phase of a 1e300 Hz increment overflows 1e16 m off Bob, where numpy
+    # would warn and give NaN; the grid refuses it once, for its callers too
+    cfg = ArrayConfig.half_wavelength(16, 1e9, 1e300)
+    k = fixture_vector("K10405")
+    assert 0.0 <= correlation2_grid(cfg, k, _BOB, 0.0, _BOB.theta_rad) <= 1.0 + 1e-12  # finite
+    message = "a squared correlation is not finite: a range or frequency overflows the phase"
+    for compute in (lambda: correlation2_grid(cfg, k, _BOB, [0.0, 1e16], _BOB.theta_rad),
+                    lambda: correlation2(cfg, k, _BOB, Location(1e16, _BOB.theta_rad)),
+                    lambda: beta_boundary(cfg, k, Location(1e17, _BOB.theta_rad),
+                                          SecrecyRegion(1e16, 0.1)),
+                    lambda: beampattern_grid(default_scenario(array=cfg), [1e16], [1.0])):
+        with pytest.raises(ValueError, match=message):
+            compute()
+
+
 @pytest.mark.parametrize("m", [3, 16, 64])
 def test_beta_boundary_is_the_largest_scalar_corner_correlation(m):
     cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
@@ -350,10 +366,11 @@ def test_beampattern_grid_rows_match_the_pointwise_loop():
     r_values = [0.0, 76.0, 99.75, 100.0, 123.5]
     thetas = [math.radians(t) for t in (0.001, 30.0, 44.9, 45.0, 60.1, 179.999)]
     got, want = beampattern_grid(s, r_values, thetas), _pointwise_rows(s, r_values, thetas)
-    assert [row[:2] for row in got] == [row[:2] for row in want]
-    np.testing.assert_allclose([row[2] for row in got], [row[2] for row in want],
-                               rtol=1e-12, atol=1e-15)
-    assert beampattern_grid(s, [], thetas) == beampattern_grid(s, r_values, []) == []
+    # row i holds range i at every angle, so the row-major walk is the pointwise loop's
+    assert got.shape == (len(r_values), len(thetas))
+    np.testing.assert_allclose(got.ravel(), [row[2] for row in want], rtol=1e-12, atol=1e-15)
+    assert beampattern_grid(s, [], thetas).shape == (0, len(thetas))
+    assert beampattern_grid(s, r_values, []).shape == (len(r_values), 0)
 
 
 @pytest.mark.parametrize("r_values, thetas", [

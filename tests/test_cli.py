@@ -274,6 +274,27 @@ def test_a_key_that_a_command_does_not_read_leaves_its_run_directory(tmp_path, c
     assert runs[0] == runs[1]
 
 
+# mode -> angles whose degrees come back one ulp off through radians and math.degrees
+_ANGLES = {"lb": ["--bob-theta-deg", "34.06", "--dtheta-deg", "3"],
+           "mc": ["--bob-theta-deg", "34.06", "--eve-theta-deg", "32.08"]}
+
+
+@pytest.mark.parametrize("command, mode", [
+    *((command, mode) for command in ("sweep power", "sweep delta", "sweep bandwidth")
+      for mode in ("lb", "mc")),
+    ("sweep rate", None)])  # the rate solver reads no mode
+def test_a_manifest_re_runs_its_own_run(tmp_path, capsys, command, mode):
+    evaluation = [*command.split(), *_RUN_COMMANDS[command], *_MC_TRIALS * (mode == "mc")]
+    first = _run_files(capsys, tmp_path / "out", [
+        *evaluation, *_ANGLES[mode or "lb"], *["--mode", mode] * (mode is not None)])
+    config = json.loads(first[2])["config"]
+    assert config["bob"]["theta_deg"] == 34.06
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    again = _run_files(capsys, tmp_path / "out", [*evaluation, "--config",
+                                                  str(tmp_path / "cfg.json")])
+    assert again == first
+
+
 _CONFIG = "--config {cfg}"
 
 
@@ -427,6 +448,15 @@ def test_beampattern_cli(tmp_path, capsys):
     # the run id follows the sweeps' rule: the hash of the manifest without its version
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert run_dir.name == f"beampattern-{manifest['config_hash']}"
+
+
+def test_a_beampattern_csv_prints_the_angles_of_its_manifest_grid(tmp_path, capsys):
+    # 30.0 sent through radians and back would print as 29.999999999999996
+    _, csv, manifest = _run_files(capsys, tmp_path, [
+        "beampattern", "--r-min", "100", "--r-max", "100", "--theta-min-deg", "30",
+        "--theta-max-deg", "31", "--theta-step-deg", "0.1"])
+    cells = [float(line.split(",")[1]) for line in csv.decode().splitlines()[1:]]
+    assert cells == json.loads(manifest)["grid"]["theta_deg"]
 
 
 @pytest.mark.parametrize("argv, flag, bob", [
@@ -616,6 +646,14 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--trials", "5"]),
     (None, ["sweep", "power", "--k-target", "10405", "--trials", "5"]),
     (None, ["sweep", "bandwidth", "--trials", "5"]),
+    (None, ["capacity", "--delta-f-hz", "1e300", "--bob-r-m", "1e17", "--dr-m", "1e16"]),
+    (None, ["capacity", "--delta-f-hz", "1e300", "--bob-r-m", "1e17", "--dr-m", "1e16",
+            "--k-target", "10405"]),
+    (None, ["sweep", "power", "--delta-f-hz", "1e300", "--bob-r-m", "1e17", "--dr-m", "1e16"]),
+    (None, ["sweep", "delta", "--delta-f-hz", "1e300", "--bob-r-m", "1e17", "--dr-m", "1e16"]),
+    (None, ["beampattern", "--delta-f-hz", "1e300", "--r-min", "0", "--r-max", "1e16",
+            "--r-step", "1e16", "--theta-step-deg", "5"]),
+    (None, ["region", "--beta", "0.4", "--k-target", "1e-310", "--m", "3"]),
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, recwarn, config, argv):
     monkeypatch.chdir(tmp_path)

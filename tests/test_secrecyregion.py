@@ -89,6 +89,14 @@ def test_ellipse_semi_axes_values():
         ellipse_semi_axes(CFG, 16, 10405.0, 0.4, 0.0)
 
 
+def test_ellipse_semi_axes_refuses_an_overflowing_radial_axis():
+    # a subnormal squared norm overflows the radial axis, which region would print as inf
+    with pytest.raises(ValueError, match=r"radial semi-axis overflows at k_norm2=1e-310 "
+                                         r"and beta=0\.4"):
+        ellipse_semi_axes(CFG, 3, 1e-310, 0.4, THETA_B)
+    assert ellipse_semi_axes(CFG, 3, 1e-310, 1.0, THETA_B) == (0.0, 0.0)
+
+
 def test_m_min_values():
     value = m_min(0.4, REGION, THETA_B, CFG)
     assert value == pytest.approx(15.730591851548374, rel=1e-9)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import (ArrayConfig, Location, _steering, correlation2,
                                      steering_vector)
@@ -658,12 +658,11 @@ def test_validate_fixtures_pass_and_fail(tmp_path):
 
 def test_beampattern_grid_normalization():
     s = default_scenario()
-    rows = beampattern_grid(s, [92.0, 100.0, 108.0],
-                            [math.radians(40), math.radians(45)])
-    assert len(rows) == 6
-    by_point = {(r, round(t, 6)): p for r, t, p in rows}
-    assert by_point[(100.0, 45.0)] == pytest.approx(1.0, abs=1e-12)
-    assert all(0.0 <= p <= 1.0 + 1e-12 for _, _, p in rows)
+    power = beampattern_grid(s, [92.0, 100.0, 108.0],
+                             [math.radians(40), math.radians(45)])
+    assert power.shape == (3, 2)
+    assert power[1, 1] == pytest.approx(1.0, abs=1e-12)  # at Bob, (100 m, 45 deg)
+    assert all(0.0 <= p <= 1.0 + 1e-12 for p in power.ravel())
 
 
 def test_line_chart_renders_series_and_gaps():
@@ -757,6 +756,19 @@ def test_scenario_config_json_round_trip_property(s):
     # degrees <-> radians is exact for the defaults but not for every angle
     assert _without_angles(got) == _without_angles(s)
     assert _angles(got) == pytest.approx(_angles(s), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios, _finite_floats(1e-3, 179.999), _finite_floats(1e-3, 179.999),
+       _finite_floats(1e-4, 85.0))
+@example(default_scenario(), 34.06, 32.08, 3.0)
+def test_a_config_built_scenario_survives_its_config(s, bob_deg, eve_deg, dtheta_deg):
+    # a manifest's degrees map back to the radians its run read, so it re-runs that run
+    cfg = scenario_to_config(s)
+    cfg["bob"]["theta_deg"], cfg["eve"]["theta_deg"] = bob_deg, eve_deg
+    cfg["region"]["dtheta_deg"] = dtheta_deg
+    built = scenario_from_config(cfg)
+    assert scenario_from_config(json.loads(json.dumps(scenario_to_config(built)))) == built
 
 
 def _number_paths(node, path=()):
