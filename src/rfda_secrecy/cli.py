@@ -21,7 +21,7 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (ESTIMATORS, READS, SEED_LIMIT, Scenario,
+from .sweep import (ESTIMATORS, LB_AT_BETA_READS, READS, SEED_LIMIT, Mode, Scenario,
                     beampattern_csv_text, beampattern_grid, estimator, k_norm2, read_config,
                     run_manifest, scenario_from_config, sweep_bandwidth, sweep_delta, sweep_power,
                     sweep_rate, validate_fixtures, write_run, write_run_dir)
@@ -171,14 +171,23 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return scenario_from_config(cfg)
 
 
+def _refuse(args: argparse.Namespace, keys, reader: str) -> None:
+    "Refuse the first scenario flag given whose key is in ``keys``: ``reader`` reads none."
+    for flag, (_, path, _) in _SCENARIO_FLAGS.items():
+        if path in keys and getattr(args, flag[2:].replace("-", "_"), None) is not None:
+            raise ValueError(f"{reader} reads no {path} ({flag})")
+
+
 def _scenario_in_mode(args: argparse.Namespace, command: str) -> Scenario:
     """The scenario of the flags given.  Where ``command`` reads the mode, a flag whose
-    key that mode leaves unread is refused, bar --k-seed, which the benchmark passes."""
+    key that mode leaves unread is refused, bar --k-seed in mc, which the benchmark
+    passes; so is, in lb at a given --beta, a flag of a key that lb_capacity does not read."""
     s = _scenario_from_args(args)
-    unread = ESTIMATORS[s.mode][0] - {"k_source.seed"} if "mode" in READS[command] else set()
-    for flag, (_, path, _) in _SCENARIO_FLAGS.items():
-        if path in unread and getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            raise ValueError(f"{s.mode.value} mode reads no {path} ({flag})")
+    if "mode" in READS[command]:
+        _refuse(args, ESTIMATORS[s.mode][0] - {"k_source.seed"}, f"{s.mode.value} mode")
+        if s.mode is Mode.ANALYTIC_LB and getattr(args, "beta", None) is not None:
+            _refuse(args, set(READS[command]) - LB_AT_BETA_READS,
+                    "lb mode at a given beta (--beta)")
     return s
 
 
@@ -195,6 +204,8 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
         if args.dtheta_deg is None or args.bob_theta_deg is None:
             raise ConfigError("kmin needs either --m-min or both --dtheta-deg and --bob-theta-deg")
         m_value = m_min(args.beta, s.region, s.bob.theta_rad, s.array)
+    else:  # the count stands in for m_min, so none of the keys mmin reads is read
+        _refuse(args, READS["mmin"], "kmin at a given element count (--m-min)")
     print(f"{k_min(args.beta, s.region, s.array, m_value):.2f}")
     return 0
 

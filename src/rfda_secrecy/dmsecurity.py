@@ -168,6 +168,8 @@ def c_an_lb(power: PowerConfig, beta: float, eta_value: float) -> float:
     ``beta`` caps the eavesdropper's signal correlation (the boundary
     correlation of the secrecy region); the AN floor is taken at its average
     leakage ``eta_value * (1 - beta)``.  At ``delta = 1`` it is the signal-only bound.
+    It is the paper's ``log2((1 + delta*mu) / (1 + SINR_E(beta)))`` without ``[.]+``,
+    so it is negative where the eavesdropper's bound exceeds the intended link's.
     """
     mu, eps, delta = power.mu, power.eps, power.delta
     eve = delta * mu * beta / ((1.0 - delta) * mu * eta_value * (1.0 - beta) + eps)

@@ -166,40 +166,39 @@ def _monte_carlo(settings: dict) -> Callable:
         p, trials, seed if i is None else _point_seed(seed, i), scheme)
 
 
-# mode -> (the READS["capacity"] keys it leaves unread, each evaluation setting it reads
-# with the k source type it reads it for (object: any), its evaluator).  lb looks at no
-# eavesdropper; an mc trial draws k from its own stream and probes eve, not the region's
-# corners.  Evaluators call mc_capacity and beta_for_scenario by name, so patches see them
+# mode -> (each READS["capacity"] key and evaluation setting it leaves unread, its
+# evaluator).  lb looks at no eavesdropper and runs no trial; an mc trial draws k from
+# its own stream and probes eve, not the region's corners, so it finds no beta.
+# Evaluators call mc_capacity and beta_for_scenario by name, so patches see them
 ESTIMATORS = {
-    Mode.ANALYTIC_LB: ({"eve.r_m", "eve.theta_deg"},
-                       {"beta": object, "beta_seeds": GeneratedK}, _lower_bound),
-    Mode.MONTE_CARLO: ({"k_source.seed", "region.dr_m", "region.dtheta_deg"},
-                       {"seed": object, "trials": object}, _monte_carlo),
+    Mode.ANALYTIC_LB: ({"eve.r_m", "eve.theta_deg", "seed", "trials"}, _lower_bound),
+    Mode.MONTE_CARLO: ({"k_source.seed", "region.dr_m", "region.dtheta_deg", "beta",
+                        "beta_seeds"}, _monte_carlo),
 }
+# the READS["capacity"] keys that lb reads at a given beta: lb_capacity's alone
+LB_AT_BETA_READS = {"mode", "array.M", "power.pt_dbm", "power.sigma_b2_dbm",
+                    "power.sigma_e2_dbm", "power.delta"}
 
 
 def estimator(s: Scenario, trials: int | None = None, seed: int = 0,
               n_seeds: int | None = None, beta: float | None = None) -> tuple[Callable, dict]:
     """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) ->
     (value, stderr or None)``, and the settings it reads, which a manifest records.  A
-    mode refuses ``trials``, ``n_seeds`` (beta_seeds) or ``beta`` given that it does
-    not read for the scenario's k source; ``seed`` always holds a value, so it is
-    accepted unread."""
-    _, reads, evaluator = ESTIMATORS[s.mode]
-    if beta is not None:  # the override draws no k, so it reads no beta_seeds
-        reads = {name: kind for name, kind in reads.items() if name != "beta_seeds"}
-    values = {"beta": beta, "beta_seeds": n_seeds, "seed": seed, "trials": trials}
-    for name, flag in (("beta", "--beta"), ("beta_seeds", "--beta-seeds"),
-                       ("trials", "--trials")):
-        if values[name] is not None and not (
-                name in reads and isinstance(s.k_source, reads[name])):
-            at = (" at a given beta (--beta)" if beta is not None and name == "beta_seeds"
-                  else " with a fixture k" if name in reads else "")
-            raise ValueError(f"{s.mode.value} mode{at} reads no {name} ({flag})")
-    values["beta_seeds"] = DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds
-    values["trials"] = DEFAULT_TRIALS if trials is None else trials
-    return evaluator(values), {name: values[name] for name, kind in reads.items()
-                               if values[name] is not None and isinstance(s.k_source, kind)}
+    mode refuses ``trials``, ``n_seeds`` (beta_seeds) or ``beta`` given that it leaves
+    unread; ``seed`` always holds a value, so it is accepted unread."""
+    unread, evaluator = ESTIMATORS[s.mode]
+    # name -> the condition it goes unread on; lb draws k to find beta, and no other
+    skip = dict.fromkeys(unread, "")
+    if "beta_seeds" not in skip and (beta is not None or isinstance(s.k_source, FixtureK)):
+        skip["beta_seeds"] = " with a fixture k" if beta is None else " at a given beta (--beta)"
+    for name, value in (("beta", beta), ("beta_seeds", n_seeds), ("trials", trials)):
+        if value is not None and name in skip:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{s.mode.value} mode{skip[name]} reads no {name} ({flag})")
+    settings = {"beta": beta, "beta_seeds": DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds,
+                "seed": seed, "trials": DEFAULT_TRIALS if trials is None else trials}
+    return evaluator(settings), {name: value for name, value in settings.items()
+                                 if name not in skip and value is not None}
 
 
 def read_config(s: Scenario, command: str) -> dict:
@@ -420,7 +419,8 @@ def lb_capacity(s: Scenario, scheme: Scheme, beta: float) -> float:
     correlation ``beta`` (see :func:`beta_for_scenario`).
 
     It is the AN bound at the scheme's split: delta = 1 for signal-only.  With
-    no power on AN it needs no leakage factor, so one element is enough.
+    no power on AN it needs no leakage factor, so one element is enough.  The
+    bound is not clamped at 0, unlike each Monte Carlo trial, so it may be negative.
     """
     power = scheme.power(s.power)
     eta_value = eta(s.array.n_elements) if power.delta < 1.0 else 0.0

@@ -65,6 +65,19 @@ def test_kmin_with_explicit_m_min(capsys):
     assert out.strip() == "335.74"
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--dtheta-deg", "5", "region.dtheta_deg"), ("--bob-theta-deg", "30", "bob.theta_deg"),
+    ("--f0-hz", "2e9", "array.f0_hz"), ("--spacing-m", "0.3", "array.spacing"),
+])
+def test_kmin_at_a_given_count_refuses_the_flags_it_leaves_unread(capsys, flag, value, key):
+    # k_min at a given count reads the range half-width and the increment
+    # reference alone; the angular flags would set an element count it never finds
+    code, out, err = run(capsys, "kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "10",
+                         flag, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: kmin at a given element count (--m-min) reads no {key} ({flag})\n"
+
+
 def test_kmin_without_enough_inputs(capsys):
     code, _, err = run(capsys, "kmin", "--beta", "0.4", "--dr-m", "8")
     assert code == 2
@@ -97,6 +110,34 @@ def test_capacity_lb_with_beta_override(capsys):
     lines = dict(line.split("=", 1) for line in out.strip().splitlines())
     assert float(lines["with_an"]) == pytest.approx(5.3131, abs=1e-4)
     assert float(lines["without_an"]) == pytest.approx(1.3198, abs=1e-4)
+
+
+def test_capacity_at_a_given_beta_reads_the_array_size_and_the_power_flags(tmp_path, capsys):
+    # lb_capacity at a given beta reads M (through the AN leakage) and the four
+    # power keys; every other flag is refused, and the same keys from a file pass
+    base = ("capacity", "--beta", "0.3")
+    code, out, _ = run(capsys, *base)
+    assert (code, out) == (0, "with_an=5.8875\nwithout_an=1.7336\n")
+    for flag, value in (("--m", "12"), ("--pt-dbm", "20"), ("--sigma-b2-dbm", "3"),
+                        ("--sigma-e2-dbm", "3"), ("--delta", "0.8")):
+        code, moved, _ = run(capsys, *base, flag, value)
+        assert code == 0 and moved != out, flag
+    code, _, err = run(capsys, *base, "--bob-theta-deg", "60")
+    assert (code, err) == (
+        2, "error: lb mode at a given beta (--beta) reads no bob.theta_deg (--bob-theta-deg)\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({"bob": {"theta_deg": 60.0}}))
+    assert run(capsys, *base, "--config", str(tmp_path / "cfg.json")) == (0, out, "")
+
+
+def test_an_lb_capacity_may_be_negative_where_mc_clamps_at_0(capsys):
+    # the lower bound is the paper's bound without [.]+, while each mc trial clamps
+    code, out, _ = run(capsys, "capacity", "--sigma-b2-dbm", "300")
+    assert (code, out) == (0, "with_an=-2.8227\nwithout_an=-7.7916\n")
+    code, out, _ = run(capsys, "capacity", "--mode", "mc", "--trials", "20",
+                       "--sigma-b2-dbm", "300")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["with_an=0.0000",
+                                                               "without_an=0.0000"]
 
 
 def test_capacity_mc_mode(capsys):
@@ -417,7 +458,8 @@ def test_validate_fixtures_cli(tmp_path, capsys):
 
 
 def test_a_missing_or_bad_fixture_table_exits_5_on_every_read(tmp_path, capsys):
-    # parsed tables are cached per path; a table that failed to load is not
+    # the table is read and parsed on every use, so a table that failed to load
+    # fails again on the next read
     table = tmp_path / "table.csv"
     argv = ("capacity", "--fixture-path", str(table))
     bad_header = "label,m1\nK10405,1\n"
@@ -848,6 +890,9 @@ _VALUES = {
 # (command, flag) -> the value of that flag on that command alone: validate-fixtures
 # checks the table, so it needs one that passes
 _COMMAND_VALUES = {("validate-fixtures", "--fixture-path"): "{valid}"}
+# (command, flag) -> the base of that case alone: a given count refuses the
+# angular flags of the kmin base, which it leaves unread
+_COMMAND_BASES = {("kmin", "--m-min"): ["--beta", "0.4", "--dr-m", "8", "--m-min", "10"]}
 
 
 def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
@@ -881,8 +926,8 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     assert set(_BASES) == set(_COMMAND_FLAGS)
     for command, flags in _COMMAND_FLAGS.items():
         for flag in sorted(flags - _NO_OUTPUT_FLAGS):
-            base = [*_BASES[command], *(word for pair in _NEEDS.get(flag, ())
-                                        if pair[0] in flags for word in pair)]
+            base = [*_COMMAND_BASES.get((command, flag), _BASES[command]),
+                    *(word for pair in _NEEDS.get(flag, ()) if pair[0] in flags for word in pair)]
             value = _COMMAND_VALUES.get((command, flag), _VALUES[flag])
             setting = [flag] if value is None else [flag, value]
             assert output(command, base) != output(command, [*base, *setting]), \
@@ -899,10 +944,20 @@ def test_every_scenario_flag_changes_an_output(tmp_path, capsys):
     (None, ["--k-target", "10405", "--fixture-label", "K12905"], "--k-target"),
     (None, ["--k-target", "10405", "--fixture-path", "table.csv"], "--k-target"),
     (None, ["--mode", "mc", "--trials", "5", "--beta-seeds", "5"], "--beta-seeds"),
-    (None, ["--k-target", "10405", "--beta", "0.3", "--beta-seeds", "4"], "--beta-seeds"),
+    # at a given beta lb reads no k flag, so the generated source comes from the file
+    ({"k_source": {"type": "generated", "k_target": 10405}},
+     ["--beta", "0.3", "--beta-seeds", "4"], "--beta-seeds"),
     (None, ["--beta-seeds", "4"], "--beta-seeds"),
     (None, ["--trials", "5"], "--trials"),
     (None, ["--beta", "0.3", "--trials", "5"], "--trials"),
+    # at a given beta lb reads the array size and the power keys alone
+    *((config, ["--beta", "0.3", flag, value], flag) for config, flag, value in (
+        (None, "--f0-hz", "2e9"), (None, "--delta-f-hz", "2e6"), (None, "--spacing-m", "0.1"),
+        (None, "--bob-r-m", "104"), (None, "--bob-theta-deg", "60"), (None, "--dr-m", "4"),
+        (None, "--dtheta-deg", "3"), (None, "--k-target", "500"),
+        ({"k_source": {"type": "generated", "k_target": 10405}}, "--k-method", "eigen"),
+        ({"k_source": {"type": "generated", "k_target": 10405}}, "--k-seed", "5"),
+        (None, "--fixture-label", "K15405"), (None, "--fixture-path", "/nonexistent.csv"))),
     # a sweep row names its command; the others run capacity
     (None, ["sweep", "rate", "--scheme", "no-an", "--fixed-eta", "0.5"], "--fixed-eta"),
     (None, ["sweep", "rate", "--delta", "1", "--fixed-eta", "0.5"], "--fixed-eta"),
@@ -991,14 +1046,27 @@ def test_help_exits_0(capsys, words, parser):
     assert not parser.allow_abbrev
 
 
-def test_every_readme_command_parses():
+def _readme_commands() -> list[list[str]]:
+    "The arguments of every ``rfda-secrecy`` line in the README's ``sh`` blocks."
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
-    lines = [line.split("#")[0] for block in blocks for line in block.splitlines()
-             if line.startswith("rfda-secrecy ")]
-    assert lines
-    for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+    return [shlex.split(line.split("#")[0])[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("rfda-secrecy ")]
+
+
+def test_every_readme_command_parses():
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_every_readme_command_runs(tmp_path, monkeypatch, capsys):
+    # an example that parses can still exit 2 on a flag its run leaves unread
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands():
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_the_package_exports_only_its_version():

@@ -595,10 +595,32 @@ def test_lb_sweep_refuses_a_trial_count(k_source, extra):
 
 
 def test_every_mode_has_an_estimator_whose_unread_keys_are_read_by_capacity():
-    # a misspelt unread key would leave the key it meant in every run id
+    # a misspelt unread key would leave the key it meant in every run id, and a
+    # misspelt setting the setting it meant in every manifest
     assert set(ESTIMATORS) == set(Mode)
-    for unread, _, _ in ESTIMATORS.values():
-        assert unread <= set(READS["capacity"])
+    for unread, _ in ESTIMATORS.values():
+        assert unread <= {*READS["capacity"], "beta", "beta_seeds", "seed", "trials"}
+
+
+@pytest.mark.parametrize("mode, k_source, settings, message", [
+    (Mode.MONTE_CARLO, FixtureK(), {"beta": 0.3}, "mc mode reads no beta (--beta)"),
+    (Mode.MONTE_CARLO, GeneratedK(10405.0), {"n_seeds": 4},
+     "mc mode reads no beta_seeds (--beta-seeds)"),
+    (Mode.ANALYTIC_LB, FixtureK(), {"n_seeds": 4},
+     "lb mode with a fixture k reads no beta_seeds (--beta-seeds)"),
+    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {"beta": 0.3, "n_seeds": 4},
+     "lb mode at a given beta (--beta) reads no beta_seeds (--beta-seeds)"),
+    (Mode.ANALYTIC_LB, FixtureK(), {"beta": 0.3, "n_seeds": 4},
+     "lb mode at a given beta (--beta) reads no beta_seeds (--beta-seeds)"),
+    (Mode.ANALYTIC_LB, GeneratedK(10405.0), {"trials": 5}, "lb mode reads no trials (--trials)"),
+], ids=["mc-beta", "mc-beta-seeds", "lb-fixture-beta-seeds", "lb-at-beta-beta-seeds",
+        "lb-fixture-at-beta-beta-seeds", "lb-trials"])
+def test_estimator_refuses_a_setting_its_mode_leaves_unread(mode, k_source, settings, message):
+    # one message per refusal, its flag spelt from the setting's name; a given beta
+    # names the reason before a fixture k does
+    s = default_scenario(mode=mode, k_source=k_source)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        estimator(s, **settings)
 
 
 def test_sweep_rate_csv_keeps_gaps_visible(tmp_path):
