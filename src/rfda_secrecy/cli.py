@@ -21,10 +21,10 @@ from .errors import (ConfigError, ConvergenceError, FixtureError,
 from .freqdesign import generate_k, rho1, rho2
 from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
 from .svgchart import line_chart
-from .sweep import (ESTIMATORS, LB_AT_BETA_READS, READS, SEED_LIMIT, Mode, Scenario,
-                    beampattern_csv_text, beampattern_grid, estimator, k_norm2, read_config,
-                    run_manifest, scenario_from_config, sweep_bandwidth, sweep_delta, sweep_power,
-                    sweep_rate, validate_fixtures, write_run, write_run_dir)
+from .sweep import (READS, SEED_LIMIT, Scenario, beampattern_csv_text, beampattern_grid,
+                    estimator, k_norm2, read_config, run_manifest, scenario_from_config,
+                    sweep_bandwidth, sweep_delta, sweep_power, sweep_rate, unread,
+                    validate_fixtures, write_run, write_run_dir)
 from .version import VERSION
 
 _SCHEME_CHOICES = {"an": (Scheme.WITH_AN,), "no-an": (Scheme.WITHOUT_AN,), "both": tuple(Scheme)}
@@ -171,47 +171,39 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return scenario_from_config(cfg)
 
 
-def _refuse(args: argparse.Namespace, keys, reader: str) -> None:
-    "Refuse the first scenario flag given whose key is in ``keys``: ``reader`` reads none."
-    for flag, (_, path, _) in _SCENARIO_FLAGS.items():
-        if path in keys and getattr(args, flag[2:].replace("-", "_"), None) is not None:
-            raise ValueError(f"{reader} reads no {path} ({flag})")
+def _refuse(args: argparse.Namespace, skip: dict[str, str]) -> None:
+    "Refuse the first flag given of the first reader in ``skip``, bar --k-seed in mc (benchmark)."
+    for reader in dict.fromkeys(skip.values()):
+        for flag, (_, key, _) in _SCENARIO_FLAGS.items():
+            if (skip.get(key) == reader and (key, reader) != ("k_source.seed", "mc mode")
+                    and getattr(args, flag[2:].replace("-", "_"), None) is not None):
+                raise ValueError(f"{reader} reads no {key} ({flag})")
 
 
-def _scenario_in_mode(args: argparse.Namespace, command: str) -> Scenario:
-    """The scenario of the flags given.  Where ``command`` reads the mode, a flag whose
-    key that mode leaves unread is refused, bar --k-seed in mc, which the benchmark
-    passes; so is, in lb at a given --beta, a flag of a key that lb_capacity does not read."""
+def _scenario(args: argparse.Namespace, command: str) -> Scenario:
+    "The scenario of the flags given; a flag whose key ``command`` leaves unread on it is refused."
     s = _scenario_from_args(args)
-    if "mode" in READS[command]:
-        _refuse(args, ESTIMATORS[s.mode][0] - {"k_source.seed"}, f"{s.mode.value} mode")
-        if s.mode is Mode.ANALYTIC_LB and getattr(args, "beta", None) is not None:
-            _refuse(args, set(READS[command]) - LB_AT_BETA_READS,
-                    "lb mode at a given beta (--beta)")
+    _refuse(args, unread(s, command, getattr(args, "beta", None), getattr(args, "m_min", None)))
     return s
 
 
 def _cmd_mmin(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario(args, "mmin")
     print(f"{m_min(args.beta, s.region, s.bob.theta_rad, s.array):.2f}")
     return 0
 
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
-    m_value = args.m_min
-    if m_value is None:
-        if args.dtheta_deg is None or args.bob_theta_deg is None:
-            raise ConfigError("kmin needs either --m-min or both --dtheta-deg and --bob-theta-deg")
-        m_value = m_min(args.beta, s.region, s.bob.theta_rad, s.array)
-    else:  # the count stands in for m_min, so none of the keys mmin reads is read
-        _refuse(args, READS["mmin"], "kmin at a given element count (--m-min)")
+    s = _scenario(args, "kmin")
+    if args.m_min is None and None in (args.dtheta_deg, args.bob_theta_deg):
+        raise ConfigError("kmin needs either --m-min or both --dtheta-deg and --bob-theta-deg")
+    m_value = args.m_min or m_min(args.beta, s.region, s.bob.theta_rad, s.array)
     print(f"{k_min(args.beta, s.region, s.array, m_value):.2f}")
     return 0
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario(args, "region")
     axes = ellipse_semi_axes(s.array, s.array.n_elements, k_norm2(s), args.beta,
                              s.bob.theta_rad)
     m_value = m_min(args.beta, s.region, s.bob.theta_rad, s.array)
@@ -247,7 +239,7 @@ def _axis(given_lo, given_hi, step: float, bob: float, half: float, flag: str) -
 
 
 def _cmd_beampattern(args: argparse.Namespace) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario(args, "beampattern")
     # the region sets nothing but the default grid, which the manifest records
     config = read_config(s, "beampattern")
     bob, region = config["bob"], config.pop("region")
@@ -264,7 +256,7 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
-    s = _scenario_in_mode(args, "capacity")
+    s = _scenario(args, "capacity")
     evaluate, _ = estimator(s, args.trials, args.seed, args.beta_seeds, args.beta)
     for scheme in _SCHEME_CHOICES[args.scheme]:
         value, err = evaluate(s, scheme)
@@ -278,7 +270,7 @@ def _evaluation(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    result = args.run(_scenario_in_mode(args, args.kind), args)
+    result = args.run(_scenario(args, args.kind), args)
     run_dir = write_run(result, args.out, f"sweep-{args.kind}")
     if args.svg:
         (run_dir / "plot.svg").write_text(line_chart(result, title=f"{args.kind} sweep"))

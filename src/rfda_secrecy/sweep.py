@@ -180,33 +180,46 @@ LB_AT_BETA_READS = {"mode", "array.M", "power.pt_dbm", "power.sigma_b2_dbm",
                     "power.sigma_e2_dbm", "power.delta"}
 
 
+def unread(s: Scenario, command: str, beta: float | None = None,
+           m_min: float | None = None) -> dict[str, str]:
+    """Each ``READS[command]`` key and evaluation setting that ``command`` leaves unread on
+    ``s``, at ``beta`` or element count ``m_min`` if given -> the reader that its refusal
+    names, ``{reader} reads no {key}``; readers in the order in which refusals rank."""
+    if m_min is not None:  # the count stands in for m_min, so none of the keys mmin reads is read
+        return dict.fromkeys(READS["mmin"], "kmin at a given element count (--m-min)")
+    if "mode" not in READS[command]:
+        return {}
+    skip = dict.fromkeys(ESTIMATORS[s.mode][0], f"{s.mode.value} mode")
+    if s.mode is Mode.ANALYTIC_LB and beta is not None:  # lb draws k to find beta, and no other
+        skip |= {key: "lb mode at a given beta (--beta)" for key in (*READS[command], "beta_seeds")
+                 if key not in {*LB_AT_BETA_READS, *skip}}
+    elif s.mode is Mode.ANALYTIC_LB and isinstance(s.k_source, FixtureK):
+        skip["beta_seeds"] = "lb mode with a fixture k"
+    return skip
+
+
 def estimator(s: Scenario, trials: int | None = None, seed: int = 0,
               n_seeds: int | None = None, beta: float | None = None) -> tuple[Callable, dict]:
-    """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) ->
-    (value, stderr or None)``, and the settings it reads, which a manifest records.  A
-    mode refuses ``trials``, ``n_seeds`` (beta_seeds) or ``beta`` given that it leaves
-    unread; ``seed`` always holds a value, so it is accepted unread."""
-    unread, evaluator = ESTIMATORS[s.mode]
-    # name -> the condition it goes unread on; lb draws k to find beta, and no other
-    skip = dict.fromkeys(unread, "")
-    if "beta_seeds" not in skip and (beta is not None or isinstance(s.k_source, FixtureK)):
-        skip["beta_seeds"] = " with a fixture k" if beta is None else " at a given beta (--beta)"
+    """The evaluator of the scenario's mode, ``(point, scheme, sweep index or None) -> (value,
+    stderr or None)``, and the settings with a value that :func:`unread` does not list, which a
+    manifest records.  A ``trials``, ``n_seeds`` or ``beta`` given that it lists is refused;
+    ``seed`` always holds a value, so it is accepted unread."""
+    skip = unread(s, "capacity", beta)
     for name, value in (("beta", beta), ("beta_seeds", n_seeds), ("trials", trials)):
         if value is not None and name in skip:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{s.mode.value} mode{skip[name]} reads no {name} ({flag})")
+            raise ValueError(f"{skip[name]} reads no {name} (--{name.replace('_', '-')})")
+    if trials is not None and trials < 2:  # one trial has no standard error
+        raise ValueError(f"mc mode needs 2 trials or more (--trials), got {trials}")
     settings = {"beta": beta, "beta_seeds": DEFAULT_BETA_SEEDS if n_seeds is None else n_seeds,
                 "seed": seed, "trials": DEFAULT_TRIALS if trials is None else trials}
-    return evaluator(settings), {name: value for name, value in settings.items()
-                                 if name not in skip and value is not None}
+    return ESTIMATORS[s.mode][1](settings), {name: value for name, value in settings.items()
+                                             if name not in skip and value is not None}
 
 
-def read_config(s: Scenario, command: str) -> dict:
-    """The part of ``scenario_to_config(s)`` that ``command`` reads in the scenario's
-    mode, with the type of a ``k_source`` it reads from: what its run id hashes."""
-    keys = set(READS[command])
-    if "mode" in keys:
-        keys -= ESTIMATORS[s.mode][0]
+def read_config(s: Scenario, command: str, beta: float | None = None) -> dict:
+    """The part of ``scenario_to_config(s)`` that ``command`` reads on ``s`` at ``beta``, less
+    what :func:`unread` lists, with the type of a ``k_source`` it reads: its run id's hash."""
+    keys = set(READS[command]) - unread(s, command, beta).keys()
     config = {}
     for name, value in scenario_to_config(s).items():
         if name in keys:
@@ -590,7 +603,7 @@ def write_run(result: SweepResult, out_dir: str | Path, run_name: str) -> Path:
 def _sweep_meta(s: Scenario, kind: str, grid: list[float], schemes: list[Scheme],
                 evaluation: dict, **extra) -> dict:
     return run_manifest({
-        "config": read_config(s, kind),
+        "config": read_config(s, kind, evaluation.get("beta")),
         "sweep": {"kind": kind, "grid": list(grid),
                   "schemes": [sch.value for sch in schemes], **extra},
         **evaluation,

@@ -16,7 +16,7 @@ from rfda_secrecy.cli import _scenario_from_args, build_parser, main
 from rfda_secrecy.errors import ConfigError, ConvergenceError, FixtureError, InfeasibleRateError
 from rfda_secrecy.freqdesign import default_fixture_path
 from rfda_secrecy.sweep import (READS, FixtureK, GeneratedK, read_config,
-                                scenario_from_config, scenario_to_config)
+                                scenario_from_config, scenario_to_config, unread)
 
 MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"]
 
@@ -688,6 +688,9 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["capacity", "--trials", "5"]),
     (None, ["sweep", "power", "--k-target", "10405", "--trials", "5"]),
     (None, ["sweep", "bandwidth", "--trials", "5"]),
+    # one trial gives no standard error
+    (None, ["capacity", "--mode", "mc", "--trials", "1"]),
+    (None, ["sweep", "power", "--mode", "mc", "--trials", "1"]),
     (None, ["capacity", "--delta-f-hz", "1e300", "--bob-r-m", "1e17", "--dr-m", "1e16"]),
     (None, ["capacity", "--delta-f-hz", "1e300", "--bob-r-m", "1e17", "--dr-m", "1e16",
             "--k-target", "10405"]),
@@ -757,6 +760,67 @@ def test_a_flag_the_mode_leaves_unread_but_that_stays_accepted(tmp_path, monkeyp
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mc.json").write_text('{"mode": "mc"}')
     assert run(capsys, *argv.format(mc="mc.json").split())[0] == 0
+
+
+# scenario flag -> the default scenario's value, which every refusal case can take
+_DEFAULT_FLAG_VALUES = {
+    "--m": "16", "--f0-hz": "1e9", "--delta-f-hz": "1e6", "--spacing-m": "0.15",
+    "--bob-r-m": "100", "--bob-theta-deg": "45", "--eve-r-m": "108", "--eve-theta-deg": "40",
+    "--dr-m": "8", "--dtheta-deg": "5", "--pt-dbm": "30", "--sigma-b2-dbm": "0",
+    "--sigma-e2-dbm": "0", "--delta": "0.6", "--k-target": "10405", "--k-method": "projection",
+    "--k-seed": "0", "--fixture-label": "K10405", "--fixture-path": str(default_fixture_path()),
+}
+_K_CONFIGS = {"fixture": {"type": "fixture"},
+              "generated": {"type": "generated", "k_target": 10405.0}}
+
+
+def _refusal_cases() -> list:
+    """(argv, configuration or None, beta, m_min) of each run whose refusals are checked:
+    capacity and the capacity sweeps in each mode from a configuration of each k source
+    type (the bandwidth axis is the fixture rows), capacity in lb at a given beta too, and
+    kmin at a given element count.  The k source comes from the file, since at a given
+    beta lb reads no k flag."""
+    cases = [pytest.param(["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "10"], None,
+                          None, 10.0, id="kmin-m-min")]
+    for command, grid in (("capacity", []), ("sweep power", ["--pt-max", "1"]),
+                          ("sweep delta", ["--delta-max", "0.1"]), ("sweep bandwidth", [])):
+        for mode, kind in [(mode, kind) for mode in ("lb", "mc") for kind in _K_CONFIGS]:
+            if command == "sweep bandwidth" and kind == "generated":
+                continue
+            for beta in (None, 0.3) if (command, mode) == ("capacity", "lb") else (None,):
+                argv = [*command.split(), *grid, *["--trials", "2"] * (mode == "mc"),
+                        *["--beta", str(beta)] * (beta is not None)]
+                cases.append(pytest.param(
+                    argv, {"mode": mode, "k_source": _K_CONFIGS[kind]}, beta, None,
+                    id="-".join([*command.split(), mode, kind, *["beta"] * (beta is not None)])))
+    return cases
+
+
+@pytest.mark.parametrize("argv, config, beta, m_min", _refusal_cases())
+def test_a_run_refuses_exactly_the_flags_whose_keys_it_leaves_unread(tmp_path, capsys, argv,
+                                                                     config, beta, m_min):
+    # sweep.unread decides what a run reads, and the CLI refuses exactly the flags of
+    # its keys, in its reader's name; --k-seed in mc alone stays accepted unread, since
+    # the benchmark passes it
+    command = argv[1] if argv[0] == "sweep" else argv[0]
+    skip = unread(scenario_from_config(config or {}), command, beta, m_min)
+    mode = config["mode"] if config else None
+    fixture = config is not None and config["k_source"]["type"] == "fixture"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "out")]
+    for flag in cli._reads(command):
+        if fixture and flag in ("--k-method", "--k-seed"):
+            continue  # they set nothing of a fixture row, so they exit 2 on every one
+        key = cli._SCENARIO_FLAGS[flag][1]
+        code, out, err = run(capsys, *argv, flag, mode if flag == "--mode" else
+                             _DEFAULT_FLAG_VALUES[flag])
+        if key in skip and (flag, mode) != ("--k-seed", "mc"):
+            assert (code, out, err) == (2, "", f"error: {skip[key]} reads no {key} ({flag})\n")
+        else:
+            assert code == 0, (flag, err)
 
 
 @pytest.mark.parametrize("error, code, line", [

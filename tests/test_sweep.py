@@ -19,8 +19,8 @@ from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
 from rfda_secrecy.svgchart import line_chart
-from rfda_secrecy.sweep import (DEFAULT_TRIALS, ESTIMATORS, READS, _BLOCK, FixtureK, GeneratedK,
-                                Mode, Scenario, SweepResult, _mc_draws, _point_seed,
+from rfda_secrecy.sweep import (DEFAULT_TRIALS, ESTIMATORS, LB_AT_BETA_READS, READS, _BLOCK,
+                                FixtureK, GeneratedK, Mode, Scenario, SweepResult, _mc_draws, _point_seed,
                                 _trial_streams, beampattern_grid, beta_for_scenario, config_hash,
                                 default_scenario, estimator, fixture_vector, lb_capacity,
                                 mc_capacity, resolve_k, result_csv_text, scenario_from_config,
@@ -613,14 +613,32 @@ def test_every_mode_has_an_estimator_whose_unread_keys_are_read_by_capacity():
     (Mode.ANALYTIC_LB, FixtureK(), {"beta": 0.3, "n_seeds": 4},
      "lb mode at a given beta (--beta) reads no beta_seeds (--beta-seeds)"),
     (Mode.ANALYTIC_LB, GeneratedK(10405.0), {"trials": 5}, "lb mode reads no trials (--trials)"),
+    # one trial gives no standard error
+    (Mode.MONTE_CARLO, GeneratedK(10405.0), {"trials": 1},
+     "mc mode needs 2 trials or more (--trials), got 1"),
 ], ids=["mc-beta", "mc-beta-seeds", "lb-fixture-beta-seeds", "lb-at-beta-beta-seeds",
-        "lb-fixture-at-beta-beta-seeds", "lb-trials"])
+        "lb-fixture-at-beta-beta-seeds", "lb-trials", "mc-one-trial"])
 def test_estimator_refuses_a_setting_its_mode_leaves_unread(mode, k_source, settings, message):
     # one message per refusal, its flag spelt from the setting's name; a given beta
     # names the reason before a fixture k does
     s = default_scenario(mode=mode, k_source=k_source)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         estimator(s, **settings)
+
+
+def test_a_library_sweep_at_a_given_beta_hashes_only_what_lb_reads_there():
+    # lb at a given beta reads lb_capacity's keys alone: a receiver range that moves no
+    # value leaves the run id, and the manifest's config holds LB_AT_BETA_READS keys only
+    s = default_scenario()
+    runs = [sweep_power(p, [0.0, 10.0], beta=0.3)
+            for p in (s, replace(s, bob=Location(104.0, s.bob.theta_rad)))]
+    assert runs[0].series == runs[1].series
+    assert runs[0].meta["config_hash"] == runs[1].meta["config_hash"]
+    # LB_AT_BETA_READS, less the power.pt_dbm that the axis sets
+    assert runs[0].meta["config"] == {"array": {"M": 16}, "mode": "lb", "power": {
+        "sigma_b2_dbm": 0.0, "sigma_e2_dbm": 0.0, "delta": 0.6}}
+    assert LB_AT_BETA_READS == {"mode", "array.M", "power.pt_dbm", "power.sigma_b2_dbm",
+                                "power.sigma_e2_dbm", "power.delta"}
 
 
 def test_sweep_rate_csv_keeps_gaps_visible(tmp_path):
