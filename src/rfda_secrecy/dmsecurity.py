@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RetryRequiredError
-
 
 def dbm_to_mw(value_dbm: float) -> float:
     "Linear power in milliwatts."
@@ -97,9 +95,9 @@ def an_vector(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
     the last axis, so a stack of rows gives a stack of directions.
 
     ``w = (I - h h^H) z / ||.||`` satisfies ``h^H w = 0`` exactly, so the AN
-    contributes nothing at the intended receiver.  Raises
-    :class:`RetryRequiredError`, whose ``rows`` name the offending rows, on the
-    measure-zero event that a ``z`` is (numerically) parallel to its ``h_bob``.
+    contributes nothing at the intended receiver.  A ``z`` (numerically) parallel
+    to its ``h_bob``, a measure-zero event, raises ``ValueError`` naming the first
+    such row of the stack; it is never redrawn.
     """
     h = np.asarray(h_bob)
     if h.ndim == 0 or h.shape[-1] < 2:
@@ -114,8 +112,7 @@ def an_vector(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
                    + _dot(projected.imag, projected.imag))
     degenerate = np.flatnonzero(norm < 1e-14)
     if degenerate.size:
-        raise RetryRequiredError("noise draw is parallel to the intended channel; redraw",
-                                 degenerate.tolist())
+        raise ValueError(f"AN draw {degenerate[0]} is parallel to the intended channel")
     return projected / norm
 
 

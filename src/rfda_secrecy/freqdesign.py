@@ -173,8 +173,9 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
     index directions; ``eigen`` draws a random combination of the design
     matrix's top eigenvectors.  Both land on the same (M-2)-dimensional
     subspace, so either satisfies the ellipse conditions; projection is the
-    default because it needs no eigensolve.  The same seed always reproduces
-    the same vector.
+    default because it needs no eigensolve.  Each call draws once, one
+    standard-normal vector, so the same seed always reproduces the same vector;
+    a draw with a degenerate direction raises ``ValueError``.
     """
     require_feasible(n_elements)
     # rho1 = 2*M*K of the drawn vector must be finite too
@@ -198,12 +199,11 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
     else:
         raise ValueError(f"unknown method {method!r}, expected 'projection' or 'eigen'")
 
-    for _ in range(64):
-        vec = direction(rng.standard_normal(dim))
-        norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's 1-D branch, undispatched
-        if norm > 1e-12:
-            return vec * math.sqrt(k_target) / norm
-    raise ConvergenceError(f"64 {method} draws in a row gave a degenerate direction")
+    vec = direction(rng.standard_normal(dim))
+    norm = math.sqrt(vec.dot(vec))  # np.linalg.norm's 1-D branch, undispatched
+    if not norm > 1e-12:
+        raise ValueError(f"the {method} draw of k gave a degenerate direction")
+    return vec * math.sqrt(k_target) / norm
 
 
 def default_fixture_path() -> Path:

@@ -20,7 +20,7 @@ from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k,
                          _mismatch_phases, _pq, correlation2, steering_vector)
 from .dmsecurity import (PowerConfig, capacity_bob, capacity_eve_an, complex_gaussian,
                          secrecy_capacity)
-from .errors import ConvergenceError, InfeasibleRateError, RetryRequiredError
+from .errors import InfeasibleRateError
 from .secrecyregion import Scheme
 from .sweep import Scenario, SweepResult, resolve_k, result_csv_text
 
@@ -143,7 +143,8 @@ def read_result_csv(path: str | Path) -> SweepResult:
 
 def an_vector_pointwise(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
     """One unit-norm AN direction, through ``np.vdot`` and ``np.linalg.norm``;
-    raises :class:`RetryRequiredError` when ``z`` is parallel to ``h_bob``."""
+    raises ``ValueError`` when ``z`` is parallel to ``h_bob``, as ``an_vector`` does
+    for a one-row stack."""
     h = np.asarray(h_bob)
     if h.size < 2:
         raise ValueError("AN needs at least 2 elements; the 1-element projector is zero")
@@ -153,7 +154,7 @@ def an_vector_pointwise(h_bob: np.ndarray, z: np.ndarray) -> np.ndarray:
     projected = z - h * np.vdot(h, z)
     norm = np.linalg.norm(projected)
     if norm < 1e-14:
-        raise RetryRequiredError("noise draw is parallel to the intended channel; redraw")
+        raise ValueError("AN draw 0 is parallel to the intended channel")
     return projected / norm
 
 
@@ -169,14 +170,6 @@ def trial_capacity(s: Scenario, scheme: Scheme, seed: int, trial: int) -> float:
     if power.delta < 1.0:
         h_bob = steering_vector(s.array, k, s.bob)
         h_eve = steering_vector(s.array, k, s.eve)
-        for _ in range(64):
-            try:
-                w = an_vector_pointwise(h_bob, complex_gaussian(rng, s.array.n_elements))
-                break
-            except RetryRequiredError:
-                continue
-        else:
-            raise ConvergenceError(f"trial {trial}: 64 AN draws in a row were parallel "
-                                   f"to the intended channel")
+        w = an_vector_pointwise(h_bob, complex_gaussian(rng, s.array.n_elements))
         an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
     return secrecy_capacity(capacity_bob(power), capacity_eve_an(power, corr2, an2))

@@ -28,9 +28,8 @@ import numpy as np
 from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, _steering_rows,
                          correlation2_grid, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capacity_eve_an,
-                         complex_from_parts, complex_gaussian, secrecy_capacity, c_an_lb, eta)
-from .errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
-                     RetryRequiredError)
+                         complex_from_parts, secrecy_capacity, c_an_lb, eta)
+from .errors import ConfigError, FixtureError, InfeasibleRateError
 from .freqdesign import FIXTURES, generate_k, load_frequency_table, require_feasible
 from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
@@ -457,9 +456,8 @@ def _mc_draws(s: Scenario, trials: int, seed: int,
     the block's buffer; a fixture ``k`` takes its two steering vectors from the
     ``steering_vector`` memo, whose call count the benchmark pins.  Each block of up
     to 128 trials is then evaluated in stacked products that give every trial the
-    bits of its one-trial evaluation (``reference.trial_capacity``).  A trial whose
-    AN draw is parallel to the intended channel replays its draws on a fresh copy of
-    its stream and redraws from there, 64 draws at most.
+    bits of its one-trial evaluation (``reference.trial_capacity``).  Each trial
+    draws once: an AN draw parallel to the intended channel raises ``ValueError``.
     """
     m = s.array.n_elements
     pq = _pq(s.array, s.bob, s.eve.r_m, s.eve.theta_rad)
@@ -478,22 +476,17 @@ def _mc_draws(s: Scenario, trials: int, seed: int,
     rows = min(trials, _BLOCK)
     ks, noise = np.empty((rows, m)), np.empty((rows, 2, m))
     h_bob, h_eve = (np.empty((rows, m), dtype=complex) for _ in range(2))
-
-    def draw(rng: np.random.Generator, j: int) -> np.random.Generator:
-        "A trial's draws from ``rng`` into row j (k, then AN noise); returns ``rng`` past them."
-        if fixture:  # memo calls the benchmark pins
-            h_bob[j] = steering_vector(s.array, k, s.bob)
-            h_eve[j] = steering_vector(s.array, k, s.eve)
-        else:
-            ks[j] = resolve_k(s, rng)
-        if an:
-            rng.standard_normal(out=noise[j])
-        return rng
-
     for start in range(0, trials, _BLOCK):
         n = min(_BLOCK, trials - start)
         for j in range(n):
-            draw(stream(start + j), j)
+            rng = stream(start + j)
+            if fixture:  # memo calls the benchmark pins
+                h_bob[j] = steering_vector(s.array, k, s.bob)
+                h_eve[j] = steering_vector(s.array, k, s.eve)
+            else:
+                ks[j] = resolve_k(s, rng)
+            if an:
+                rng.standard_normal(out=noise[j])
         if not fixture:
             corr2[start:start + n] = _correlation2(s.array, ks[:n], *pq)
             if not an:
@@ -501,20 +494,7 @@ def _mc_draws(s: Scenario, trials: int, seed: int,
             # a generated k's steering vectors, one stacked exp per location
             h_bob[:n], h_eve[:n] = (_steering_rows(*astuple(s.array), ks[:n], loc.r_m,
                                                    loc.theta_rad) for loc in (s.bob, s.eve))
-        z = complex_from_parts(noise[:n])  # as complex_gaussian makes each row
-        redraws: dict[int, np.random.Generator] = {}
-        for attempt in range(1, 65):
-            try:
-                w = an_vector(h_bob[:n], z[:n])
-                break
-            except RetryRequiredError as exc:
-                if attempt == 64:
-                    raise ConvergenceError(f"trial {start + exc.rows[0]}: 64 AN draws in a "
-                                           f"row were parallel to the intended channel")
-                for j in exc.rows:
-                    if j not in redraws:
-                        redraws[j] = draw(_trial_streams(seed)(start + j), j)
-                    z[j] = complex_gaussian(redraws[j], m)
+        w = an_vector(h_bob[:n], complex_from_parts(noise[:n]))  # rows as complex_gaussian's
         an2[start:start + n] = an_leakage(h_eve[:n], w)
     return corr2, an2
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import rfda_secrecy
-from rfda_secrecy import cli
+from rfda_secrecy import cli, errors
 from rfda_secrecy.arraymodel import _steering
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
 from rfda_secrecy.errors import ConfigError, ConvergenceError, FixtureError, InfeasibleRateError
@@ -839,6 +839,15 @@ def test_each_error_type_maps_to_its_exit_code(monkeypatch, capsys, error, code,
 
     monkeypatch.setattr(cli, "_cmd_mmin", handler)
     assert run(capsys, *MMIN_ARGS) == (code, "", line + "\n")
+
+
+def test_every_error_type_has_an_exit_code():
+    # an error type outside _EXITS would escape the command line as a traceback
+    types = [value for value in vars(errors).values()
+             if isinstance(value, type) and value.__module__ == errors.__name__]
+    assert types
+    for error in types:
+        assert issubclass(error, tuple(cli._EXITS)), error
 
 
 def test_an_unmapped_error_propagates(monkeypatch):

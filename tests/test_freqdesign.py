@@ -317,12 +317,22 @@ def test_generate_k_ellipse_conditions_property(m, k_target, method, seed):
     assert abs(rho2(vec)) < 2.0 * m * 1e-9 * math.sqrt(k_target)
 
 
-def test_exhausted_k_draw_loop_raises_convergence_error(monkeypatch, capsys):
-    # with no usable eigenvector every draw is degenerate: the capped loop
-    # must end in the typed error, which the command line maps to exit 4
+def test_degenerate_k_draw_raises_value_error(monkeypatch, capsys):
+    # with no usable eigenvector the one draw is degenerate: it is refused, never
+    # redrawn, and the command line maps the ValueError to exit 2
     monkeypatch.setattr(freqdesign, "symmetric_eigen",
                         lambda a, tol: EigenResult(np.ones(len(a)), np.zeros_like(a)))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ValueError, match="^the eigen draw of k gave a degenerate direction$"):
         generate_k(8, 100.0, "eigen", seed=0)
-    assert main(["gen-k", "--m", "8", "--k-target", "100", "--method", "eigen"]) == 4
-    assert "converge" in capsys.readouterr().err
+    assert main(["gen-k", "--m", "8", "--k-target", "100", "--method", "eigen"]) == 2
+    assert capsys.readouterr() == ("", "error: the eigen draw of k gave a degenerate direction\n")
+
+
+@pytest.mark.parametrize("m", [3, 8, 32])
+@pytest.mark.parametrize("method", ["projection", "eigen"])
+def test_generate_k_draws_once(m, method):
+    # one standard-normal vector: M entries for projection, M - 2 for eigen
+    rng, fresh = np.random.default_rng(7), np.random.default_rng(7)
+    generate_k(m, 100.0, method, rng)
+    fresh.standard_normal(m if method == "projection" else m - 2)
+    assert rng.bit_generator.state == fresh.bit_generator.state

@@ -13,8 +13,7 @@ from rfda_secrecy.arraymodel import (ArrayConfig, Location, _steering, correlati
                                      steering_vector)
 from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                                      complex_from_parts, complex_gaussian, secrecy_capacity)
-from rfda_secrecy.errors import (ConfigError, ConvergenceError, FixtureError, InfeasibleRateError,
-                                 RetryRequiredError)
+from rfda_secrecy.errors import ConfigError, FixtureError, InfeasibleRateError
 from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
@@ -218,31 +217,6 @@ def test_mc_capacity_deterministic_and_parallel_invariant():
     assert ga == gb
 
 
-@pytest.mark.parametrize("failures, raises", [(63, False), (1000, True)])
-def test_an_redraw_loop_is_capped_at_64_attempts(monkeypatch, failures, raises):
-    import rfda_secrecy.sweep as sweep_mod
-
-    real = sweep_mod.an_vector
-    calls = []
-
-    def flaky(h, z):
-        calls.append(None)
-        if len(calls) <= failures:
-            raise RetryRequiredError("noise draw parallel to the channel")
-        return real(h, z)
-
-    monkeypatch.setattr(sweep_mod, "an_vector", flaky)
-    s = default_scenario(mode=Mode.MONTE_CARLO)
-    if raises:
-        with pytest.raises(ConvergenceError):
-            mc_capacity(s, 1, seed=0, scheme=Scheme.WITH_AN)
-        assert len(calls) == 64
-    else:
-        mean, _ = mc_capacity(s, 1, seed=0, scheme=Scheme.WITH_AN)
-        assert math.isfinite(mean)
-        assert len(calls) == 64
-
-
 def test_mc_capacity_fixture_regression():
     s = default_scenario(mode=Mode.MONTE_CARLO,
                          power=replace(default_scenario().power, pt_dbm=20.0))
@@ -330,44 +304,54 @@ def test_block_noise_has_the_bits_of_complex_gaussian_row_by_row(m):
             assert z[j].tobytes() == complex_gaussian(fresh(start + j), m).tobytes()
 
 
-@pytest.mark.parametrize("parallel", [63, 64])
-@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
-def test_parallel_draws_mid_block_are_redrawn_from_the_trials_stream(case, parallel,
-                                                                     monkeypatch):
+def _turn_an_draw_parallel(monkeypatch, s: Scenario, seed: int, trial: int) -> list:
+    """Turn trial ``trial``'s AN draw parallel to its channel to Bob wherever it is
+    drawn, as a block row or by ``complex_gaussian``; returns the list that each
+    conversion of AN draws appends to."""
     import rfda_secrecy.dmsecurity as dmsecurity_mod
     import rfda_secrecy.sweep as sweep_mod
 
-    s = _BLOCK_CASES[case]
-    # the first AN draws of one trial in the middle of the second block, each
-    # turned parallel to that trial's channel to Bob wherever it is drawn: after
-    # 63 of them the 64th draw, the last allowed, is used
-    bad = _BLOCK + _BLOCK // 2
-    rng = _trial_streams(POINT_SEED)(bad)
+    rng = _trial_streams(seed)(trial)
     k = resolve_k(s, rng)
-    turned = {complex_gaussian(rng, s.array.n_elements).tobytes() for _ in range(parallel)}
+    turned = complex_gaussian(rng, s.array.n_elements).tobytes()
     h_bob = steering_vector(s.array, k, s.bob)
-    with pytest.raises(RetryRequiredError):
-        an_vector(h_bob, (0.6 - 0.8j) * h_bob)
+    conversions = []
 
-    def parallel_at_bad(parts):
-        # every AN draw, of a block or of complex_gaussian, becomes complex here
+    def parallel_at_trial(parts):
+        conversions.append(parts.shape)
         z = complex_from_parts(parts)
         for row in z.reshape(-1, z.shape[-1]):
-            if row.tobytes() in turned:
+            if row.tobytes() == turned:
                 row[:] = (0.6 - 0.8j) * h_bob
         return z
 
     for module in (sweep_mod, dmsecurity_mod):
-        monkeypatch.setattr(module, "complex_from_parts", parallel_at_bad)
-    trials = 2 * _BLOCK + 1
-    if parallel == 64:
-        for run in (lambda: trial_capacity(s, Scheme.WITH_AN, POINT_SEED, bad),
-                    lambda: mc_capacity(s, trials, POINT_SEED)):
-            with pytest.raises(ConvergenceError, match=f"^trial {bad}: 64 AN draws"):
-                run()
-        return
-    values = [trial_capacity(s, Scheme.WITH_AN, POINT_SEED, t) for t in range(trials)]
-    assert mc_capacity(s, trials, POINT_SEED) == _mean_stderr(values)
+        monkeypatch.setattr(module, "complex_from_parts", parallel_at_trial)
+    return conversions
+
+
+@pytest.mark.parametrize("case", sorted(_BLOCK_CASES))
+def test_a_parallel_an_draw_mid_block_is_refused_and_never_redrawn(case, monkeypatch):
+    s = _BLOCK_CASES[case]
+    bad = _BLOCK + _BLOCK // 2  # a trial in the middle of the second block
+    conversions = _turn_an_draw_parallel(monkeypatch, s, POINT_SEED, bad)
+    parallel = "AN draw {} is parallel to the intended channel"
+    with pytest.raises(ValueError, match=f"^{parallel.format(0)}$"):
+        trial_capacity(s, Scheme.WITH_AN, POINT_SEED, bad)
+    # the error names the row of the block's stack; no stream is replayed
+    conversions.clear()
+    with pytest.raises(ValueError, match=f"^{parallel.format(bad - _BLOCK)}$"):
+        mc_capacity(s, 2 * _BLOCK + 1, POINT_SEED)
+    assert conversions == [(_BLOCK, 2, s.array.n_elements)] * 2
+
+
+def test_a_parallel_an_draw_exits_2_on_the_command_line(monkeypatch, capsys):
+    from rfda_secrecy.cli import main
+
+    _turn_an_draw_parallel(monkeypatch, default_scenario(mode=Mode.MONTE_CARLO), 0, 1)
+    assert main(["capacity", "--mode", "mc", "--trials", "2", "--seed", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: AN draw 1 is parallel to the intended channel\n")
 
 
 @pytest.mark.parametrize("k_source, m", [
