@@ -133,6 +133,39 @@ def _correlation2(cfg: ArrayConfig, k: np.ndarray, p, q):
     return np.float_power(np.abs(np.exp(1j * z).sum(axis=-1) / cfg.n_elements), 2)
 
 
+def _refuse_non_finite(corr2) -> None:
+    if not np.isfinite(corr2).all():
+        raise ValueError("a squared correlation is not finite: a range or frequency "
+                         "overflows the phase")
+
+
+def correlation2_outer(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.ndarray:
+    """The squared correlation (see :func:`correlation2`) at every range of the
+    1-D ``r_m`` and every angle of the 1-D ``theta_rad``: entry ``[i, j]`` is
+    :func:`correlation2_grid` at ``(r_m[i], theta_rad[j])``, to rounding.
+
+    The phase ``p*k_m + q*(m-1)`` separates, so each phase sum is
+    ``sum_m e^{j p_i k_m} e^{j q_j (m-1)}``: one exponential per range and
+    element, one per angle and element, and a product and sum per range row,
+    which holds one (angles, M) array at a time.  The locations are not
+    checked, and a correlation that is not finite raises ``ValueError``, as in
+    :func:`correlation2_grid`.
+    """
+    karr = _as_k(k, cfg.n_elements)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
+        range_factor = np.exp(1j * (p[:, None] * karr))
+        angle_factor = np.exp(1j * (q[:, None] * np.arange(cfg.n_elements)))
+        terms = np.empty_like(angle_factor)
+        corr2 = np.empty((p.size, q.size))
+        for row, factor in zip(corr2, range_factor):
+            np.multiply(angle_factor, factor, out=terms)
+            row[:] = np.abs(terms.sum(axis=1) / cfg.n_elements)
+        np.float_power(corr2, 2, out=corr2)
+    _refuse_non_finite(corr2)
+    return corr2
+
+
 def correlation2(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     """Squared correlation |h(eve)^H h(bob)|^2, in [0, 1].
 
@@ -150,15 +183,14 @@ def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.
 
     The locations are not checked: callers validate them as :class:`Location`.
     Each location holds an M-element phase vector while it is evaluated, so
-    callers keep batches small (``beampattern_grid`` passes one range row).  A
-    correlation that is not finite, where a range or frequency overflows the
-    phase, raises ``ValueError``.
+    callers keep batches small (``beta_boundary`` passes four corners); a full
+    range-by-angle grid is :func:`correlation2_outer`.  A correlation that is
+    not finite, where a range or frequency overflows the phase, raises
+    ``ValueError``.
     """
     karr = _as_k(k, cfg.n_elements)
     with np.errstate(over="ignore", invalid="ignore"):
         p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
         corr2 = _correlation2(cfg, karr, p[..., None], q[..., None])
-    if not np.isfinite(corr2).all():
-        raise ValueError("a squared correlation is not finite: a range or frequency "
-                         "overflows the phase")
+    _refuse_non_finite(corr2)
     return corr2

@@ -81,9 +81,11 @@ def symmetric_eigen(a, tol: float = 1e-10, max_sweeps: int = 100) -> EigenResult
     Rotations run until the off-diagonal Frobenius norm drops below
     ``tol * ||A||_F``.  Raises :class:`ConvergenceError` after ``max_sweeps``
     sweeps, and ``ValueError`` on a matrix that is not square, symmetric and
-    finite.  The sweeps favour robustness over speed, so each process solves a
-    given (matrix, ``tol``, ``max_sweeps``) once: the last few decompositions
-    are kept, and their arrays are read-only because every caller shares them.
+    finite.  The rotations run one pair of rows and columns at a time in
+    Python, so a solve of the M = 64 design matrix still takes tens of
+    milliseconds; each process solves a given (matrix, ``tol``, ``max_sweeps``)
+    once: the last few decompositions are kept, and their arrays are read-only
+    because every caller shares them.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -100,14 +102,31 @@ def symmetric_eigen(a, tol: float = 1e-10, max_sweeps: int = 100) -> EigenResult
 
 @functools.lru_cache(maxsize=8)
 def _jacobi(buf: bytes, n: int, tol: float, max_sweeps: int) -> EigenResult:
-    "The sweeps of :func:`symmetric_eigen` on the n x n matrix whose C-order bytes are ``buf``."
-    a = np.frombuffer(buf).reshape(n, n).copy()
-    v = np.eye(n)
+    """The sweeps of :func:`symmetric_eigen` on the n x n matrix whose C-order bytes are ``buf``.
+
+    Each rotation makes the float operations of ``reference.jacobi_rotations``
+    in place, so the two agree bit for bit."""
+    # a stacked over v, so that one pair of column views turns both
+    av = np.empty((2 * n, n))
+    a, v = av[:n], av[n:]
+    a[:] = np.frombuffer(buf).reshape(n, n)
+    v[:] = np.eye(n)
     norm = np.linalg.norm(a)
+    x, y = np.empty(2 * n), np.empty(2 * n)  # scratch for a column of av, or a row of a
+    xr, yr = x[:n], y[:n]
 
     def off_norm():
         strict = np.tril(a, -1)
         return np.sqrt(2.0 * np.sum(strict * strict))
+
+    def rotate(bp, bq, c, s, x, y):
+        "(bp, bq) <- (c*bp - s*bq, s*bp + c*bq), through the scratch rows x and y."
+        np.multiply(bp, s, out=x)
+        np.multiply(bq, s, out=y)
+        np.multiply(bp, c, out=bp)
+        np.subtract(bp, y, out=bp)
+        np.multiply(bq, c, out=bq)
+        np.add(bq, x, out=bq)
 
     converged = norm == 0.0 or off_norm() <= tol * norm
     for _ in range(max_sweeps):
@@ -115,23 +134,17 @@ def _jacobi(buf: bytes, n: int, tol: float, max_sweeps: int) -> EigenResult:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if abs(apq) <= 1e-300:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 \
-                    else 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
+                theta = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
+                # np.hypot, not math.hypot: the two round differently
+                t = ((1.0 if theta > 0 else -1.0) / (abs(theta) + float(np.hypot(theta, 1.0)))
+                     if theta != 0 else 1.0)
+                c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                rotate(a[p], a[q], c, s, xr, yr)
+                rotate(av[:, p], av[:, q], c, s, x, y)
         converged = off_norm() <= tol * norm
     if not converged:
         raise ConvergenceError(

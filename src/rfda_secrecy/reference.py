@@ -2,7 +2,8 @@
 per-element phase, the (p, q) offsets and the squared correlation one location
 at a time, the exact and second-order beampatterns, the symbol-level
 transmit/receive chain, the signal-only closed forms, the sweep CSV round trip,
-and the one-trial AN direction and Monte Carlo capacity.  Nothing in the
+the one-trial AN direction and Monte Carlo capacity, and the Jacobi sweeps with
+copied rows and columns.  Nothing in the
 library imports this module; only the tests do.
 """
 
@@ -20,7 +21,8 @@ from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k,
                          _mismatch_phases, _pq, correlation2, steering_vector)
 from .dmsecurity import (PowerConfig, capacity_bob, capacity_eve_an, complex_gaussian,
                          secrecy_capacity)
-from .errors import InfeasibleRateError
+from .errors import ConvergenceError, InfeasibleRateError
+from .freqdesign import EigenResult
 from .secrecyregion import Scheme
 from .sweep import Scenario, SweepResult, resolve_k, result_csv_text
 
@@ -173,3 +175,49 @@ def trial_capacity(s: Scenario, scheme: Scheme, seed: int, trial: int) -> float:
         w = an_vector_pointwise(h_bob, complex_gaussian(rng, s.array.n_elements))
         an2 = float(np.abs(np.vdot(h_eve, w)) ** 2)
     return secrecy_capacity(capacity_bob(power), capacity_eve_an(power, corr2, an2))
+
+
+def jacobi_rotations(a, tol: float = 1e-10, max_sweeps: int = 100) -> EigenResult:
+    """Cyclic Jacobi sweeps on the symmetric matrix ``a``, each rotation through
+    copies of the two rows and columns it turns: the oracle that
+    ``freqdesign._jacobi``'s in-place rotations match bit for bit, and
+    ``ConvergenceError`` after ``max_sweeps`` sweeps as it does."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+    norm = np.linalg.norm(a)
+
+    def off_norm():
+        strict = np.tril(a, -1)
+        return np.sqrt(2.0 * np.sum(strict * strict))
+
+    converged = norm == 0.0 or off_norm() <= tol * norm
+    for _ in range(max_sweeps):
+        if converged:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) if theta != 0 \
+                    else 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp, cq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+        converged = off_norm() <= tol * norm
+    if not converged:
+        raise ConvergenceError(
+            f"Jacobi sweeps did not reach off-diagonal tolerance in {max_sweeps} sweeps")
+    eigenvalues = np.diag(a).copy()
+    order = np.argsort(eigenvalues)[::-1]
+    return EigenResult(eigenvalues[order], v[:, order])

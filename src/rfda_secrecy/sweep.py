@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .arraymodel import (ArrayConfig, Location, _as_k, _correlation2, _pq, _steering_rows,
-                         correlation2_grid, half_wavelength_spacing, steering_vector)
+                         correlation2_outer, half_wavelength_spacing, steering_vector)
 from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capacity_eve_an,
                          complex_from_parts, secrecy_capacity, c_an_lb, eta)
 from .errors import ConfigError, FixtureError, InfeasibleRateError
@@ -710,19 +710,16 @@ def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> np.ndarray:
     One frequency vector is drawn (or loaded) for the whole grid, so the rows
     describe a single realized pattern.  Every range and angle is checked as a
     :class:`Location` first, so the first bad value of a row-major walk over
-    the grid raises; then each range row is one :func:`correlation2_grid` call.
+    the grid raises; then the whole grid is one :func:`correlation2_outer` call.
     """
     k = resolve_k(s)
     r_values = [float(r) for r in r_values]
     thetas = [float(theta) for theta in theta_values_rad]
-    power = np.empty((len(r_values), len(thetas)))
-    if power.size:  # row-major: the first range at every angle, then each other range
+    if r_values and thetas:  # row-major: the first range at every angle, then each other range
         walk = [(r_values[0], t) for t in thetas] + [(r, thetas[0]) for r in r_values[1:]]
         for r, theta in walk:
             Location(r, theta)
-    for row, r in zip(power, r_values):
-        row[:] = correlation2_grid(s.array, k, s.bob, r, thetas)
-    return power
+    return correlation2_outer(s.array, k, s.bob, r_values, thetas)
 
 
 def beampattern_csv_text(r_values, theta_deg, power) -> str:

@@ -11,8 +11,9 @@ from rfda_secrecy.freqdesign import FIXTURES, generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion, beta_boundary
-from rfda_secrecy.sweep import (GeneratedK, beampattern_grid, default_scenario, fixture_vector,
-                                mc_capacity)
+from rfda_secrecy import sweep
+from rfda_secrecy.sweep import (FixtureK, GeneratedK, beampattern_grid, default_scenario,
+                                fixture_vector, mc_capacity)
 
 C = SPEED_OF_LIGHT
 
@@ -353,24 +354,32 @@ def test_beta_boundary_is_the_largest_scalar_corner_correlation(m):
             assert beta_boundary(cfg, k, _BOB, region) == pytest.approx(want, rel=1e-12)
 
 
-def _pointwise_rows(s, r_values, thetas):
+def _pointwise_rows(s, r_values, thetas, k=None):
     "The grid one location at a time, as rows of (r, theta_deg, power)."
-    k = fixture_vector(s.k_source.label)
+    k = fixture_vector(s.k_source.label) if k is None else k
     return [(float(r), math.degrees(float(theta)),
              correlation2_pointwise(s.array, k, s.bob, Location(float(r), float(theta))))
             for r in r_values for theta in thetas]
 
 
-def test_beampattern_grid_rows_match_the_pointwise_loop():
-    s = default_scenario()
-    r_values = [0.0, 76.0, 99.75, 100.0, 123.5]
+def test_beampattern_grid_rows_match_the_pointwise_loop(monkeypatch):
+    # 1 km off Bob, the range phases p * k_m reach about 1e3 rad
+    r_values = [0.0, 76.0, 99.75, 100.0, 123.5, 1000.0]
     thetas = [math.radians(t) for t in (0.001, 30.0, 44.9, 45.0, 60.1, 179.999)]
-    got, want = beampattern_grid(s, r_values, thetas), _pointwise_rows(s, r_values, thetas)
-    # row i holds range i at every angle, so the row-major walk is the pointwise loop's
-    assert got.shape == (len(r_values), len(thetas))
-    np.testing.assert_allclose(got.ravel(), [row[2] for row in want], rtol=1e-12, atol=1e-15)
-    assert beampattern_grid(s, [], thetas).shape == (0, len(thetas))
-    assert beampattern_grid(s, r_values, []).shape == (len(r_values), 0)
+    for m, k_source in ((16, FixtureK()), (2, FixtureK()), (3, GeneratedK(10405.0, "eigen", 3)),
+                        (64, GeneratedK(10405.0, "projection", 5))):
+        s = default_scenario(array=ArrayConfig.half_wavelength(m, 1e9, 1e6), k_source=k_source)
+        with monkeypatch.context() as patch:
+            if m == 2:  # no k source gives 2 entries, so the grid's k is patched in
+                patch.setattr(sweep, "resolve_k", lambda _: np.array([30.0, -12.5]))
+            k = sweep.resolve_k(s)
+            got = beampattern_grid(s, r_values, thetas)
+            assert beampattern_grid(s, [], thetas).shape == (0, len(thetas))
+            assert beampattern_grid(s, r_values, []).shape == (len(r_values), 0)
+        want = _pointwise_rows(s, r_values, thetas, k)
+        # row i holds range i at every angle, so the row-major walk is the pointwise loop's
+        assert got.shape == (len(r_values), len(thetas))
+        np.testing.assert_allclose(got.ravel(), [row[2] for row in want], rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("r_values, thetas", [

@@ -10,6 +10,7 @@ from rfda_secrecy.errors import ConvergenceError, FixtureError
 from rfda_secrecy.freqdesign import (EigenResult, _feasible_basis, _jacobi, build_design_matrix,
                                      default_fixture_path, generate_k, load_frequency_table,
                                      rho1, rho2, symmetric_eigen)
+from rfda_secrecy.reference import jacobi_rotations
 from rfda_secrecy.sweep import GeneratedK, beta_for_scenario, default_scenario
 
 
@@ -170,6 +171,45 @@ def test_symmetric_eigen_solves_each_matrix_once_with_the_bits_of_a_solve():
     symmetric_eigen(a, tol=1e-10)
     symmetric_eigen(a, tol=1e-14, max_sweeps=50)
     assert _jacobi.cache_info().misses == 3
+
+
+def _assert_solves_equal(a, tol, max_sweeps=100):
+    got = _jacobi.__wrapped__(a.tobytes(), a.shape[0], tol, max_sweeps)
+    want = jacobi_rotations(a, tol, max_sweeps)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 16, 17, 33, 64])
+def test_in_place_rotations_have_the_bits_of_the_copying_oracle_on_the_design_matrix(m):
+    _assert_solves_equal(build_design_matrix(m), 1e-14)
+
+
+def test_in_place_rotations_have_the_bits_of_the_copying_oracle_on_random_matrices():
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 21))
+        x = rng.standard_normal((n, n)) * rng.uniform(0.01, 1e3)
+        _assert_solves_equal((x + x.T) / 2.0, 1e-10)
+
+
+def _converges(solve):
+    try:
+        solve()
+    except ConvergenceError:
+        return False
+    return True
+
+
+def test_in_place_rotations_stop_at_the_sweep_cap_of_the_copying_oracle():
+    a = build_design_matrix(16)
+    needed = next(n for n in range(1, 100) if _converges(lambda: jacobi_rotations(a, 1e-14, n)))
+    assert needed > 1
+    _assert_solves_equal(a, 1e-14, needed)
+    for solve in (lambda: _jacobi.__wrapped__(a.tobytes(), 16, 1e-14, needed - 1),
+                  lambda: jacobi_rotations(a, 1e-14, needed - 1)):
+        with pytest.raises(ConvergenceError, match=f"in {needed - 1} sweeps"):
+            solve()
 
 
 def test_symmetric_eigen_never_caches_a_convergence_error():
