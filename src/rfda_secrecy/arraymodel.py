@@ -119,14 +119,9 @@ def _pq(cfg: ArrayConfig, bob: Location, r_m, theta_rad):
     return p, q
 
 
-def _mismatch_phases(cfg: ArrayConfig, k: np.ndarray, p, q) -> np.ndarray:
-    "Phases ``p*k_m + q*(m-1)``; array offsets p and q need a trailing axis of length 1."
-    return p * k + q * np.arange(cfg.n_elements)
-
-
-def _correlation2(cfg: ArrayConfig, k: np.ndarray, p, q):
-    "The squared correlation at offsets (p, q): scalars, or arrays with a trailing axis of 1."
-    z = _mismatch_phases(cfg, k, p, q)
+def _correlation2(cfg: ArrayConfig, k: np.ndarray, p: float, q: float):
+    "The squared correlation at scalar offsets (p, q) for one ``k``, or for each row of a stack."
+    z = p * k + q * np.arange(cfg.n_elements)
     # the sum over M is numpy's mean (add.reduce, then one division) without its
     # Python overhead; float_power is libm pow on a scalar and an array alike,
     # where ``** 2`` would square an array as x * x
@@ -142,25 +137,20 @@ def _refuse_non_finite(corr2) -> None:
 def correlation2_outer(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.ndarray:
     """The squared correlation (see :func:`correlation2`) at every range of the
     1-D ``r_m`` and every angle of the 1-D ``theta_rad``: entry ``[i, j]`` is
-    :func:`correlation2_grid` at ``(r_m[i], theta_rad[j])``, to rounding.
+    :func:`correlation2` at ``(r_m[i], theta_rad[j])``, to rounding.
 
-    The phase ``p*k_m + q*(m-1)`` separates, so each phase sum is
-    ``sum_m e^{j p_i k_m} e^{j q_j (m-1)}``: one exponential per range and
-    element, one per angle and element, and a product and sum per range row,
-    which holds one (angles, M) array at a time.  The locations are not
-    checked, and a correlation that is not finite raises ``ValueError``, as in
-    :func:`correlation2_grid`.
+    The phase ``p*k_m + q*(m-1)`` separates, so the phase sums are one product
+    ``exp(j p⊗k) @ exp(j (m-1)⊗q)`` of (ranges, M) and (M, angles) factors, with
+    one exponential per factor entry.  The locations are not checked; a
+    correlation that is not finite raises ``ValueError``, as in :func:`correlation2`.
     """
     karr = _as_k(k, cfg.n_elements)
     with np.errstate(over="ignore", invalid="ignore"):
         p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
-        range_factor = np.exp(1j * (p[:, None] * karr))
-        angle_factor = np.exp(1j * (q[:, None] * np.arange(cfg.n_elements)))
-        terms = np.empty_like(angle_factor)
-        corr2 = np.empty((p.size, q.size))
-        for row, factor in zip(corr2, range_factor):
-            np.multiply(angle_factor, factor, out=terms)
-            row[:] = np.abs(terms.sum(axis=1) / cfg.n_elements)
+        sums = np.exp(1j * np.multiply.outer(p, karr)) @ np.exp(
+            1j * np.multiply.outer(np.arange(cfg.n_elements), q))
+        sums /= cfg.n_elements
+        corr2 = np.abs(sums)
         np.float_power(corr2, 2, out=corr2)
     _refuse_non_finite(corr2)
     return corr2
@@ -171,26 +161,12 @@ def correlation2(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
 
     This is the fraction of the confidential signal power that leaks to a
     receiver at ``eve`` when the transmit vector points at ``bob``:
-    :func:`correlation2_grid` at one location.
-    """
-    return float(correlation2_grid(cfg, k, bob, eve.r_m, eve.theta_rad))
-
-
-def correlation2_grid(cfg: ArrayConfig, k, bob: Location, r_m, theta_rad) -> np.ndarray:
-    """The squared correlation (see :func:`correlation2`) at every location of
-    the broadcast ``r_m`` and ``theta_rad`` arrays, in an array of their
-    broadcast shape.
-
-    The locations are not checked: callers validate them as :class:`Location`.
-    Each location holds an M-element phase vector while it is evaluated, so
-    callers keep batches small (``beta_boundary`` passes four corners); a full
-    range-by-angle grid is :func:`correlation2_outer`.  A correlation that is
-    not finite, where a range or frequency overflows the phase, raises
+    :func:`_correlation2` at ``eve``'s offsets from ``bob``.  A correlation that
+    is not finite, where a range or frequency overflows the phase, raises
     ``ValueError``.
     """
     karr = _as_k(k, cfg.n_elements)
     with np.errstate(over="ignore", invalid="ignore"):
-        p, q = _pq(cfg, bob, np.asarray(r_m, dtype=float), np.asarray(theta_rad, dtype=float))
-        corr2 = _correlation2(cfg, karr, p[..., None], q[..., None])
+        corr2 = _correlation2(cfg, karr, *_pq(cfg, bob, eve.r_m, eve.theta_rad))
     _refuse_non_finite(corr2)
-    return corr2
+    return float(corr2)

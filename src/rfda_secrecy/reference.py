@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k,
-                         _mismatch_phases, _pq, correlation2, steering_vector)
+from .arraymodel import (SPEED_OF_LIGHT, ArrayConfig, Location, _as_k, _pq, correlation2,
+                         steering_vector)
 from .dmsecurity import (PowerConfig, capacity_bob, capacity_eve_an, complex_gaussian,
                          secrecy_capacity)
 from .errors import ConvergenceError, InfeasibleRateError
@@ -55,7 +55,8 @@ def pq_offsets(cfg: ArrayConfig, bob: Location, eve: Location) -> tuple[float, f
 def correlation2_pointwise(cfg: ArrayConfig, k, bob: Location, eve: Location) -> float:
     "Squared correlation at one location, through its own scalar phase sum."
     karr = _as_k(k, cfg.n_elements)
-    z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
+    p, q = pq_offsets(cfg, bob, eve)
+    z = p * karr + q * np.arange(cfg.n_elements)
     return float(np.abs(np.exp(1j * z).mean()) ** 2)
 
 
@@ -80,7 +81,8 @@ def beampattern_taylor(cfg: ArrayConfig, k, bob: Location, eve: Location) -> flo
     negative far from the aim point, where the expansion has no validity.
     """
     karr = _as_k(k, cfg.n_elements)
-    z = _mismatch_phases(cfg, karr, *pq_offsets(cfg, bob, eve))
+    p, q = pq_offsets(cfg, bob, eve)
+    z = p * karr + q * np.arange(cfg.n_elements)
     m = cfg.n_elements
     return float(m * m - m * np.sum((z - z.mean()) ** 2))
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arraymodel import SPEED_OF_LIGHT, ArrayConfig, Location, correlation2_grid
+from .arraymodel import SPEED_OF_LIGHT, ArrayConfig, Location, correlation2
 from .dmsecurity import PowerConfig, eta
 from .errors import ConvergenceError, InfeasibleRateError
 
@@ -60,8 +60,7 @@ def beta_boundary(cfg: ArrayConfig, k, bob: Location, region: SecrecyRegion) -> 
         if any(getattr(c, at) == getattr(bob, at) for c in corners):  # below half an ulp
             raise ValueError(f"the region half-width {half}={getattr(region, half)!r} rounds "
                              f"away at Bob's {at}={getattr(bob, at)!r}: a corner lies on it")
-    return float(correlation2_grid(cfg, k, bob, [c.r_m for c in corners],
-                                   [c.theta_rad for c in corners]).max())
+    return max(correlation2(cfg, k, bob, corner) for corner in corners)
 
 
 def _angular_width(cfg: ArrayConfig, beta: float, across: float,

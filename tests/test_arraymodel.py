@@ -1,16 +1,21 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, _steering,
-                                     _steering_rows, correlation2, correlation2_grid,
+                                     _steering_rows, correlation2, correlation2_outer,
                                      half_wavelength_spacing, steering_vector)
 from rfda_secrecy.freqdesign import FIXTURES, generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion, beta_boundary
+import rfda_secrecy
 from rfda_secrecy import sweep
 from rfda_secrecy.sweep import (FixtureK, GeneratedK, beampattern_grid, default_scenario,
                                 fixture_vector, mc_capacity)
@@ -279,7 +284,7 @@ def test_correlation2_matches_the_pointwise_reference_property(case):
 
 
 # ---------------------------------------------------------------------------
-# the location-batch kernel against the scalar path of the reference
+# the point kernel and the range x angle kernel against the scalar reference
 # ---------------------------------------------------------------------------
 
 _BOB = Location(100.0, math.radians(45))
@@ -306,34 +311,42 @@ def _pointwise(cfg, k, bob, r_values, thetas):
 
 
 @pytest.mark.parametrize("m", [2, 3, 16, 64])
-def test_correlation2_grid_matches_the_scalar_path(m):
+def test_correlation2_matches_the_scalar_path_at_the_edges_of_the_grid(m):
     cfg = ArrayConfig.half_wavelength(m, 1e9, 1e6)
     for k in _vectors(m):
         want = _pointwise(cfg, k, _BOB, _GRID_R, _GRID_THETA)
-        got = correlation2_grid(cfg, k, _BOB, np.array(_GRID_R)[:, None], _GRID_THETA)
-        assert got.shape == want.shape
+        got = np.array([[correlation2(cfg, k, _BOB, Location(r, theta)) for theta in _GRID_THETA]
+                        for r in _GRID_R])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-        # one range row, the batch beampattern_grid passes
-        np.testing.assert_allclose(correlation2_grid(cfg, k, _BOB, _BOB.r_m, _GRID_THETA),
-                                   want[2], rtol=1e-12, atol=1e-15)
-        assert correlation2_grid(cfg, k, _BOB, _BOB.r_m, _BOB.theta_rad) == pytest.approx(
-            1.0, rel=1e-12)
+        # the range x angle kernel adds the range and angle phases in the product
+        # of their phasors, so a cell may differ by the rounding of that sum:
+        # a few ulps of the largest phase, about 1.7e4 rad at r = 1e4 m for M = 3
+        p = [pq_offsets(cfg, _BOB, Location(r, _BOB.theta_rad))[0] for r in _GRID_R]
+        q = [pq_offsets(cfg, _BOB, Location(_BOB.r_m, theta))[1] for theta in _GRID_THETA]
+        largest_phase = np.abs(p).max() * np.abs(k).max() + np.abs(q).max() * (m - 1)
+        outer = correlation2_outer(cfg, k, _BOB, _GRID_R, _GRID_THETA)
+        assert outer.shape == want.shape
+        np.testing.assert_allclose(outer, want, rtol=1e-12,
+                                   atol=max(1e-15, 4 * np.finfo(float).eps * largest_phase))
+        assert correlation2(cfg, k, _BOB, _BOB) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_correlation2_grid_rejects_a_vector_of_the_wrong_length():
+def test_the_correlation_kernels_reject_a_vector_of_the_wrong_length():
     cfg = ArrayConfig.half_wavelength(4, 1e9, 1e6)
-    with pytest.raises(ValueError):
-        correlation2_grid(cfg, np.zeros(5), _BOB, [100.0], [1.0])
+    with pytest.raises(ValueError, match="frequency vector has length 5"):
+        correlation2_outer(cfg, np.zeros(5), _BOB, [100.0], [1.0])
+    with pytest.raises(ValueError, match="frequency vector has length 5"):
+        correlation2(cfg, np.zeros(5), _BOB, Location(100.0, 1.0))
 
 
 def test_a_phase_that_overflows_raises_in_every_correlation_path():
     # the mismatch phase of a 1e300 Hz increment overflows 1e16 m off Bob, where numpy
-    # would warn and give NaN; the grid refuses it once, for its callers too
+    # would warn and give NaN; each kernel refuses it, for its callers too
     cfg = ArrayConfig.half_wavelength(16, 1e9, 1e300)
     k = fixture_vector("K10405")
-    assert 0.0 <= correlation2_grid(cfg, k, _BOB, 0.0, _BOB.theta_rad) <= 1.0 + 1e-12  # finite
+    assert 0.0 <= correlation2_outer(cfg, k, _BOB, [0.0], [_BOB.theta_rad]) <= 1.0 + 1e-12
     message = "a squared correlation is not finite: a range or frequency overflows the phase"
-    for compute in (lambda: correlation2_grid(cfg, k, _BOB, [0.0, 1e16], _BOB.theta_rad),
+    for compute in (lambda: correlation2_outer(cfg, k, _BOB, [0.0, 1e16], [_BOB.theta_rad]),
                     lambda: correlation2(cfg, k, _BOB, Location(1e16, _BOB.theta_rad)),
                     lambda: beta_boundary(cfg, k, Location(1e17, _BOB.theta_rad),
                                           SecrecyRegion(1e16, 0.1)),
@@ -380,6 +393,22 @@ def test_beampattern_grid_rows_match_the_pointwise_loop(monkeypatch):
         # row i holds range i at every angle, so the row-major walk is the pointwise loop's
         assert got.shape == (len(r_values), len(thetas))
         np.testing.assert_allclose(got.ravel(), [row[2] for row in want], rtol=1e-12, atol=1e-15)
+
+
+def test_beampattern_grid_bits_do_not_depend_on_the_blas_thread_count():
+    # a re-run must give the same bytes (criterion 9), and the grid is one BLAS
+    # product: 201 ranges x 300 angles x 16 elements is large enough for OpenBLAS
+    # to split it over this process's threads, and the subprocess has one thread
+    r_values = np.linspace(0.0, 200.0, 201).tolist()
+    thetas = np.linspace(0.01, math.pi - 0.01, 300).tolist()
+    code = ("import sys; from rfda_secrecy.sweep import beampattern_grid, default_scenario; "
+            f"sys.stdout.buffer.write(beampattern_grid(default_scenario(), {r_values!r}, "
+            f"{thetas!r}).tobytes())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(rfda_secrecy.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=60, check=True)
+    assert done.stdout == beampattern_grid(default_scenario(), r_values, thetas).tobytes()
 
 
 @pytest.mark.parametrize("r_values, thetas", [
