@@ -381,6 +381,3 @@ def main(argv=None) -> int:
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
 
-
-if __name__ == "__main__":
-    sys.exit(main())

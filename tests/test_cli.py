@@ -1,8 +1,12 @@
 import argparse
+import ast
+import gc
+import importlib
 import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rfda_secrecy
+from rfda_secrecy import __main__ as entry
 from rfda_secrecy import cli, errors
 from rfda_secrecy.arraymodel import _steering
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
@@ -1150,13 +1155,17 @@ def test_the_package_exports_only_its_version():
     assert set(namespace) - {"__builtins__"} == {"__version__"}
 
 
+def _fresh_interpreter_env() -> dict:
+    "The environment of a fresh interpreter that imports this package from the tree under test."
+    return {**os.environ, "PYTHONPATH": str(Path(rfda_secrecy.__file__).parents[1])}
+
+
 def _loaded_by(statement: str) -> list[str]:
     "The package modules, and numpy if it is, that a fresh interpreter loads to run ``statement``."
-    env = {**os.environ, "PYTHONPATH": str(Path(rfda_secrecy.__file__).parents[1])}
     code = (f"import json, sys; {statement}; print(json.dumps(sorted(name for name in "
             "sys.modules if name == 'numpy' or name.startswith('rfda_secrecy.'))))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_interpreter_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
     return json.loads(done.stdout)
 
 
@@ -1178,3 +1187,60 @@ def test_the_version_is_written_once():
     assert "version" in pyproject["project"]["dynamic"]
     attr = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     assert attr == "rfda_secrecy.version.VERSION"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_installed_script_and_python_dash_m_share_one_entry_point():
+    import tomllib
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["rfda-secrecy"]
+    assert target == "rfda_secrecy.__main__:run"
+    module_name, _, function_name = target.partition(":")
+    module = importlib.import_module(module_name)
+    assert getattr(module, function_name) is entry.run
+    # `python -m rfda_secrecy` executes rfda_secrecy.__main__, whose guard calls run() alone
+    guard = ast.parse(Path(module.__file__).read_text()).body[-1]
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+
+
+def test_run_freezes_the_import_heap_and_runs_main_with_the_collector_on(monkeypatch):
+    seen = {}
+
+    def stub_main():
+        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count())
+        return 3
+
+    monkeypatch.setattr(cli, "main", stub_main)
+    try:
+        with pytest.raises(SystemExit) as exited:
+            entry.run()
+    finally:
+        gc.unfreeze()  # the rest of the suite keeps its collector
+    assert exited.value.code == 3
+    assert seen["enabled"]
+    assert seen["frozen"] > 0
+
+
+def _run_dir_files(out: Path) -> dict:
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen-k", "--m", "16", "--k-target", "10405", "--seed", "3"], 0),
+    (["sweep", "bandwidth", "--mode", "mc", "--trials", "130", "--seed", "3", "--out", "{out}"], 0),
+    (["capacity", "--mode", "mc", "--trials", "1"], 2),
+    (["mmin", "--no-such-flag"], 2),
+])
+def test_python_dash_m_and_cli_main_give_the_same_outputs(argv, code, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [arg.replace("{out}", str(out)) for arg in argv]
+    done = subprocess.run([sys.executable, "-m", "rfda_secrecy", *argv],
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=60)
+    by_module = (done.returncode, done.stdout, done.stderr, _run_dir_files(out))
+    shutil.rmtree(out, ignore_errors=True)
+    by_main = (*run(capsys, *argv), _run_dir_files(out))
+    assert by_module == by_main
+    assert by_main[0] == code
+    assert bool(by_main[3]) == ("--out" in argv)
