@@ -1,24 +1,32 @@
 """Process entry point of ``python -m rfda_secrecy`` and the ``rfda-secrecy`` script."""
 
 import gc
+import importlib
 import sys
 
 
 def run() -> None:
-    """Import the CLI with the collector off, freeze what the import built, then run it.
+    """Parse the command line, import what its command runs on, freeze that heap, then run it.
 
-    The modules, functions and classes that the import builds live until the
-    process exits. Moved to the permanent generation by ``gc.freeze()``, they
-    are never traversed again, neither by a collection while the command runs
-    nor by the final one at exit. The collector is back on before ``main``
-    starts. In-process callers of ``cli.main`` (the tests, embedding code) do
-    not freeze.
+    Parsing loads no numerics, so ``--help``, ``--version`` and a usage error
+    exit before numpy is imported. Otherwise the collector is off while the
+    command's modules load; everything that import built lives until the
+    process exits, and once ``gc.freeze()`` has moved it to the permanent
+    generation it is never traversed again, neither by a collection while the
+    command runs nor by the final one at exit. The collector is back on before
+    the command starts. In-process callers of ``cli.main`` (the tests,
+    embedding code) do not freeze.
     """
     gc.disable()
-    from .cli import main
-    gc.freeze()
-    gc.enable()
-    sys.exit(main())
+    try:
+        from .cli import dispatch, handler_modules, parse
+        args = parse()
+        for name in handler_modules(args):
+            importlib.import_module(name)
+        gc.freeze()
+    finally:
+        gc.enable()
+    sys.exit(dispatch(args))
 
 
 if __name__ == "__main__":

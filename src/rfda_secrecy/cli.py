@@ -6,6 +6,11 @@ capacity evaluation and the four sweep families, plus fixture validation.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 infeasible
 rate, 4 solver non-convergence, 5 fixture or I/O failure.
+
+Parsing loads no numerics: each command's parser records the module that its
+handler runs on (:func:`handler_modules`), and the handler imports what it
+uses when it runs. ``main`` parses, then dispatches; ``__main__.run`` imports
+the recorded modules between the two, before it freezes the import-time heap.
 """
 
 from __future__ import annotations
@@ -18,16 +23,9 @@ from pathlib import Path
 
 from .errors import (ConfigError, ConvergenceError, FixtureError,
                      InfeasibleRateError)
-from .freqdesign import generate_k, rho1, rho2
-from .secrecyregion import Scheme, ellipse_semi_axes, k_min, m_min
-from .svgchart import line_chart
-from .sweep import (READS, SEED_LIMIT, Scenario, beampattern_csv_text, beampattern_grid,
-                    estimator, k_norm2, read_config, run_manifest, scenario_from_config,
-                    sweep_bandwidth, sweep_delta, sweep_power, sweep_rate, unread,
-                    validate_fixtures, write_run, write_run_dir)
+from .schema import READS, SEED_LIMIT
 from .version import VERSION
 
-_SCHEME_CHOICES = {"an": (Scheme.WITH_AN,), "no-an": (Scheme.WITHOUT_AN,), "both": tuple(Scheme)}
 _MAX_AXIS_POINTS = 10_000
 _MAX_BEAMPATTERN_POINTS = 1_000_000
 # error -> (exit code, message prefix), each subclass before its base; ConfigError is a ValueError
@@ -103,7 +101,7 @@ _FLAGS = {
        for flag, (kind, _, text) in _SCENARIO_FLAGS.items()},
     "--config": dict(help="JSON configuration file"),
     "--beta": dict(type=_number_in(0.0, 1.0), help="boundary correlation"),
-    "--scheme": dict(choices=sorted(_SCHEME_CHOICES), default="both"),
+    "--scheme": dict(choices=("an", "both", "no-an"), default="both"),
     "--trials": dict(type=_integer_in(1, math.inf)),
     "--seed": dict(type=_integer_in(0, SEED_LIMIT), default=0),
     "--beta-seeds": dict(type=_integer_in(1, math.inf)),
@@ -119,13 +117,14 @@ def _reads(command: str) -> tuple:
                  for flag, (_, path, _) in _SCENARIO_FLAGS.items() if path == key)
 
 
-def _add_command(sub, name: str, text: str, flags, required=(), **defaults):
-    "The parser of one command, with ``flags`` (``required`` among them) and ``defaults``."
+def _add_command(sub, name: str, text: str, flags, required=(), module="sweep", **defaults):
+    """The parser of one command, with ``flags`` (``required`` among them) and ``defaults``,
+    that records the ``module`` its handler runs on."""
     # no abbreviated flag: kmin must not read --delta as --delta-f-hz
     p = sub.add_parser(name, help=text, allow_abbrev=False)
     for flag in flags:
         p.add_argument(flag, required=flag in required, **_FLAGS[flag])
-    p.set_defaults(**defaults)
+    p.set_defaults(module=module, **defaults)
     return p
 
 
@@ -145,13 +144,14 @@ def _flag_config(args: argparse.Namespace, cfg) -> dict:
     return cfg
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+def _scenario_from_args(args: argparse.Namespace):
     "The scenario of the flags given, over ``--config`` where the command has that flag."
+    from .sweep import scenario_from_config
     cfg: dict = {}
     if getattr(args, "config", None):
         try:
-            cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{args.config}: {exc}") from exc
     k_flags = _flag_config(args, {}).get("k_source", {})
     fixture = "label" in k_flags or "path" in k_flags
@@ -180,20 +180,29 @@ def _refuse(args: argparse.Namespace, skip: dict[str, str]) -> None:
                 raise ValueError(f"{reader} reads no {key} ({flag})")
 
 
-def _scenario(args: argparse.Namespace, command: str) -> Scenario:
+def _scenario(args: argparse.Namespace, command: str):
     "The scenario of the flags given; a flag whose key ``command`` leaves unread on it is refused."
+    from .sweep import unread
     s = _scenario_from_args(args)
     _refuse(args, unread(s, command, getattr(args, "beta", None), getattr(args, "m_min", None)))
     return s
 
 
+def _schemes(name: str) -> tuple:
+    "The transmit schemes that ``--scheme name`` selects."
+    from .secrecyregion import Scheme
+    return {"an": (Scheme.WITH_AN,), "no-an": (Scheme.WITHOUT_AN,), "both": tuple(Scheme)}[name]
+
+
 def _cmd_mmin(args: argparse.Namespace) -> int:
+    from .secrecyregion import m_min
     s = _scenario(args, "mmin")
     print(f"{m_min(args.beta, s.region, s.bob.theta_rad, s.array):.2f}")
     return 0
 
 
 def _cmd_kmin(args: argparse.Namespace) -> int:
+    from .secrecyregion import k_min, m_min
     s = _scenario(args, "kmin")
     if args.m_min is None and None in (args.dtheta_deg, args.bob_theta_deg):
         raise ConfigError("kmin needs either --m-min or both --dtheta-deg and --bob-theta-deg")
@@ -203,6 +212,8 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
+    from .secrecyregion import ellipse_semi_axes, k_min, m_min
+    from .sweep import k_norm2
     s = _scenario(args, "region")
     axes = ellipse_semi_axes(s.array, s.array.n_elements, k_norm2(s), args.beta,
                              s.bob.theta_rad)
@@ -218,6 +229,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_k(args: argparse.Namespace) -> int:
+    from .freqdesign import generate_k, rho1, rho2
     k = generate_k(args.m, args.k_target, args.method, args.seed)
     print("k=" + ",".join(repr(float(v)) for v in k))
     print(f"K={float(k @ k)!r}")
@@ -239,6 +251,8 @@ def _axis(given_lo, given_hi, step: float, bob: float, half: float, flag: str) -
 
 
 def _cmd_beampattern(args: argparse.Namespace) -> int:
+    from .sweep import (beampattern_csv_text, beampattern_grid, read_config, run_manifest,
+                        write_run_dir)
     s = _scenario(args, "beampattern")
     # the region sets nothing but the default grid, which the manifest records
     config = read_config(s, "beampattern")
@@ -256,29 +270,33 @@ def _cmd_beampattern(args: argparse.Namespace) -> int:
 
 
 def _cmd_capacity(args: argparse.Namespace) -> int:
+    from .sweep import estimator
     s = _scenario(args, "capacity")
     evaluate, _ = estimator(s, args.trials, args.seed, args.beta_seeds, args.beta)
-    for scheme in _SCHEME_CHOICES[args.scheme]:
+    for scheme in _schemes(args.scheme):
         value, err = evaluate(s, scheme)
         print(f"{scheme.value}={value:.4f}" + ("" if err is None else f" stderr={err:.4f}"))
     return 0
 
 
 def _evaluation(args: argparse.Namespace) -> dict:
-    return dict(schemes=_SCHEME_CHOICES[args.scheme], trials=args.trials, seed=args.seed,
+    return dict(schemes=_schemes(args.scheme), trials=args.trials, seed=args.seed,
                 n_seeds=getattr(args, "beta_seeds", None))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    result = args.run(_scenario(args, args.kind), args)
-    run_dir = write_run(result, args.out, f"sweep-{args.kind}")
+    from . import sweep
+    result = args.run(sweep, _scenario(args, args.kind), args)
+    run_dir = sweep.write_run(result, args.out, f"sweep-{args.kind}")
     if args.svg:
+        from .svgchart import line_chart
         (run_dir / "plot.svg").write_text(line_chart(result, title=f"{args.kind} sweep"))
     print(run_dir)
     return 0
 
 
 def _cmd_validate_fixtures(args: argparse.Namespace) -> int:
+    from .freqdesign import validate_fixtures
     report = validate_fixtures(args.fixture_path)
     for row in report["rows"]:
         if "reason" in row:
@@ -315,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
                  ("--config", "--beta", *_reads("region")), {"--beta"}, handler=_cmd_region)
 
     p = _add_command(sub, "gen-k", "draw a frequency-increment vector",
-                     ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k)
+                     ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k,
+                     module="freqdesign")
     p.add_argument("--method", choices=("projection", "eigen"), default="projection")
 
     p = _add_command(sub, "beampattern", "export a beampattern grid as CSV",
@@ -335,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                          ).add_subparsers(dest="kind", required=True)
     p = _add_command(kinds, "power", "secrecy capacity versus transmit power",
                      ("--config", *_reads("power"), *_EVALUATION_FLAGS, "--out", "--svg"),
-                     run=lambda s, a: sweep_power(s, _grid(a.pt_min, a.pt_max, a.pt_step),
-                                                  **_evaluation(a)))
+                     run=lambda sw, s, a: sw.sweep_power(
+                         s, _grid(a.pt_min, a.pt_max, a.pt_step), **_evaluation(a)))
     p.add_argument("--pt-min", type=float, default=0.0)
     p.add_argument("--pt-max", type=float, default=30.0)
     p.add_argument("--pt-step", type=float, default=1.0)
@@ -344,18 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="no effect; trials run serially")
     p = _add_command(kinds, "delta", "secrecy capacity versus the signal power fraction",
                      ("--config", *_reads("delta"), *_EVALUATION_FLAGS, "--out", "--svg"),
-                     run=lambda s, a: sweep_delta(
+                     run=lambda sw, s, a: sw.sweep_delta(
                          s, _grid(a.delta_min, a.delta_max, a.delta_step), **_evaluation(a)))
     p.add_argument("--delta-min", type=float, default=0.05)
     p.add_argument("--delta-max", type=float, default=0.95)
     p.add_argument("--delta-step", type=float, default=0.05)
     _add_command(kinds, "bandwidth", "secrecy capacity across the fixture vectors",
                  ("--config", *_reads("bandwidth"), "--scheme", "--trials", "--seed", "--out",
-                  "--svg"), run=lambda s, a: sweep_bandwidth(s, **_evaluation(a)))
+                  "--svg"), run=lambda sw, s, a: sw.sweep_bandwidth(s, **_evaluation(a)))
     p = _add_command(kinds, "rate", "minimum element count versus the target rate",
                      ("--config", *_reads("rate"), "--scheme", "--out", "--svg"),
-                     run=lambda s, a: sweep_rate(s, _grid(a.rs_min, a.rs_max, a.rs_step),
-                                                 _SCHEME_CHOICES[a.scheme], fixed_eta=a.fixed_eta))
+                     run=lambda sw, s, a: sw.sweep_rate(s, _grid(a.rs_min, a.rs_max, a.rs_step),
+                                                        _schemes(a.scheme), fixed_eta=a.fixed_eta))
     p.add_argument("--rs-min", type=_number_in(0.0, math.inf), default=0.5)
     p.add_argument("--rs-max", type=float, default=6.0)
     p.add_argument("--rs-step", type=float, default=0.5)
@@ -363,17 +382,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the element-count feedback in the rate solver")
 
     _add_command(sub, "validate-fixtures", "check the frequency table", ("--fixture-path",),
-                 handler=_cmd_validate_fixtures)
+                 handler=_cmd_validate_fixtures, module="freqdesign")
 
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+def parse(argv=None) -> argparse.Namespace:
+    "The parsed ``argv``; ``--help``, ``--version`` and a usage error raise ``SystemExit``."
+    return build_parser().parse_args(argv)
+
+
+def handler_modules(args: argparse.Namespace) -> tuple[str, ...]:
+    """The modules whose import loads everything that the handler of ``args`` runs on.
+
+    numpy loads ``numpy.random`` on first use, so it is named only where the run
+    can draw: in gen-k, and where a command that reads the mode or a generated
+    k's seed is given ``--mode mc``, ``--k-target`` or a configuration file.
+    """
+    module = "svgchart" if getattr(args, "svg", False) else args.module  # svgchart imports sweep
+    reads = READS.get(getattr(args, "kind", args.command), ())
+    draws = args.command == "gen-k" or ("mode" in reads or "k_source.seed" in reads) and (
+        getattr(args, "mode", None) == "mc" or getattr(args, "k_target", None) is not None
+        or getattr(args, "config", None) is not None)
+    return (f"{__package__}.{module}", *(("numpy.random",) if draws else ()))
+
+
+def dispatch(args: argparse.Namespace) -> int:
+    "Run the handler of ``args``; a library error prints one line and becomes its exit code."
     try:
         return args.handler(args)
     except tuple(_EXITS) as exc:  # any other error propagates
@@ -381,3 +416,10 @@ def main(argv=None) -> int:
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
 
+
+def main(argv=None) -> int:
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
+    return dispatch(args)

@@ -249,7 +249,37 @@ def load_frequency_table(path: str | Path | None = None) -> list[tuple[str, np.n
             values = [float(cell) for cell in row[1:]]
         except ValueError as exc:
             raise FixtureError(f"{path}: row {lineno}: {exc}") from exc
+        for column, cell, value in zip(expected_header[1:], row[1:], values):
+            if not math.isfinite(value):  # float() parses nan and inf
+                raise FixtureError(f"{path}: row {lineno}, column {column}: "
+                                   f"{cell!r} is not a finite increment")
         out.append((row[0], np.array(values)))
     if not out:
         raise FixtureError(f"{path}: no data rows")
     return out
+
+
+def validate_fixtures(path: str | Path | None = None) -> dict:
+    """Check every fixture row: squared norm within 0.5 % of its label,
+    increment span within 2 MHz of the nominal bandwidth, entry sum within
+    0.1 of zero.  Returns a per-row report with an overall ``ok`` flag."""
+    rows = load_frequency_table(path)
+    report_rows = []
+    for label, k in rows:
+        entry: dict = {"label": label}
+        if label not in FIXTURES:
+            entry.update(ok=False, reason="unknown label")
+            report_rows.append(entry)
+            continue
+        k2_expected, span_expected = FIXTURES[label]
+        entry["k_squared"] = float(k @ k)
+        entry["k_squared_expected"] = k2_expected
+        entry["k_squared_ok"] = abs(entry["k_squared"] - k2_expected) <= 0.005 * k2_expected
+        entry["span_mhz"] = float(k.max() - k.min())
+        entry["span_expected_mhz"] = span_expected
+        entry["span_ok"] = abs(entry["span_mhz"] - span_expected) <= 2.0
+        entry["sum"] = float(k.sum())
+        entry["sum_ok"] = abs(entry["sum"]) <= 0.1
+        entry["ok"] = entry["k_squared_ok"] and entry["span_ok"] and entry["sum_ok"]
+        report_rows.append(entry)
+    return {"rows": report_rows, "ok": all(r["ok"] for r in report_rows)}

@@ -4,8 +4,8 @@ A :class:`Scenario` bundles everything one experiment needs (array, the two
 receiver locations, region, powers, frequency-vector source and evaluation
 mode).  Sweeps vary one axis, evaluate both transmit schemes per point and
 return a :class:`SweepResult` that serializes to a CSV plus a JSON manifest
-carrying the configuration keys that the sweep reads (:data:`READS`) and their
-content hash.
+carrying the configuration keys that the sweep reads
+(:data:`~rfda_secrecy.schema.READS`) and their content hash.
 
 Reproducibility contract: every random quantity is drawn from a counter-based
 stream keyed by (master seed, trial index), so results are bit-identical for
@@ -31,10 +31,10 @@ from .dmsecurity import (PowerConfig, an_leakage, an_vector, capacity_bob, capac
                          complex_from_parts, secrecy_capacity, c_an_lb, eta)
 from .errors import ConfigError, FixtureError, InfeasibleRateError
 from .freqdesign import FIXTURES, generate_k, load_frequency_table, require_feasible
+from .schema import READS, SEED_LIMIT
 from .secrecyregion import Scheme, SecrecyRegion, beta_boundary, solve_m_min
 from .version import VERSION
 
-SEED_LIMIT = 2 ** 63  # user seeds, master and frequency-vector, lie in [0, SEED_LIMIT)
 DEFAULT_BETA_SEEDS = 100  # draws of a generated k whose boundary correlations lb averages
 DEFAULT_TRIALS = 10000  # Monte Carlo trials per point of an mc evaluation
 
@@ -119,30 +119,6 @@ def scenario_to_config(s: Scenario) -> dict:
         "k_source": {"type": k_type, **asdict(s.k_source)},
         "mode": s.mode.value,
     }
-
-
-# command -> the configuration keys it reads, in the order of its flags: a command
-# takes the scenario flags of these keys, and its run id hashes them (read_config)
-READS = {"mmin": ("region.dtheta_deg", "bob.theta_deg", "array.f0_hz", "array.spacing")}
-READS["kmin"] = (*READS["mmin"], "region.dr_m", "array.delta_f_hz")
-READS["region"] = (*READS["kmin"], "array.M", "k_source.k_target", "k_source.label",
-                   "k_source.path")
-READS["beampattern"] = (*READS["region"], "bob.r_m", "k_source.method", "k_source.seed")
-READS["capacity"] = ("array.M", "array.f0_hz", "array.delta_f_hz", "array.spacing", "bob.r_m",
-                     "bob.theta_deg", "eve.r_m", "eve.theta_deg", "region.dr_m",
-                     "region.dtheta_deg", "power.pt_dbm", "power.sigma_b2_dbm",
-                     "power.sigma_e2_dbm", "power.delta", "k_source.k_target",
-                     "k_source.method", "k_source.seed", "k_source.label", "k_source.path",
-                     "mode")
-# a capacity sweep reads no key that its axis sets; the bandwidth axis sets k to a
-# 16-entry row of the table at k_source.path
-READS["power"] = tuple(key for key in READS["capacity"] if key != "power.pt_dbm")
-READS["delta"] = tuple(key for key in READS["capacity"] if key != "power.delta")
-READS["bandwidth"] = tuple(key for key in READS["capacity"] if key == "k_source.path"
-                           or key != "array.M" and not key.startswith("k_source."))
-# the rate solver draws no k and sizes the array itself
-READS["rate"] = ("array.f0_hz", "array.spacing", "bob.theta_deg", "region.dtheta_deg",
-                 "power.pt_dbm", "power.sigma_b2_dbm", "power.sigma_e2_dbm", "power.delta")
 
 
 def _lower_bound(settings: dict) -> Callable:
@@ -674,34 +650,8 @@ def sweep_rate(s: Scenario, grid_rs, schemes=tuple(Scheme),
 
 
 # ---------------------------------------------------------------------------
-# fixture validation and beampattern export
+# beampattern export
 # ---------------------------------------------------------------------------
-
-def validate_fixtures(path: str | Path | None = None) -> dict:
-    """Check every fixture row: squared norm within 0.5 % of its label,
-    increment span within 2 MHz of the nominal bandwidth, entry sum within
-    0.1 of zero.  Returns a per-row report with an overall ``ok`` flag."""
-    rows = load_frequency_table(path)
-    report_rows = []
-    for label, k in rows:
-        entry: dict = {"label": label}
-        if label not in FIXTURES:
-            entry.update(ok=False, reason="unknown label")
-            report_rows.append(entry)
-            continue
-        k2_expected, span_expected = FIXTURES[label]
-        entry["k_squared"] = float(k @ k)
-        entry["k_squared_expected"] = k2_expected
-        entry["k_squared_ok"] = abs(entry["k_squared"] - k2_expected) <= 0.005 * k2_expected
-        entry["span_mhz"] = float(k.max() - k.min())
-        entry["span_expected_mhz"] = span_expected
-        entry["span_ok"] = abs(entry["span_mhz"] - span_expected) <= 2.0
-        entry["sum"] = float(k.sum())
-        entry["sum_ok"] = abs(entry["sum"]) <= 0.1
-        entry["ok"] = entry["k_squared_ok"] and entry["span_ok"] and entry["sum_ok"]
-        report_rows.append(entry)
-    return {"rows": report_rows, "ok": all(r["ok"] for r in report_rows)}
-
 
 def beampattern_grid(s: Scenario, r_values, theta_values_rad) -> np.ndarray:
     """Normalized beampattern power / M^2 on a grid: entry ``[i, j]`` is at range

@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -479,6 +480,26 @@ def test_a_missing_or_bad_fixture_table_exits_5_on_every_read(tmp_path, capsys):
     assert run(capsys, *argv)[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity"], ["beampattern", "--r-step", "5", "--theta-step-deg", "1"],
+    ["sweep", "bandwidth"], ["region", "--beta", "0.4"], ["validate-fixtures"],
+])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_a_non_finite_table_increment_exits_5_naming_its_cell(tmp_path, capsys, argv, cell):
+    # float() parses nan and inf, which would otherwise fail far downstream with exit 2
+    table = tmp_path / "table.csv"
+    lines = default_fixture_path().read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[7] = cell
+    lines[2] = ",".join(cells)
+    table.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    extra = ["--out", str(out_dir)] if argv[0] in ("beampattern", "sweep") else []
+    assert run(capsys, *argv, "--fixture-path", str(table), *extra) == (
+        5, "", f"error: fixture: {table}: row 3, column m7: '{cell}' is not a finite increment\n")
+    assert not out_dir.exists()
+
+
 def test_beampattern_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "beampattern", "--r-min", "95", "--r-max", "105",
                        "--r-step", "5", "--theta-min-deg", "44",
@@ -666,6 +687,7 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["sweep", "power", "--pt-step", "0"]),
     (None, ["sweep", "delta", "--delta-min", "0.9", "--delta-max", "0.1"]),
     ('[]', ["capacity"]),
+    (b'\xff{}', ["capacity"]),
     ('{"array": {"M": 12}}', ["sweep", "bandwidth"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "1e308"]),
     (None, ["kmin", "--beta", "0.4", "--dr-m", "1e-300", "--dtheta-deg", "5",
@@ -708,13 +730,22 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, recwarn, config, argv):
     monkeypatch.chdir(tmp_path)
     if config is not None:
-        (tmp_path / "cfg.json").write_text(config)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(config) if isinstance(config, bytes) else cfg.write_text(config)
         argv = [*argv, "--config", "cfg.json"]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+def test_a_config_file_that_is_not_utf8_is_named_in_its_refusal(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff{}")
+    assert run(capsys, "capacity", "--config", str(cfg)) == (
+        2, "", f"error: {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1203,22 +1234,98 @@ def test_the_installed_script_and_python_dash_m_share_one_entry_point():
     assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
 
 
-def test_run_freezes_the_import_heap_and_runs_main_with_the_collector_on(monkeypatch):
+def test_run_freezes_the_import_heap_and_dispatches_with_the_collector_on(monkeypatch):
     seen = {}
 
-    def stub_main():
-        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count())
+    def stub_dispatch(args):
+        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count(), command=args.command)
         return 3
 
-    monkeypatch.setattr(cli, "main", stub_main)
+    monkeypatch.setattr(cli, "dispatch", stub_dispatch)
+    monkeypatch.setattr(sys, "argv", ["rfda-secrecy", *MMIN_ARGS])
     try:
         with pytest.raises(SystemExit) as exited:
             entry.run()
     finally:
         gc.unfreeze()  # the rest of the suite keeps its collector
     assert exited.value.code == 3
-    assert seen["enabled"]
+    assert (seen["enabled"], seen["command"]) == (True, "mmin")
     assert seen["frozen"] > 0
+
+
+def test_a_usage_error_in_run_leaves_the_collector_on(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["rfda-secrecy", "gen-k", "--k-target", "10405"])
+    with pytest.raises(SystemExit) as exited:
+        entry.run()
+    assert exited.value.code == 2
+    assert "required: --m" in capsys.readouterr().err
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+def test_parsing_loads_nothing_numeric():
+    assert _loaded_by("import rfda_secrecy.cli; rfda_secrecy.cli.build_parser()") == [
+        "rfda_secrecy.cli", "rfda_secrecy.errors", "rfda_secrecy.schema",
+        "rfda_secrecy.version"]
+
+
+def _run_in_a_fresh_interpreter(argv, cwd: Path) -> tuple:
+    """Exit code of ``rfda_secrecy.__main__.run()`` on ``argv`` in a fresh interpreter, with
+    the modules loaded at its exit and those that loaded after ``gc.freeze()``, if it froze."""
+    script = ("import atexit, gc, json, pathlib, sys\n"
+              "frozen, freeze = [], gc.freeze\n"
+              "gc.freeze = lambda: (frozen.append(set(sys.modules)), freeze())\n"
+              "atexit.register(lambda: pathlib.Path('modules.json').write_text(json.dumps([\n"
+              "sorted(sys.modules), sorted(set(sys.modules) - frozen[0]) if frozen else []])))\n"
+              "from rfda_secrecy.__main__ import run\n"
+              "run()\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=120)
+    return (done.returncode, *json.loads((cwd / "modules.json").read_text()))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["sweep", "--help"], 0), (["--version"], 0),
+    (["gen-k", "--k-target", "10405"], 2), (["mmin", "--beta", "2"], 2),
+])
+def test_help_version_and_usage_errors_exit_before_numpy_loads(tmp_path, argv, code):
+    exit_code, modules, late = _run_in_a_fresh_interpreter(argv, tmp_path)
+    assert (exit_code, late) == (code, [])
+    assert "numpy" not in modules
+    assert {name for name in modules if name.startswith("rfda_secrecy.")} == {
+        "rfda_secrecy.__main__", "rfda_secrecy.cli", "rfda_secrecy.errors",
+        "rfda_secrecy.schema", "rfda_secrecy.version"}
+
+
+def _benchmark_argvs(out: Path) -> list[list[str]]:
+    "Every distinct command line of ``bench/run.py``'s workloads, at program seed 0."
+    source = Path(__file__).parents[1] / "bench" / "run.py"
+    module = types.ModuleType("bench_run_argvs")
+    module.__file__ = str(source)
+    sys.modules[module.__name__] = module  # dataclasses resolve annotations through it
+    try:
+        exec(compile(source.read_text(), source, "exec"), module.__dict__)
+        commands = {cmd.argv: cmd.name for workload in module.WORKLOADS.values()
+                    for cmd in workload.commands}
+    finally:
+        del sys.modules[module.__name__]
+    return [[arg.format(seed=0, out=out / name) for arg in argv]
+            for argv, name in commands.items()]
+
+
+def test_no_command_imports_a_module_after_the_freeze(tmp_path):
+    # run() imports each command's modules before gc.freeze(); a module that the
+    # command loaded later would escape the freeze, and the collector would walk it
+    argvs = [*_benchmark_argvs(tmp_path / "bench"), *_readme_commands()]
+    assert len(argvs) > 15
+    late = {}
+    for argv in argvs:
+        code, modules, after = _run_in_a_fresh_interpreter(argv, tmp_path)
+        assert code == 0, argv
+        assert "numpy" in modules
+        late[shlex.join(argv)] = after
+    assert late == dict.fromkeys(late, [])
 
 
 def _run_dir_files(out: Path) -> dict:

@@ -348,6 +348,17 @@ def test_load_frequency_table_errors(tmp_path):
         load_frequency_table(bad_value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_frequency_table_refuses_a_non_finite_increment(tmp_path, cell):
+    # float() parses each of these cells
+    table = tmp_path / "table.csv"
+    table.write_text("label," + ",".join(f"m{i}" for i in range(1, 17))
+                     + "\nK10405," + ",".join(["1"] * 6 + [cell] + ["1"] * 9) + "\n")
+    with pytest.raises(FixtureError) as raised:
+        load_frequency_table(table)
+    assert str(raised.value) == f"{table}: row 2, column m7: '{cell}' is not a finite increment"
+
+
 @settings(max_examples=40, deadline=None)
 @given(m=st.integers(3, 24), k_target=st.floats(1e-3, 1e8),
        method=st.sampled_from(["projection", "eigen"]), seed=st.integers(0, 2 ** 63 - 1))

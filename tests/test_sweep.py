@@ -14,7 +14,7 @@ from rfda_secrecy.arraymodel import (ArrayConfig, Location, _steering, correlati
 from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                                      complex_from_parts, complex_gaussian, secrecy_capacity)
 from rfda_secrecy.errors import ConfigError, FixtureError, InfeasibleRateError
-from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path
+from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path, validate_fixtures
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
 from rfda_secrecy.svgchart import line_chart
@@ -24,7 +24,7 @@ from rfda_secrecy.sweep import (DEFAULT_TRIALS, ESTIMATORS, LB_AT_BETA_READS, RE
                                 default_scenario, estimator, fixture_vector, lb_capacity,
                                 mc_capacity, resolve_k, result_csv_text, scenario_from_config,
                                 scenario_to_config, sweep_bandwidth, sweep_delta, sweep_power,
-                                sweep_rate, validate_fixtures, write_run)
+                                sweep_rate, write_run)
 
 FIXTURE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
 
