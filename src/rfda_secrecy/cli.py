@@ -4,8 +4,8 @@ Subcommands mirror the library surface: closed-form resource minima (mmin,
 kmin, region), frequency-vector synthesis (gen-k), beampattern export,
 capacity evaluation and the four sweep families, plus fixture validation.
 
-Exit codes: 0 success, 2 invalid arguments or configuration, 3 infeasible
-rate, 4 solver non-convergence, 5 fixture or I/O failure.
+Exit codes: 0 success, 2 invalid arguments or configuration, or out of memory,
+3 infeasible rate, 4 solver non-convergence, 5 fixture or I/O failure.
 
 Parsing loads no numerics: each command's parser records the module that its
 handler runs on (:func:`handler_modules`), and the handler imports what it
@@ -31,7 +31,7 @@ _MAX_BEAMPATTERN_POINTS = 1_000_000
 # error -> (exit code, message prefix), each subclass before its base; ConfigError is a ValueError
 _EXITS = {InfeasibleRateError: (3, "infeasible rate: "),
           ConvergenceError: (4, "solver did not converge: "), FixtureError: (5, "fixture: "),
-          OSError: (5, "i/o: "), ValueError: (2, "")}
+          OSError: (5, "i/o: "), MemoryError: (2, "out of memory: "), ValueError: (2, "")}
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:

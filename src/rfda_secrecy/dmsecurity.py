@@ -163,11 +163,11 @@ def c_an_lb(power: PowerConfig, beta: float, eta_value: float) -> float:
     """Secrecy-capacity lower bound of the AN scheme.
 
     ``beta`` caps the eavesdropper's signal correlation (the boundary
-    correlation of the secrecy region); the AN floor is taken at its average
-    leakage ``eta_value * (1 - beta)``.  At ``delta = 1`` it is the signal-only bound.
+    correlation of the secrecy region); Eve's SINR is :func:`sinr_eve` at ``beta``
+    and the average AN leakage ``eta_value * (1 - beta)``, as a Monte Carlo trial
+    prices its own pair.  At ``delta = 1`` it is the signal-only bound.
     It is the paper's ``log2((1 + delta*mu) / (1 + SINR_E(beta)))`` without ``[.]+``,
     so it is negative where the eavesdropper's bound exceeds the intended link's.
     """
-    mu, eps, delta = power.mu, power.eps, power.delta
-    eve = delta * mu * beta / ((1.0 - delta) * mu * eta_value * (1.0 - beta) + eps)
-    return float(np.log2((1.0 + delta * mu) / (1.0 + eve)))
+    sinr = sinr_eve(power, beta, eta_value * (1.0 - beta))
+    return float(np.log2((1.0 + power.delta * power.mu) / (1.0 + sinr)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .arraymodel import SPEED_OF_LIGHT, ArrayConfig, Location, correlation2
-from .dmsecurity import PowerConfig, eta
+from .dmsecurity import PowerConfig, capacity_bob, eta
 from .errors import ConvergenceError, InfeasibleRateError
 
 BEAMWIDTH_CONSTANT_RAD = math.radians(35.9)
@@ -66,10 +66,9 @@ def beta_boundary(cfg: ArrayConfig, k, bob: Location, region: SecrecyRegion) -> 
 def _angular_width(cfg: ArrayConfig, beta: float, across: float,
                    theta_b_rad: float) -> float:
     "Angular semi-axis of ``across`` elements, or element count of a semi-axis ``across``."
-    sin_theta = math.sin(theta_b_rad)
-    if not 0.0 < theta_b_rad < math.pi or sin_theta <= 0.0:
+    if not 0.0 < theta_b_rad < math.pi:
         raise ValueError("theta_b must lie strictly inside (0, pi)")
-    aperture = across * cfg.spacing_m * cfg.f0_hz * sin_theta  # 0 if the product underflows
+    aperture = across * cfg.spacing_m * cfg.f0_hz * math.sin(theta_b_rad)  # 0 on underflow
     width = (BEAMWIDTH_CONSTANT_RAD * SPEED_OF_LIGHT * math.sqrt(max(1.0 - beta, 0.0))
              / aperture) if aperture else math.inf
     if not math.isfinite(width):
@@ -142,7 +141,7 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
     if headroom < 0.0:
         raise InfeasibleRateError(
             f"rate {rs_bits} bits exceeds the intended-channel capacity "
-            f"{math.log2(1.0 + delta * mu):.4f} bits")
+            f"{capacity_bob(power):.4f} bits")
     if headroom == 0.0:  # the rate is Bob's capacity; the ratio below would be 0/0
         # at delta = 0, where Eve gets no signal power and any beta is admissible
         return 1.0 if delta == 0.0 else 0.0

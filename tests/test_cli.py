@@ -864,6 +864,7 @@ def test_a_run_refuses_exactly_the_flags_whose_keys_it_leaves_unread(tmp_path, c
     (ConvergenceError("stuck"), 4, "error: solver did not converge: stuck"),
     (FixtureError("bad row"), 5, "error: fixture: bad row"),
     (FileNotFoundError("gone"), 5, "error: i/o: gone"),
+    (MemoryError("7.11 PiB"), 2, "error: out of memory: 7.11 PiB"),
     (ConfigError("bad key"), 2, "error: bad key"),
     (ValueError("bad value"), 2, "error: bad value"),
 ])
@@ -875,6 +876,22 @@ def test_each_error_type_maps_to_its_exit_code(monkeypatch, capsys, error, code,
 
     monkeypatch.setattr(cli, "_cmd_mmin", handler)
     assert run(capsys, *MMIN_ARGS) == (code, "", line + "\n")
+
+
+_HUGE = str(10 ** 15)  # 7.11 PiB of float64, beyond any 64-bit address space: never overcommitted
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-k", "--m", _HUGE, "--k-target", "1"),
+    ("capacity", "--mode", "mc", "--trials", _HUGE),
+    ("sweep", "power", "--k-target", "10405", "--m", _HUGE),
+])
+def test_a_size_that_cannot_be_allocated_exits_2_with_one_line(tmp_path, capsys, argv):
+    out = ("--out", str(tmp_path / "out")) if argv[0] == "sweep" else ()
+    code, stdout, err = run(capsys, *argv, *out)
+    assert (code, stdout) == (2, "")
+    assert re.fullmatch(r"error: out of memory: Unable to allocate 7\.11 PiB .*\n", err), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_error_type_has_an_exit_code():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import ArrayConfig, Location, steering_vector
 from rfda_secrecy.dmsecurity import (PowerConfig, an_leakage, an_vector, c_an_lb, capacity_bob,
@@ -229,6 +230,19 @@ def test_c_an_lb_values():
     pw1 = PowerConfig(30.0, delta=1.0)
     for beta in (0.0, 0.2, 0.7):
         assert c_an_lb(pw1, beta, 0.25) == pytest.approx(c_lb(pw1, beta), rel=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pt=st.floats(-30.0, 60.0), sigma_b2=st.floats(-20.0, 20.0),
+       sigma_e2=st.floats(-20.0, 20.0), delta=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0),
+       eta_value=st.floats(0.0, 1.0, exclude_min=True))
+# the two associations of the AN floor (1 - delta) * mu * eta * (1 - beta) differ here
+@example(pt=6.0, sigma_b2=0.0, sigma_e2=0.0, delta=0.5, beta=0.4, eta_value=1.0 / 15.0)
+def test_c_an_lb_prices_eve_through_sinr_eve(pt, sigma_b2, sigma_e2, delta, beta, eta_value):
+    # bit for bit: Eve's SINR at the boundary correlation and the average AN leakage
+    p = PowerConfig(pt, sigma_b2, sigma_e2, delta)
+    sinr = sinr_eve(p, beta, eta_value * (1.0 - beta))
+    assert c_an_lb(p, beta, eta_value) == float(np.log2((1.0 + p.delta * p.mu) / (1.0 + sinr)))
 
 
 def test_c_lb_values():

@@ -108,6 +108,16 @@ def test_m_min_values():
         m_min(0.4, REGION, 0.0, CFG)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.pi, math.inf, math.nan])
+def test_an_angle_outside_0_pi_is_refused_by_name(theta):
+    # a raw angle, not a Location: the (0, pi) check is the only one it meets
+    message = r"^theta_b must lie strictly inside \(0, pi\)$"
+    with pytest.raises(ValueError, match=message):
+        m_min(0.4, REGION, theta, CFG)
+    with pytest.raises(ValueError, match=message):
+        ellipse_semi_axes(CFG, 16, 10405.0, 0.4, theta)
+
+
 def test_m_min_monotonicity():
     betas = np.linspace(0.0, 0.99, 25)
     values = [m_min(b, REGION, THETA_B, CFG) for b in betas]
@@ -143,7 +153,8 @@ def test_beta_max_an_values():
     # clamping kicks in when the eavesdropper noise floor dominates
     noisy_eve = PowerConfig(30.0, 0.0, 10.0, 0.6)
     assert beta_max_an(noisy_eve, 1.0 / 15.0, 0.01) == 1.0
-    with pytest.raises(InfeasibleRateError):
+    with pytest.raises(InfeasibleRateError, match=r"^rate 9\.3 bits exceeds the intended-channel "
+                                                  r"capacity 9\.2312 bits$"):
         beta_max_an(POWER30, 1.0 / 15.0, 9.3)
     # zero headroom: with no signal power Eve learns nothing at any beta, so the
     # count is the AN floor of 2; with signal power only beta = 0 leaks nothing
