@@ -1,32 +1,29 @@
 """Process entry point of ``python -m rfda_secrecy`` and the ``rfda-secrecy`` script."""
 
 import gc
-import importlib
 import sys
 
 
 def run() -> None:
-    """Parse the command line, import what its command runs on, freeze that heap, then run it.
+    """Run the command line with the collector off, then freeze the heap and exit.
 
-    Parsing loads no numerics, so ``--help``, ``--version`` and a usage error
-    exit before numpy is imported. Otherwise the collector is off while the
-    command's modules load; everything that import built lives until the
-    process exits, and once ``gc.freeze()`` has moved it to the permanent
-    generation it is never traversed again, neither by a collection while the
-    command runs nor by the final one at exit. The collector is back on before
-    the command starts. In-process callers of ``cli.main`` (the tests,
-    embedding code) do not freeze.
+    Everything still alive when ``cli.main`` returns (the modules the command
+    imported, the parser, the command's own results) lives until the process
+    exits. Once ``gc.freeze()`` has moved it to the permanent generation, the
+    final collection at exit walks none of it; this holds for ``--help``,
+    ``--version`` and a usage error too. The cyclic garbage that a command
+    leaves does not grow with its trials or ``--beta-seeds``, so the command
+    runs without the collector. In-process callers of ``cli.main`` (the
+    tests, embedding code) neither disable the collector nor freeze.
     """
     gc.disable()
     try:
-        from .cli import dispatch, handler_modules, parse
-        args = parse()
-        for name in handler_modules(args):
-            importlib.import_module(name)
+        from .cli import main
+        code = main()
         gc.freeze()
     finally:
         gc.enable()
-    sys.exit(dispatch(args))
+    sys.exit(code)
 
 
 if __name__ == "__main__":

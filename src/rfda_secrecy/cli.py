@@ -7,10 +7,8 @@ capacity evaluation and the four sweep families, plus fixture validation.
 Exit codes: 0 success, 2 invalid arguments or configuration, or out of memory,
 3 infeasible rate, 4 solver non-convergence, 5 fixture or I/O failure.
 
-Parsing loads no numerics: each command's parser records the module that its
-handler runs on (:func:`handler_modules`), and the handler imports what it
-uses when it runs. ``main`` parses, then dispatches; ``__main__.run`` imports
-the recorded modules between the two, before it freezes the import-time heap.
+Parsing loads no numerics: each handler imports what it uses when it runs, so
+``--help``, ``--version`` and a usage error exit before numpy is imported.
 """
 
 from __future__ import annotations
@@ -117,14 +115,13 @@ def _reads(command: str) -> tuple:
                  for flag, (_, path, _) in _SCENARIO_FLAGS.items() if path == key)
 
 
-def _add_command(sub, name: str, text: str, flags, required=(), module="sweep", **defaults):
-    """The parser of one command, with ``flags`` (``required`` among them) and ``defaults``,
-    that records the ``module`` its handler runs on."""
+def _add_command(sub, name: str, text: str, flags, required=(), **defaults):
+    "The parser of one command, with ``flags`` (``required`` among them) and ``defaults``."
     # no abbreviated flag: kmin must not read --delta as --delta-f-hz
     p = sub.add_parser(name, help=text, allow_abbrev=False)
     for flag in flags:
         p.add_argument(flag, required=flag in required, **_FLAGS[flag])
-    p.set_defaults(module=module, **defaults)
+    p.set_defaults(**defaults)
     return p
 
 
@@ -333,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                  ("--config", "--beta", *_reads("region")), {"--beta"}, handler=_cmd_region)
 
     p = _add_command(sub, "gen-k", "draw a frequency-increment vector",
-                     ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k,
-                     module="freqdesign")
+                     ("--m", "--k-target", "--seed"), {"--m", "--k-target"}, handler=_cmd_gen_k)
     p.add_argument("--method", choices=("projection", "eigen"), default="projection")
 
     p = _add_command(sub, "beampattern", "export a beampattern grid as CSV",
@@ -382,44 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the element-count feedback in the rate solver")
 
     _add_command(sub, "validate-fixtures", "check the frequency table", ("--fixture-path",),
-                 handler=_cmd_validate_fixtures, module="freqdesign")
+                 handler=_cmd_validate_fixtures)
 
     return parser
 
 
-def parse(argv=None) -> argparse.Namespace:
-    "The parsed ``argv``; ``--help``, ``--version`` and a usage error raise ``SystemExit``."
-    return build_parser().parse_args(argv)
-
-
-def handler_modules(args: argparse.Namespace) -> tuple[str, ...]:
-    """The modules whose import loads everything that the handler of ``args`` runs on.
-
-    numpy loads ``numpy.random`` on first use, so it is named only where the run
-    can draw: in gen-k, and where a command that reads the mode or a generated
-    k's seed is given ``--mode mc``, ``--k-target`` or a configuration file.
-    """
-    module = "svgchart" if getattr(args, "svg", False) else args.module  # svgchart imports sweep
-    reads = READS.get(getattr(args, "kind", args.command), ())
-    draws = args.command == "gen-k" or ("mode" in reads or "k_source.seed" in reads) and (
-        getattr(args, "mode", None) == "mc" or getattr(args, "k_target", None) is not None
-        or getattr(args, "config", None) is not None)
-    return (f"{__package__}.{module}", *(("numpy.random",) if draws else ()))
-
-
-def dispatch(args: argparse.Namespace) -> int:
-    "Run the handler of ``args``; a library error prints one line and becomes its exit code."
+def main(argv=None) -> int:
+    "Run the command of ``argv``; a library error prints one line and becomes its exit code."
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
     except tuple(_EXITS) as exc:  # any other error propagates
         code, prefix = next(rule for error, rule in _EXITS.items() if isinstance(exc, error))
         print(f"error: {prefix}{exc}", file=sys.stderr)
         return code
-
-
-def main(argv=None) -> int:
-    try:
-        args = parse(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    return dispatch(args)

@@ -192,7 +192,11 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
     """
     require_feasible(n_elements)
     # rho1 = 2*M*K of the drawn vector must be finite too
-    if not (k_target > 0 and math.isfinite(2.0 * n_elements * k_target)):
+    try:
+        rho1 = 2.0 * n_elements * k_target
+    except OverflowError:  # an element count beyond the float range
+        rho1 = math.inf
+    if not (k_target > 0 and math.isfinite(rho1)):
         raise ValueError(f"k_target must be positive with 2*M*k_target finite, "
                          f"got {k_target}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -215,7 +215,10 @@ def _finite(value, where: str) -> float:
     "A configuration number as a float; NaN, infinities, booleans and non-numbers are rejected."
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number

@@ -587,6 +587,21 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     assert "converge" in err
 
 
+_HUGE = "1" + "0" * 400  # an integer beyond the float range
+# (configuration file, argv, the key that the one error line names)
+_HUGE_INTEGERS = [
+    (None, ["capacity", "--m", _HUGE], "array.M"),
+    (f'{{"array": {{"M": {_HUGE}}}}}', ["capacity"], "array.M"),
+    (f'{{"power": {{"pt_dbm": {_HUGE}}}}}', ["capacity"], "power.pt_dbm"),
+    (f'{{"k_source": {{"type": "generated", "k_target": {_HUGE}}}}}', ["capacity"],
+     "k_source.k_target"),
+    (f'{{"array": {{"spacing": {_HUGE}}}}}', ["capacity"], "array.spacing"),
+    (f'{{"array": {{"spacing": {{"meters": {_HUGE}}}}}}}', ["capacity"],
+     "array.spacing.meters"),
+    (None, ["gen-k", "--m", _HUGE, "--k-target", "1"], "k_target"),
+]
+
+
 @pytest.mark.parametrize("config, argv", [
     ('{"array": {"f0_hz": NaN}}', ["capacity"]),
     ('{"bob": {"r_m": NaN}}', ["capacity"]),
@@ -726,6 +741,7 @@ def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
     (None, ["beampattern", "--delta-f-hz", "1e300", "--r-min", "0", "--r-max", "1e16",
             "--r-step", "1e16", "--theta-step-deg", "5"]),
     (None, ["region", "--beta", "0.4", "--k-target", "1e-310", "--m", "3"]),
+    *[case[:2] for case in _HUGE_INTEGERS],
 ])
 def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, recwarn, config, argv):
     monkeypatch.chdir(tmp_path)
@@ -738,6 +754,19 @@ def test_invalid_values_exit_2(tmp_path, monkeypatch, capsys, recwarn, config, a
     assert out == ""
     assert err
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
+@pytest.mark.parametrize("config, argv, key", _HUGE_INTEGERS)
+def test_an_integer_beyond_the_float_range_exits_2_naming_its_key(
+        tmp_path, monkeypatch, capsys, config, argv, key):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = [*argv, "--config", "cfg.json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {key} must be ")
+    assert err.count("\n") == 1
 
 
 def test_a_config_file_that_is_not_utf8_is_named_in_its_refusal(tmp_path, capsys):
@@ -1251,33 +1280,40 @@ def test_the_installed_script_and_python_dash_m_share_one_entry_point():
     assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
 
 
-def test_run_freezes_the_import_heap_and_dispatches_with_the_collector_on(monkeypatch):
+def test_run_calls_main_with_the_collector_off_and_freezes_after_it_returns(monkeypatch):
     seen = {}
 
-    def stub_dispatch(args):
-        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count(), command=args.command)
+    def stub_main():
+        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count())
         return 3
 
-    monkeypatch.setattr(cli, "dispatch", stub_dispatch)
-    monkeypatch.setattr(sys, "argv", ["rfda-secrecy", *MMIN_ARGS])
+    monkeypatch.setattr(cli, "main", stub_main)
+    gc.freeze()  # moves everything alive so far, so that the stub's marker is all run() freezes
+    before = gc.get_freeze_count()
     try:
         with pytest.raises(SystemExit) as exited:
             entry.run()
+        after = gc.get_freeze_count()
     finally:
         gc.unfreeze()  # the rest of the suite keeps its collector
     assert exited.value.code == 3
-    assert (seen["enabled"], seen["command"]) == (True, "mmin")
-    assert seen["frozen"] > 0
+    assert seen == {"enabled": False, "frozen": before}
+    assert after > before
+    assert gc.isenabled()
 
 
-def test_a_usage_error_in_run_leaves_the_collector_on(monkeypatch, capsys):
+def test_a_usage_error_in_run_freezes_and_leaves_the_collector_on(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["rfda-secrecy", "gen-k", "--k-target", "10405"])
-    with pytest.raises(SystemExit) as exited:
-        entry.run()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            entry.run()
+        frozen = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
     assert exited.value.code == 2
     assert "required: --m" in capsys.readouterr().err
     assert gc.isenabled()
-    assert gc.get_freeze_count() == 0
+    assert frozen > 0
 
 
 def test_parsing_loads_nothing_numeric():
@@ -1288,12 +1324,13 @@ def test_parsing_loads_nothing_numeric():
 
 def _run_in_a_fresh_interpreter(argv, cwd: Path) -> tuple:
     """Exit code of ``rfda_secrecy.__main__.run()`` on ``argv`` in a fresh interpreter, with
-    the modules loaded at its exit and those that loaded after ``gc.freeze()``, if it froze."""
+    the modules loaded at its exit and, for each ``gc.freeze()``, the number of unreachable
+    objects that ``gc.collect()`` finds just before it."""
     script = ("import atexit, gc, json, pathlib, sys\n"
-              "frozen, freeze = [], gc.freeze\n"
-              "gc.freeze = lambda: (frozen.append(set(sys.modules)), freeze())\n"
-              "atexit.register(lambda: pathlib.Path('modules.json').write_text(json.dumps([\n"
-              "sorted(sys.modules), sorted(set(sys.modules) - frozen[0]) if frozen else []])))\n"
+              "garbage, freeze = [], gc.freeze\n"
+              "gc.freeze = lambda: (garbage.append(gc.collect()), freeze())\n"
+              "atexit.register(lambda: pathlib.Path('modules.json').write_text(json.dumps(\n"
+              "[sorted(sys.modules), garbage])))\n"
               "from rfda_secrecy.__main__ import run\n"
               "run()\n")
     done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
@@ -1307,12 +1344,33 @@ def _run_in_a_fresh_interpreter(argv, cwd: Path) -> tuple:
     (["gen-k", "--k-target", "10405"], 2), (["mmin", "--beta", "2"], 2),
 ])
 def test_help_version_and_usage_errors_exit_before_numpy_loads(tmp_path, argv, code):
-    exit_code, modules, late = _run_in_a_fresh_interpreter(argv, tmp_path)
-    assert (exit_code, late) == (code, [])
+    exit_code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
+    assert (exit_code, len(garbage)) == (code, 1)
     assert "numpy" not in modules
     assert {name for name in modules if name.startswith("rfda_secrecy.")} == {
         "rfda_secrecy.__main__", "rfda_secrecy.cli", "rfda_secrecy.errors",
         "rfda_secrecy.schema", "rfda_secrecy.version"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "bandwidth", "--mode", "mc", "--trials", "{n}"],
+    ["sweep", "power", "--mode", "mc", "--k-target", "10405", "--m", "32", "--pt-max", "1",
+     "--trials", "{n}"],
+    ["sweep", "power", "--k-target", "10405", "--k-method", "eigen", "--pt-max", "1",
+     "--beta-seeds", "{n}"],
+], ids=["bandwidth-mc", "power-mc-generated", "power-lb-eigen"])
+def test_the_garbage_a_command_leaves_does_not_grow_with_its_work(tmp_path, argv):
+    # run() keeps the collector off while the command runs, which holds only
+    # while the cyclic garbage that the command leaves is bounded
+    garbage = []
+    for n in (20, 2_000):
+        cwd = tmp_path / str(n)
+        cwd.mkdir()
+        code, _, found = _run_in_a_fresh_interpreter(
+            [arg.format(n=n) for arg in [*argv, "--out", "out"]], cwd)
+        assert (code, len(found)) == (0, 1)
+        garbage += found
+    assert garbage[0] == garbage[1]
 
 
 def _benchmark_argvs(out: Path) -> list[list[str]]:
@@ -1331,18 +1389,15 @@ def _benchmark_argvs(out: Path) -> list[list[str]]:
             for argv, name in commands.items()]
 
 
-def test_no_command_imports_a_module_after_the_freeze(tmp_path):
-    # run() imports each command's modules before gc.freeze(); a module that the
-    # command loaded later would escape the freeze, and the collector would walk it
+def test_every_benchmark_and_readme_command_exits_0_and_freezes_once(tmp_path):
     argvs = [*_benchmark_argvs(tmp_path / "bench"), *_readme_commands()]
     assert len(argvs) > 15
-    late = {}
+    outcomes = {}
     for argv in argvs:
-        code, modules, after = _run_in_a_fresh_interpreter(argv, tmp_path)
-        assert code == 0, argv
-        assert "numpy" in modules
-        late[shlex.join(argv)] = after
-    assert late == dict.fromkeys(late, [])
+        code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
+        assert "numpy" in modules, argv
+        outcomes[shlex.join(argv)] = (code, len(garbage))
+    assert outcomes == dict.fromkeys(outcomes, (0, 1))
 
 
 def _run_dir_files(out: Path) -> dict:

@@ -10,7 +10,9 @@ exit code, stdout, stderr and every file that the command writes:
 
 - each ``bench/run.py`` workload command at program seeds 0, 5 and 11;
 - the default ``sweep power``, ``sweep delta``, ``sweep bandwidth`` and
-  ``sweep rate``, ``capacity`` and ``region --beta 0.4``.
+  ``sweep rate``, ``capacity`` and ``region --beta 0.4``;
+- ``--help``, ``--version``, ``sweep power --help``, a usage error and one
+  command for each of the exits 2, 3 and 5.
 
 Both copies run with ``PYTHONDONTWRITEBYTECODE=1`` and start without a
 ``__pycache__``, so neither compiles more than the other. Each command runs as
@@ -45,6 +47,13 @@ DEFAULT_COMMANDS = (
     ("sweep", "rate", "--out", "{out}"),
     ("capacity",),
     ("region", "--beta", "0.4"),
+    ("--help",),
+    ("--version",),
+    ("sweep", "power", "--help"),
+    ("gen-k", "--k-target", "10405"),  # usage error: no --m
+    ("capacity", "--mode", "mc", "--trials", "1"),  # exit 2: one trial gives no stderr
+    ("sweep", "rate", "--pt-dbm", "-200"),  # exit 3: infeasible rate
+    ("capacity", "--fixture-label", "K99"),  # exit 5: no such fixture row
 )
 TIMEOUT_S = 600
 
