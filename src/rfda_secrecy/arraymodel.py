@@ -3,65 +3,17 @@
 Each element radiates at its own carrier ``f0 + k_m * delta_f``, which makes
 the transmit beampattern depend on range as well as angle.  This module holds
 the far-field phase model, steering vectors and the squared correlation between
-two locations.
+two locations; its data classes, bound here too, live in ``scenario``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT = 299792458.0
-"Propagation speed in m/s (vacuum)."
-
-
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Uniform linear RFDA: element count, carriers and spacing.
-
-    ``delta_f_hz`` is the unit of the random per-element frequency
-    increments ``k``: a float array of M dimensionless entries whose squared
-    norm ``K = k.k`` is the conventional bandwidth proxy.
-    """
-
-    n_elements: int
-    f0_hz: float
-    delta_f_hz: float
-    spacing_m: float
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        for name in ("f0_hz", "delta_f_hz", "spacing_m"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)}")
-
-    @classmethod
-    def half_wavelength(cls, n_elements: int, f0_hz: float, delta_f_hz: float) -> "ArrayConfig":
-        "Construct with element spacing of half the carrier wavelength."
-        return cls(n_elements, f0_hz, delta_f_hz, half_wavelength_spacing(f0_hz))
-
-
-@dataclass(frozen=True)
-class Location:
-    """Polar receiver location: range in meters, angle from the array axis.
-
-    ``theta_rad`` must lie strictly inside (0, pi); the angular beamwidth
-    formulas divide by ``sin(theta)``.
-    """
-
-    r_m: float
-    theta_rad: float
-
-    def __post_init__(self):
-        if not 0 <= self.r_m < math.inf:
-            raise ValueError(f"range must be finite and >= 0, got {self.r_m}")
-        if not 0.0 < self.theta_rad < np.pi:
-            raise ValueError(f"theta must be in (0, pi), got {self.theta_rad}")
+from .scenario import SPEED_OF_LIGHT, ArrayConfig, Location, half_wavelength_spacing
 
 
 def _as_k(k, n_elements: int) -> np.ndarray:
@@ -71,13 +23,6 @@ def _as_k(k, n_elements: int) -> np.ndarray:
         raise ValueError(
             f"frequency vector has length {arr.size}, array has {n_elements} elements")
     return arr
-
-
-def half_wavelength_spacing(f0_hz: float) -> float:
-    "Element spacing equal to half the carrier wavelength, c / (2 f0)."
-    if f0_hz <= 0:
-        raise ValueError("f0_hz must be positive")
-    return SPEED_OF_LIGHT / (2.0 * f0_hz)
 
 
 def steering_vector(cfg: ArrayConfig, k, loc: Location) -> np.ndarray:

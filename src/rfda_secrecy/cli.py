@@ -9,6 +9,8 @@ Exit codes: 0 success, 2 invalid arguments or configuration, or out of memory,
 
 Parsing loads no numerics: each handler imports what it uses when it runs, so
 ``--help``, ``--version`` and a usage error exit before numpy is imported.
+``mmin``, ``kmin`` and ``sweep rate`` run on the numpy-free layer (``scenario``,
+``secrecyregion``, ``svgchart``) alone, so they never import it.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _flag_config(args: argparse.Namespace, cfg) -> dict:
 
 def _scenario_from_args(args: argparse.Namespace):
     "The scenario of the flags given, over ``--config`` where the command has that flag."
-    from .sweep import scenario_from_config
+    from .scenario import scenario_from_config
     cfg: dict = {}
     if getattr(args, "config", None):
         try:
@@ -179,7 +181,7 @@ def _refuse(args: argparse.Namespace, skip: dict[str, str]) -> None:
 
 def _scenario(args: argparse.Namespace, command: str):
     "The scenario of the flags given; a flag whose key ``command`` leaves unread on it is refused."
-    from .sweep import unread
+    from .scenario import unread
     s = _scenario_from_args(args)
     _refuse(args, unread(s, command, getattr(args, "beta", None), getattr(args, "m_min", None)))
     return s
@@ -187,7 +189,7 @@ def _scenario(args: argparse.Namespace, command: str):
 
 def _schemes(name: str) -> tuple:
     "The transmit schemes that ``--scheme name`` selects."
-    from .secrecyregion import Scheme
+    from .scenario import Scheme
     return {"an": (Scheme.WITH_AN,), "no-an": (Scheme.WITHOUT_AN,), "both": tuple(Scheme)}[name]
 
 
@@ -248,8 +250,8 @@ def _axis(given_lo, given_hi, step: float, bob: float, half: float, flag: str) -
 
 
 def _cmd_beampattern(args: argparse.Namespace) -> int:
-    from .sweep import (beampattern_csv_text, beampattern_grid, read_config, run_manifest,
-                        write_run_dir)
+    from .scenario import read_config, run_manifest, write_run_dir
+    from .sweep import beampattern_csv_text, beampattern_grid
     s = _scenario(args, "beampattern")
     # the region sets nothing but the default grid, which the manifest records
     config = read_config(s, "beampattern")
@@ -282,9 +284,13 @@ def _evaluation(args: argparse.Namespace) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from . import sweep
-    result = args.run(sweep, _scenario(args, args.kind), args)
-    run_dir = sweep.write_run(result, args.out, f"sweep-{args.kind}")
+    from .scenario import write_run
+    if args.kind == "rate":  # closed-form: its module loads no numpy
+        from . import secrecyregion as lib
+    else:
+        from . import sweep as lib
+    result = args.run(lib, _scenario(args, args.kind), args)
+    run_dir = write_run(result, args.out, f"sweep-{args.kind}")
     if args.svg:
         from .svgchart import line_chart
         (run_dir / "plot.svg").write_text(line_chart(result, title=f"{args.kind} sweep"))

@@ -8,63 +8,16 @@ the AN direction and evaluates the resulting SNR/SINR, channel capacities and
 the closed-form secrecy-capacity lower bound (the signal-only one at delta = 1).
 
 All power formulas work on linear ratios; dBm values are converted exactly
-once, inside :class:`PowerConfig`.
+once, inside ``PowerConfig``, which with ``eta`` lives in ``scenario`` (bound here too).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-
-def dbm_to_mw(value_dbm: float) -> float:
-    "Linear power in milliwatts."
-    return 10.0 ** (value_dbm / 10.0)
-
-
-@dataclass(frozen=True)
-class PowerConfig:
-    """Transmit power, per-receiver noise floors and the AN power split.
-
-    ``delta`` is the fraction of transmit power carrying the confidential
-    signal; the rest feeds AN.  ``mu`` is the transmit SNR reference
-    (P_t over the intended receiver's noise), ``eps`` the eavesdropper-to-
-    intended noise ratio.
-    """
-
-    pt_dbm: float
-    sigma_b2_dbm: float = 0.0
-    sigma_e2_dbm: float = 0.0
-    delta: float = 0.6
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must be in [0, 1], got {self.delta}")
-        # NaN and infinite dBm fail here too; a finite one far out of range
-        # overflows to an error, or underflows to 0
-        try:
-            linear = (self.pt_mw, dbm_to_mw(self.sigma_b2_dbm),
-                      dbm_to_mw(self.sigma_e2_dbm), self.mu, self.eps)
-        except (OverflowError, ZeroDivisionError):
-            linear = (math.inf,)
-        if not all(0.0 < value < math.inf for value in linear):
-            raise ValueError(
-                f"pt_dbm={self.pt_dbm}, sigma_b2_dbm={self.sigma_b2_dbm} and sigma_e2_dbm="
-                f"{self.sigma_e2_dbm} must give positive, finite linear powers and ratios")
-
-    @property
-    def pt_mw(self) -> float:
-        return dbm_to_mw(self.pt_dbm)
-
-    @property
-    def mu(self) -> float:
-        return dbm_to_mw(self.pt_dbm) / dbm_to_mw(self.sigma_b2_dbm)
-
-    @property
-    def eps(self) -> float:
-        return dbm_to_mw(self.sigma_e2_dbm) / dbm_to_mw(self.sigma_b2_dbm)
+from .scenario import PowerConfig, dbm_to_mw, eta
 
 
 def complex_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -131,17 +84,6 @@ def sinr_eve(power: PowerConfig, corr2, an2):
     """
     mu, eps = power.mu, power.eps
     return power.delta * mu * corr2 / ((1.0 - power.delta) * mu * an2 + eps)
-
-
-def eta(n_elements: int) -> float:
-    """Average AN leakage factor 1 / (M - 1).
-
-    The AN projector ``I - h h^H`` is idempotent with trace M - 1, so the
-    normalizing trace of its square is M - 1 as well.
-    """
-    if n_elements < 2:
-        raise ValueError("eta is undefined for a single-element array")
-    return 1.0 / (n_elements - 1)
 
 
 def capacity_bob(power: PowerConfig) -> float:

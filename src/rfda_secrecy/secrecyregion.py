@@ -6,18 +6,19 @@ signal leakage just outside is capped by the boundary correlation ``beta``
 (largest squared steering correlation at the four box corners).  Requiring
 the beampattern's confinement ellipse to fit inside the box yields minimum
 element counts and minimum frequency-spread norms; requiring the capacity
-lower bound to reach a target rate yields the admissible ``beta``.
+lower bound to reach a target rate yields the admissible ``beta`` and the
+least element count per rate (:func:`sweep_rate`).  This module imports no
+numpy: ``beta_boundary`` loads the correlation kernel when it runs, and
+``beta_max_an`` loads ``capacity_bob`` to word an infeasible rate's error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
 
-from .arraymodel import SPEED_OF_LIGHT, ArrayConfig, Location, correlation2
-from .dmsecurity import PowerConfig, capacity_bob, eta
 from .errors import ConvergenceError, InfeasibleRateError
+from .scenario import (SPEED_OF_LIGHT, ArrayConfig, Location, PowerConfig, Scenario, Scheme,
+                       SecrecyRegion, SweepResult, _sweep_meta, _sweep_series, eta)
 
 BEAMWIDTH_CONSTANT_RAD = math.radians(35.9)
 """Angular-width calibration constant of a uniform aperture, in radians.
@@ -28,32 +29,10 @@ formulas scale it by sqrt(1 - beta) to other correlation levels.
 """
 
 
-@dataclass(frozen=True)
-class SecrecyRegion:
-    "Half-widths of the protected box around the intended receiver."
-
-    dr_m: float
-    dtheta_rad: float
-
-    def __post_init__(self):
-        if not (0 < self.dr_m < math.inf and 0 < self.dtheta_rad < math.inf):
-            raise ValueError("region half-widths must be strictly positive and finite")
-
-
-class Scheme(Enum):
-    "Transmit scheme: with artificial noise, or signal-only (the AN scheme at delta = 1)."
-
-    WITH_AN = "with_an"
-    WITHOUT_AN = "without_an"
-
-    def power(self, power: PowerConfig) -> PowerConfig:
-        "``power`` with this scheme's split: delta = 1 for signal-only, as given with AN."
-        return replace(power, delta=1.0) if self is Scheme.WITHOUT_AN else power
-
-
 def beta_boundary(cfg: ArrayConfig, k, bob: Location, region: SecrecyRegion) -> float:
     """Largest squared steering correlation over the four region corners
     (r +/- dr, theta +/- dtheta), each a valid :class:`Location` off Bob's range and angle."""
+    from .arraymodel import correlation2
     corners = [Location(bob.r_m + sr * region.dr_m, bob.theta_rad + st * region.dtheta_rad)
                for sr in (1.0, -1.0) for st in (1.0, -1.0)]
     for half, at in (("dr_m", "r_m"), ("dtheta_rad", "theta_rad")):
@@ -136,9 +115,10 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
     overflows.  The result is clamped to [0, 1].
     """
     mu, eps, delta = power.mu, power.eps, power.delta
-    gain = 2.0 ** rs_bits
+    gain = math.inf if rs_bits >= 1024 else 2.0 ** rs_bits  # 2**1024 overflows a float
     headroom = 1.0 + delta * mu - gain
     if headroom < 0.0:
+        from .dmsecurity import capacity_bob  # numpy's log2, as every printed capacity
         raise InfeasibleRateError(
             f"rate {rs_bits} bits exceeds the intended-channel capacity "
             f"{capacity_bob(power):.4f} bits")
@@ -183,3 +163,32 @@ def solve_m_min(rs_bits: float, power: PowerConfig, region: SecrecyRegion,
     raise ConvergenceError(
         f"element-count fixed point did not settle in {max_iter} iterations; "
         f"last iterates {last}")
+
+
+def sweep_rate(s: Scenario, grid_rs, schemes=tuple(Scheme),
+               fixed_eta: float | None = None) -> SweepResult:
+    """Minimum element count versus the target secrecy rate for each scheme: a rate
+    beyond a scheme's feasibility limit is a gap (an empty CSV cell).  Raises
+    :class:`InfeasibleRateError` only when every point is infeasible for every
+    requested scheme.  ``fixed_eta`` fixes the AN leakage factor, so it is refused
+    when no requested scheme feeds AN."""
+    grid = [float(g) for g in grid_rs]
+    schemes = list(schemes)
+    if fixed_eta is not None and all(sch.power(s.power).delta == 1.0 for sch in schemes):
+        raise ValueError("no requested scheme feeds AN, so the rate solver reads no "
+                         "fixed_eta (--fixed-eta)")
+
+    def evaluate(scheme: Scheme, i: int) -> tuple[float | None, None]:
+        try:
+            return float(solve_m_min(grid[i], s.power, s.region, s.bob.theta_rad,
+                                     s.array, scheme, fixed_eta=fixed_eta)), None
+        except InfeasibleRateError:
+            return None, None
+
+    series = _sweep_series(schemes, len(grid), evaluate)
+    if all(value is None for values in series.values() for value in values):
+        raise InfeasibleRateError(
+            "every grid point is infeasible for the requested scheme(s); "
+            "raise the transmit power or lower the rate")
+    return SweepResult("rs_bits", grid, series,
+                       _sweep_meta(s, "rate", grid, schemes, {}, fixed_eta=fixed_eta))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .sweep import SweepResult
+from .scenario import SweepResult
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 

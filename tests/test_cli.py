@@ -388,6 +388,25 @@ def test_sweep_rate_infeasible_exits_3(capsys):
     assert "infeasible" in err
 
 
+def test_sweep_rate_of_a_rate_whose_gain_overflows_exits_3(capsys):
+    # 2**1100 overflows a float: the rate is infeasible, not a traceback
+    code, out, err = run(capsys, "sweep", "rate", "--rs-min", "1100", "--rs-max", "1100")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: infeasible rate: ")
+
+
+def test_sweep_rate_gaps_at_rates_whose_gain_overflows(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "rate", "--rs-min", "1", "--rs-max", "2001",
+                       "--rs-step", "1000", "--out", str(tmp_path))
+    assert code == 0
+    rows = (Path(out.strip()) / "result.csv").read_text().splitlines()
+    assert rows[0] == "rs_bits,with_an,without_an"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1.0", "1001.0", "2001.0"]
+    assert all(rows[1].split(",")[1:])
+    assert [row.split(",")[1:] for row in rows[2:]] == [["", ""], ["", ""]]
+
+
 def test_sweep_rate_gaps_in_csv(tmp_path, capsys):
     code, out, _ = run(capsys, "sweep", "rate", "--pt-dbm", "20",
                        "--rs-min", "5.5", "--rs-max", "6.5", "--rs-step", "0.5",
@@ -576,12 +595,12 @@ def test_config_file_missing_exits_5(tmp_path, capsys):
 
 
 def test_convergence_error_maps_to_exit_4(monkeypatch, capsys):
-    import rfda_secrecy.sweep as sweep_mod
+    import rfda_secrecy.secrecyregion as secrecyregion  # where sweep_rate looks it up
 
     def boom(*args, **kwargs):
         raise ConvergenceError("stuck in a two-cycle")
 
-    monkeypatch.setattr(sweep_mod, "solve_m_min", boom)
+    monkeypatch.setattr(secrecyregion, "solve_m_min", boom)
     code, _, err = run(capsys, "sweep", "rate", "--rs-min", "1.0", "--rs-max", "1.0")
     assert code == 4
     assert "converge" in err
@@ -1225,7 +1244,7 @@ def test_every_readme_command_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_the_package_exports_only_its_version():
-    # each library name has one import path: the module that defines it
+    # the package root binds no library name: each is imported from a module of the package
     assert rfda_secrecy.__all__ == ["__version__"]
     namespace: dict = {}
     exec("from rfda_secrecy import *", namespace)
@@ -1316,6 +1335,13 @@ def test_a_usage_error_in_run_freezes_and_leaves_the_collector_on(monkeypatch, c
     assert frozen > 0
 
 
+def test_the_numpy_free_layer_loads_no_numpy():
+    assert _loaded_by("import rfda_secrecy.scenario, rfda_secrecy.secrecyregion, "
+                      "rfda_secrecy.svgchart") == [
+        "rfda_secrecy.errors", "rfda_secrecy.scenario", "rfda_secrecy.schema",
+        "rfda_secrecy.secrecyregion", "rfda_secrecy.svgchart", "rfda_secrecy.version"]
+
+
 def test_parsing_loads_nothing_numeric():
     assert _loaded_by("import rfda_secrecy.cli; rfda_secrecy.cli.build_parser()") == [
         "rfda_secrecy.cli", "rfda_secrecy.errors", "rfda_secrecy.schema",
@@ -1373,6 +1399,39 @@ def test_the_garbage_a_command_leaves_does_not_grow_with_its_work(tmp_path, argv
     assert garbage[0] == garbage[1]
 
 
+# the package modules of a command that runs on the numpy-free layer alone
+_NUMPY_FREE_MODULES = {"rfda_secrecy.__main__", "rfda_secrecy.cli", "rfda_secrecy.errors",
+                       "rfda_secrecy.schema", "rfda_secrecy.version", "rfda_secrecy.scenario",
+                       "rfda_secrecy.secrecyregion"}
+
+
+def _numpy_free(argv) -> bool:
+    "Whether the closed-form command ``argv`` runs without numpy: mmin, kmin and sweep rate."
+    return argv[0] in ("mmin", "kmin") or argv[:2] == ["sweep", "rate"]
+
+
+@pytest.mark.parametrize("argv, svg", [
+    (MMIN_ARGS, False),
+    (["kmin", "--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45"],
+     False),
+    (["kmin", "--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45",
+      "--f0-hz", "2e9", "--delta-f-hz", "2e6", "--spacing-m", "0.1"], False),
+    (["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "16"], False),
+    (["sweep", "rate", "--pt-dbm", "30", "--out", "out"], False),
+    (["sweep", "rate", "--svg", "--out", "out"], True),
+    (["sweep", "rate", "--config", "config.json", "--out", "out"], False),
+], ids=["mmin", "kmin", "kmin-array", "kmin-m-min", "sweep-rate", "sweep-rate-svg",
+        "sweep-rate-config"])
+def test_the_closed_form_commands_never_load_numpy(tmp_path, argv, svg):
+    (tmp_path / "config.json").write_text('{"power": {"pt_dbm": 25.0, "delta": 0.5}}')
+    code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
+    assert _numpy_free(argv)
+    assert (code, len(garbage)) == (0, 1)
+    assert "numpy" not in modules
+    assert {name for name in modules if name.startswith("rfda_secrecy.")} == {
+        *_NUMPY_FREE_MODULES, *["rfda_secrecy.svgchart"] * svg}
+
+
 def _benchmark_argvs(out: Path) -> list[list[str]]:
     "Every distinct command line of ``bench/run.py``'s workloads, at program seed 0."
     source = Path(__file__).parents[1] / "bench" / "run.py"
@@ -1392,12 +1451,14 @@ def _benchmark_argvs(out: Path) -> list[list[str]]:
 def test_every_benchmark_and_readme_command_exits_0_and_freezes_once(tmp_path):
     argvs = [*_benchmark_argvs(tmp_path / "bench"), *_readme_commands()]
     assert len(argvs) > 15
-    outcomes = {}
+    # numpy loads for exactly the commands outside the numpy-free set, and both kinds run
+    assert {_numpy_free(argv) for argv in argvs} == {False, True}
+    outcomes, expected = {}, {}
     for argv in argvs:
         code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
-        assert "numpy" in modules, argv
-        outcomes[shlex.join(argv)] = (code, len(garbage))
-    assert outcomes == dict.fromkeys(outcomes, (0, 1))
+        outcomes[shlex.join(argv)] = (code, len(garbage), "numpy" in modules)
+        expected[shlex.join(argv)] = (0, 1, not _numpy_free(argv))
+    assert outcomes == expected
 
 
 def _run_dir_files(out: Path) -> dict:

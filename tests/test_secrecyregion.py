@@ -170,6 +170,13 @@ def test_beta_max_an_rejects_an_overflowing_ratio():
         beta_max_an(PowerConfig(3080.0), eta(2), 1.0)
 
 
+def test_beta_max_an_reads_a_rate_whose_gain_overflows_as_infeasible():
+    # 2**1100 overflows a float; no finite capacity log2(1 + delta*mu) reaches 1024 bits
+    with pytest.raises(InfeasibleRateError, match=r"^rate 1100 bits exceeds the "
+                                                  r"intended-channel capacity 9\.2312 bits$"):
+        beta_max_an(PowerConfig(30.0), 0.1, 1100)
+
+
 def test_beta_max_no_an_values():
     pw = PowerConfig(30.0, 0.0, 0.0, 1.0)
     assert beta_max_no_an(pw, 1.0) == pytest.approx(0.4995, rel=1e-12)

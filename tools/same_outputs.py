@@ -10,7 +10,9 @@ exit code, stdout, stderr and every file that the command writes:
 
 - each ``bench/run.py`` workload command at program seeds 0, 5 and 11;
 - the default ``sweep power``, ``sweep delta``, ``sweep bandwidth`` and
-  ``sweep rate``, ``capacity`` and ``region --beta 0.4``;
+  ``sweep rate``, ``sweep rate --svg``, ``capacity`` and ``region --beta 0.4``;
+- the README's ``mmin`` and ``kmin`` lines, ``kmin --m-min 16`` and
+  ``validate-fixtures``;
 - ``--help``, ``--version``, ``sweep power --help``, a usage error and one
   command for each of the exits 2, 3 and 5.
 
@@ -45,8 +47,13 @@ DEFAULT_COMMANDS = (
     ("sweep", "delta", "--out", "{out}"),
     ("sweep", "bandwidth", "--out", "{out}"),
     ("sweep", "rate", "--out", "{out}"),
+    ("sweep", "rate", "--svg", "--out", "{out}"),
     ("capacity",),
     ("region", "--beta", "0.4"),
+    ("mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"),
+    ("kmin", "--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45"),
+    ("kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "16"),
+    ("validate-fixtures",),
     ("--help",),
     ("--version",),
     ("sweep", "power", "--help"),
