@@ -13,15 +13,14 @@ import math
 
 import numpy as np
 
-from .scenario import SPEED_OF_LIGHT, ArrayConfig, Location, half_wavelength_spacing
+from .scenario import (SPEED_OF_LIGHT, ArrayConfig, Location, check_k_length,
+                       half_wavelength_spacing)
 
 
 def _as_k(k, n_elements: int) -> np.ndarray:
-    "``k`` as a float array; the one check that it has an entry per element."
+    "``k`` as a float array that has an entry per element (:func:`check_k_length`)."
     arr = np.asarray(k, dtype=float)
-    if arr.shape != (n_elements,):
-        raise ValueError(
-            f"frequency vector has length {arr.size}, array has {n_elements} elements")
+    check_k_length(arr.shape, n_elements)
     return arr
 
 

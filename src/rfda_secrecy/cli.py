@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 invalid arguments or configuration, or out of memory,
 
 Parsing loads no numerics: each handler imports what it uses when it runs, so
 ``--help``, ``--version`` and a usage error exit before numpy is imported.
-``mmin``, ``kmin`` and ``sweep rate`` run on the numpy-free layer (``scenario``,
-``secrecyregion``, ``svgchart``) alone, so they never import it.
+``mmin``, ``kmin``, ``region``, ``sweep rate`` and ``validate-fixtures`` run on
+the numpy-free layer (``scenario``, ``secrecyregion``, ``svgchart``) alone, so
+they never import it.
 """
 
 from __future__ import annotations
@@ -211,8 +212,8 @@ def _cmd_kmin(args: argparse.Namespace) -> int:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
+    from .scenario import k_norm2
     from .secrecyregion import ellipse_semi_axes, k_min, m_min
-    from .sweep import k_norm2
     s = _scenario(args, "region")
     axes = ellipse_semi_axes(s.array, s.array.n_elements, k_norm2(s), args.beta,
                              s.bob.theta_rad)
@@ -299,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_fixtures(args: argparse.Namespace) -> int:
-    from .freqdesign import validate_fixtures
+    from .scenario import validate_fixtures
     report = validate_fixtures(args.fixture_path)
     for row in report["rows"]:
         if "reason" in row:

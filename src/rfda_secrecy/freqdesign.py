@@ -1,4 +1,4 @@
-"""Synthesis and validation of frequency-increment vectors.
+"""Synthesis of frequency-increment vectors, and the fixture table as arrays.
 
 A frequency vector ``k`` shapes the beampattern around the aim point through
 two functionals: ``rho1 = sum_{m,n} (k_m - k_n)^2`` (radial curvature) and
@@ -7,12 +7,12 @@ beampattern contracts to a clean ellipse exactly when ``rho1 = 2*M*K`` and
 ``rho2 = 0``, i.e. when ``k`` is orthogonal to both the all-ones vector and
 the element-index vector.  :func:`generate_k` draws random vectors on that
 subspace, either by direct projection or through the eigen-structure of the
-design matrix :func:`build_design_matrix`.
+design matrix :func:`build_design_matrix`.  The fixture table is read and
+checked in ``scenario``; :func:`load_frequency_table` gives its rows as arrays.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -20,15 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, FixtureError
-
-# fixture label -> (nominal squared norm K, nominal increment span in MHz),
-# in increasing K: the bandwidth sweep's axis
-FIXTURES = {
-    "K10405": (10405.0, 90.0),
-    "K12905": (12905.0, 100.0),
-    "K15405": (15405.0, 110.0),
-}
+from .errors import ConvergenceError
+from .scenario import read_frequency_table, require_feasible
 
 
 def rho1(k) -> float:
@@ -170,14 +163,6 @@ def _feasible_basis(n_elements: int) -> tuple[np.ndarray, np.ndarray]:
     return ones, idx
 
 
-def require_feasible(n_elements: int) -> None:
-    "Raise unless an ``n_elements`` array has a k orthogonal to the ones and index vectors."
-    if n_elements < 3:
-        raise ValueError(
-            "generate_k is infeasible for n_elements < 3: no direction is orthogonal "
-            "to both the all-ones and the index vector")
-
-
 def generate_k(n_elements: int, k_target: float, method: str = "projection",
                seed: int | np.random.Generator = 0) -> np.ndarray:
     """Random frequency vector with k.k = k_target, rho1 = 2MK and rho2 = 0.
@@ -223,67 +208,6 @@ def generate_k(n_elements: int, k_target: float, method: str = "projection",
     return vec * math.sqrt(k_target) / norm
 
 
-def default_fixture_path() -> Path:
-    "Path of the packaged frequency-increment table."
-    return Path(__file__).parent / "fixtures" / "table1.csv"
-
-
 def load_frequency_table(path: str | Path | None = None) -> list[tuple[str, np.ndarray]]:
-    """Load labeled frequency vectors from the fixture CSV.
-
-    Schema: header ``label,m1,...,m16``, one row per vector, increments in
-    MHz.  With the reference increment of 1 MHz the printed numbers are the
-    dimensionless k entries themselves.
-    """
-    path = Path(path) if path is not None else default_fixture_path()
-    if not path.exists():
-        raise FixtureError(f"fixture file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FixtureError(f"{path}: empty fixture file")
-    expected_header = ["label"] + [f"m{i}" for i in range(1, 17)]
-    if rows[0] != expected_header:
-        raise FixtureError(f"{path}: bad header {rows[0]!r}")
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 17:
-            raise FixtureError(f"{path}: row {lineno} has {len(row)} columns, expected 17")
-        try:
-            values = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            raise FixtureError(f"{path}: row {lineno}: {exc}") from exc
-        for column, cell, value in zip(expected_header[1:], row[1:], values):
-            if not math.isfinite(value):  # float() parses nan and inf
-                raise FixtureError(f"{path}: row {lineno}, column {column}: "
-                                   f"{cell!r} is not a finite increment")
-        out.append((row[0], np.array(values)))
-    if not out:
-        raise FixtureError(f"{path}: no data rows")
-    return out
-
-
-def validate_fixtures(path: str | Path | None = None) -> dict:
-    """Check every fixture row: squared norm within 0.5 % of its label,
-    increment span within 2 MHz of the nominal bandwidth, entry sum within
-    0.1 of zero.  Returns a per-row report with an overall ``ok`` flag."""
-    rows = load_frequency_table(path)
-    report_rows = []
-    for label, k in rows:
-        entry: dict = {"label": label}
-        if label not in FIXTURES:
-            entry.update(ok=False, reason="unknown label")
-            report_rows.append(entry)
-            continue
-        k2_expected, span_expected = FIXTURES[label]
-        entry["k_squared"] = float(k @ k)
-        entry["k_squared_expected"] = k2_expected
-        entry["k_squared_ok"] = abs(entry["k_squared"] - k2_expected) <= 0.005 * k2_expected
-        entry["span_mhz"] = float(k.max() - k.min())
-        entry["span_expected_mhz"] = span_expected
-        entry["span_ok"] = abs(entry["span_mhz"] - span_expected) <= 2.0
-        entry["sum"] = float(k.sum())
-        entry["sum_ok"] = abs(entry["sum"]) <= 0.1
-        entry["ok"] = entry["k_squared_ok"] and entry["span_ok"] and entry["sum_ok"]
-        report_rows.append(entry)
-    return {"rows": report_rows, "ok": all(r["ok"] for r in report_rows)}
+    "The rows of :func:`~rfda_secrecy.scenario.read_frequency_table`, each vector a float array."
+    return [(label, np.array(values)) for label, values in read_frequency_table(path)]

@@ -2,12 +2,15 @@
 
 A :class:`Scenario` bundles everything one experiment needs (array, the two
 receiver locations, region, powers, frequency-vector source and evaluation
-mode).  Beside the data classes live the configuration mapping and the
+mode).  Beside the data classes live the fixture table (its reader, checks
+and the squared norm ``k_norm2``), the configuration mapping and the
 :class:`SweepResult` with its CSV and run-directory writer.  Nothing here
-imports numpy, so ``mmin``, ``kmin`` and ``sweep rate`` never load it."""
+imports numpy, so ``mmin``, ``kmin``, ``region``, ``sweep rate`` and
+``validate-fixtures`` never load it."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, FixtureError
 from .schema import READS, SEED_LIMIT
 from .version import VERSION
 
@@ -209,6 +212,113 @@ def default_scenario(**overrides) -> Scenario:
         mode=Mode.ANALYTIC_LB,
     )
     return replace(base, **overrides) if overrides else base
+
+
+# fixture label -> (nominal squared norm K, nominal increment span in MHz),
+# in increasing K: the bandwidth sweep's axis
+FIXTURES = {
+    "K10405": (10405.0, 90.0),
+    "K12905": (12905.0, 100.0),
+    "K15405": (15405.0, 110.0),
+}
+
+
+def default_fixture_path() -> Path:
+    "Path of the packaged frequency-increment table."
+    return Path(__file__).parent / "fixtures" / "table1.csv"
+
+
+def read_frequency_table(path: str | Path | None = None) -> list[tuple[str, list[float]]]:
+    """Labeled frequency vectors of the fixture CSV, each a list of floats.
+
+    Schema: header ``label,m1,...,m16``, one row per vector, increments in
+    MHz.  With the reference increment of 1 MHz the printed numbers are the
+    dimensionless k entries themselves.
+    """
+    path = Path(path) if path is not None else default_fixture_path()
+    if not path.exists():
+        raise FixtureError(f"fixture file not found: {path}")
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise FixtureError(f"{path}: empty fixture file")
+    expected_header = ["label"] + [f"m{i}" for i in range(1, 17)]
+    if rows[0] != expected_header:
+        raise FixtureError(f"{path}: bad header {rows[0]!r}")
+    out = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 17:
+            raise FixtureError(f"{path}: row {lineno} has {len(row)} columns, expected 17")
+        try:
+            values = [float(cell) for cell in row[1:]]
+        except ValueError as exc:
+            raise FixtureError(f"{path}: row {lineno}: {exc}") from exc
+        for column, cell, value in zip(expected_header[1:], row[1:], values):
+            if not math.isfinite(value):  # float() parses nan and inf
+                raise FixtureError(f"{path}: row {lineno}, column {column}: "
+                                   f"{cell!r} is not a finite increment")
+        out.append((row[0], values))
+    if not out:
+        raise FixtureError(f"{path}: no data rows")
+    return out
+
+
+def fixture_row(rows, label: str):
+    "The vector of the first of the ``(label, vector)`` ``rows`` labeled ``label``."
+    for row_label, vec in rows:
+        if row_label == label:
+            return vec
+    raise FixtureError(f"fixture row {label!r} not found")
+
+
+def check_k_length(shape: tuple, n_elements: int) -> None:
+    "The one check that a frequency vector of ``shape`` has an entry per element."
+    if shape != (n_elements,):
+        raise ValueError(f"frequency vector has length {math.prod(shape)}, "
+                         f"array has {n_elements} elements")
+
+
+def require_feasible(n_elements: int) -> None:
+    "Raise unless an ``n_elements`` array has a k orthogonal to the ones and index vectors."
+    if n_elements < 3:
+        raise ValueError(
+            "generate_k is infeasible for n_elements < 3: no direction is orthogonal "
+            "to both the all-ones and the index vector")
+
+
+def k_norm2(s: Scenario) -> float:
+    """Squared norm of the scenario's k, which must have an entry per element: ``math.fsum``
+    of a fixture row's squares; a generated k has norm k_target, so none is drawn."""
+    if isinstance(s.k_source, FixtureK):
+        k = fixture_row(read_frequency_table(s.k_source.path), s.k_source.label)
+        check_k_length((len(k),), s.array.n_elements)
+        return math.fsum(v * v for v in k)
+    require_feasible(s.array.n_elements)
+    return s.k_source.k_target
+
+
+def validate_fixtures(path: str | Path | None = None) -> dict:
+    """Check every fixture row: squared norm within 0.5 % of its label,
+    increment span within 2 MHz of the nominal bandwidth, entry sum within
+    0.1 of zero.  Returns a per-row report with an overall ``ok`` flag."""
+    report_rows = []
+    for label, k in read_frequency_table(path):
+        if label not in FIXTURES:
+            report_rows.append({"label": label, "ok": False, "reason": "unknown label"})
+            continue
+        entry: dict = {"label": label}
+        k2_expected, span_expected = FIXTURES[label]
+        entry["k_squared"] = math.fsum(v * v for v in k)
+        entry["k_squared_expected"] = k2_expected
+        entry["k_squared_ok"] = abs(entry["k_squared"] - k2_expected) <= 0.005 * k2_expected
+        entry["span_mhz"] = max(k) - min(k)
+        entry["span_expected_mhz"] = span_expected
+        entry["span_ok"] = abs(entry["span_mhz"] - span_expected) <= 2.0
+        entry["sum"] = math.fsum(k)
+        entry["sum_ok"] = abs(entry["sum"]) <= 0.1
+        entry["ok"] = entry["k_squared_ok"] and entry["span_ok"] and entry["sum_ok"]
+        report_rows.append(entry)
+    return {"rows": report_rows, "ok": all(r["ok"] for r in report_rows)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ the beampattern's confinement ellipse to fit inside the box yields minimum
 element counts and minimum frequency-spread norms; requiring the capacity
 lower bound to reach a target rate yields the admissible ``beta`` and the
 least element count per rate (:func:`sweep_rate`).  This module imports no
-numpy: ``beta_boundary`` loads the correlation kernel when it runs, and
-``beta_max_an`` loads ``capacity_bob`` to word an infeasible rate's error.
+numpy: ``beta_boundary`` loads the correlation kernel when it runs.
 """
 
 from __future__ import annotations
@@ -118,10 +117,9 @@ def beta_max_an(power: PowerConfig, eta_value: float, rs_bits: float) -> float:
     gain = math.inf if rs_bits >= 1024 else 2.0 ** rs_bits  # 2**1024 overflows a float
     headroom = 1.0 + delta * mu - gain
     if headroom < 0.0:
-        from .dmsecurity import capacity_bob  # numpy's log2, as every printed capacity
         raise InfeasibleRateError(
             f"rate {rs_bits} bits exceeds the intended-channel capacity "
-            f"{capacity_bob(power):.4f} bits")
+            f"{math.log2(1.0 + delta * mu):.4f} bits")
     if headroom == 0.0:  # the rate is Bob's capacity; the ratio below would be 0/0
         # at delta = 0, where Eve gets no signal power and any beta is admissible
         return 1.0 if delta == 0.0 else 0.0

@@ -22,12 +22,12 @@ from .arraymodel import (_as_k, _correlation2, _pq, _steering_rows, correlation2
                          steering_vector)
 from .dmsecurity import (an_leakage, an_vector, capacity_bob, capacity_eve_an,
                          complex_from_parts, secrecy_capacity, c_an_lb)
-from .errors import FixtureError
-from .freqdesign import FIXTURES, generate_k, load_frequency_table, require_feasible
-from .scenario import (LB_AT_BETA_READS, MODE_UNREAD, READS, FixtureK, GeneratedK, Location,
-                       Mode, Scenario, Scheme, SweepResult, _fmt, _sweep_meta, _sweep_series,
-                       config_hash, default_scenario, eta, read_config, result_csv_text,
-                       scenario_from_config, scenario_to_config, unread, write_run)
+from .freqdesign import generate_k, load_frequency_table
+from .scenario import (FIXTURES, LB_AT_BETA_READS, MODE_UNREAD, READS, FixtureK, GeneratedK,
+                       Location, Mode, Scenario, Scheme, SweepResult, _fmt, _sweep_meta,
+                       _sweep_series, config_hash, default_scenario, eta, fixture_row,
+                       read_config, result_csv_text, scenario_from_config, scenario_to_config,
+                       unread, write_run)
 from .secrecyregion import beta_boundary, sweep_rate
 
 DEFAULT_BETA_SEEDS = 100  # draws of a generated k whose boundary correlations lb averages
@@ -111,10 +111,7 @@ def _point_seed(seed: int, index: int) -> int:
 
 def fixture_vector(label: str, path: str | None = None) -> np.ndarray:
     "The first row labeled ``label`` of the fixture table at ``path``."
-    for row_label, vec in load_frequency_table(path):
-        if row_label == label:
-            return vec
-    raise FixtureError(f"fixture row {label!r} not found")
+    return fixture_row(load_frequency_table(path), label)
 
 
 def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -124,16 +121,6 @@ def resolve_k(s: Scenario, rng: np.random.Generator | None = None) -> np.ndarray
     src = s.k_source
     return generate_k(s.array.n_elements, src.k_target, src.method,
                       seed=rng if rng is not None else src.seed)
-
-
-def k_norm2(s: Scenario) -> float:
-    """Squared norm of the scenario's k, which must have an entry per element; a
-    generated one has norm k_target, so none is drawn."""
-    if isinstance(s.k_source, FixtureK):
-        k = _as_k(resolve_k(s), s.array.n_elements)
-        return float(k @ k)
-    require_feasible(s.array.n_elements)
-    return s.k_source.k_target
 
 
 def beta_for_scenario(s: Scenario, n_seeds: int = DEFAULT_BETA_SEEDS) -> float:
@@ -280,7 +267,7 @@ def sweep_bandwidth(s: Scenario, schemes=tuple(Scheme), **settings) -> SweepResu
     """Secrecy capacity across the fixture frequency vectors (see :func:`sweep_power`).
 
     The axis carries each row's nominal squared norm (a bandwidth proxy), in
-    the increasing order of :data:`~rfda_secrecy.freqdesign.FIXTURES`.  The
+    the increasing order of :data:`~rfda_secrecy.scenario.FIXTURES`.  The
     rows are the frequency vectors, so a generated source is rejected.
     """
     if isinstance(s.k_source, GeneratedK):

@@ -20,8 +20,9 @@ import pytest
 from rfda_secrecy.arraymodel import ArrayConfig, Location, correlation2, steering_vector
 from rfda_secrecy.dmsecurity import PowerConfig, an_vector, complex_gaussian, eta
 from rfda_secrecy.errors import InfeasibleRateError
-from rfda_secrecy.freqdesign import generate_k, rho1, rho2, validate_fixtures
+from rfda_secrecy.freqdesign import generate_k, rho1, rho2
 from rfda_secrecy.reference import beampattern_exact, beampattern_taylor
+from rfda_secrecy.scenario import validate_fixtures
 from rfda_secrecy.secrecyregion import (Scheme, SecrecyRegion, ellipse_semi_axes, m_min,
                                         solve_m_min)
 from rfda_secrecy.sweep import (GeneratedK, Mode, default_scenario, mc_capacity, result_csv_text,

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from rfda_secrecy.arraymodel import (ArrayConfig, Location, SPEED_OF_LIGHT, _steering,
                                      _steering_rows, correlation2, correlation2_outer,
                                      half_wavelength_spacing, steering_vector)
-from rfda_secrecy.freqdesign import FIXTURES, generate_k
+from rfda_secrecy.freqdesign import generate_k
 from rfda_secrecy.reference import (beampattern_exact, beampattern_taylor,
                                     correlation2_pointwise, phase_shift, pq_offsets)
+from rfda_secrecy.scenario import FIXTURES
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion, beta_boundary
 import rfda_secrecy
 from rfda_secrecy import sweep

@@ -3,6 +3,7 @@ import ast
 import gc
 import importlib
 import json
+import math
 import os
 import re
 import shlex
@@ -20,9 +21,10 @@ from rfda_secrecy import cli, errors
 from rfda_secrecy.arraymodel import _steering
 from rfda_secrecy.cli import _scenario_from_args, build_parser, main
 from rfda_secrecy.errors import ConfigError, ConvergenceError, FixtureError, InfeasibleRateError
-from rfda_secrecy.freqdesign import default_fixture_path
-from rfda_secrecy.sweep import (READS, FixtureK, GeneratedK, read_config,
-                                scenario_from_config, scenario_to_config, unread)
+from rfda_secrecy.scenario import Location, default_fixture_path, k_norm2
+from rfda_secrecy.secrecyregion import ellipse_semi_axes
+from rfda_secrecy.sweep import (READS, FixtureK, GeneratedK, default_scenario, fixture_vector,
+                                read_config, scenario_from_config, scenario_to_config, unread)
 
 MMIN_ARGS = ["mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"]
 
@@ -168,6 +170,32 @@ def test_region_summary(capsys):
     assert float(fields["k_min"]) == pytest.approx(335.74, abs=0.01)
     assert fields["fits_region"] == "yes"
     assert float(fields["ellipse_dtheta_deg"]) == pytest.approx(4.9158, abs=1e-3)
+
+
+def _region_norm_lines(s, beta: float, norm2: float) -> tuple:
+    "The lines of ``region``'s output that the fixture norm ``norm2`` sets, on ``s`` at ``beta``."
+    dr, dtheta = ellipse_semi_axes(s.array, s.array.n_elements, norm2, beta, s.bob.theta_rad)
+    fits = dr <= s.region.dr_m and dtheta <= s.region.dtheta_rad
+    return f"ellipse_dr_m={dr:.6f}", f"fits_region={'yes' if fits else 'no'}"
+
+
+@pytest.mark.parametrize("label", ["K10405", "K12905", "K15405"])
+def test_region_prints_the_same_lines_under_the_blas_and_the_fsum_norm(label, capsys):
+    # region squares a fixture row with math.fsum, where numpy's k @ k is a BLAS dot
+    # whose last bit may differ (K15405: 15407.4625 against 15407.462500000001)
+    k = fixture_vector(label)
+    blas = float(k @ k)
+    for theta_deg in range(5, 180, 5):
+        s = default_scenario(k_source=FixtureK(label),
+                             bob=Location(100.0, math.radians(theta_deg)))
+        fsum = k_norm2(s)
+        assert abs(fsum - blas) <= 2 * math.ulp(blas)
+        for i in range(50):
+            assert _region_norm_lines(s, i / 50, fsum) == _region_norm_lines(s, i / 50, blas)
+    code, out, _ = run(capsys, "region", "--beta", "0.4", "--fixture-label", label)
+    lines = out.splitlines()
+    assert (code, (lines[0], lines[-1])) == (0, _region_norm_lines(default_scenario(
+        k_source=FixtureK(label)), 0.4, blas))
 
 
 def test_region_draws_no_generated_k(tmp_path, monkeypatch, capsys):
@@ -1350,8 +1378,8 @@ def test_parsing_loads_nothing_numeric():
 
 def _run_in_a_fresh_interpreter(argv, cwd: Path) -> tuple:
     """Exit code of ``rfda_secrecy.__main__.run()`` on ``argv`` in a fresh interpreter, with
-    the modules loaded at its exit and, for each ``gc.freeze()``, the number of unreachable
-    objects that ``gc.collect()`` finds just before it."""
+    the modules loaded at its exit, for each ``gc.freeze()`` the number of unreachable
+    objects that ``gc.collect()`` finds just before it, and its stderr."""
     script = ("import atexit, gc, json, pathlib, sys\n"
               "garbage, freeze = [], gc.freeze\n"
               "gc.freeze = lambda: (garbage.append(gc.collect()), freeze())\n"
@@ -1362,7 +1390,7 @@ def _run_in_a_fresh_interpreter(argv, cwd: Path) -> tuple:
     done = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
                           env=_fresh_interpreter_env(), capture_output=True, text=True,
                           timeout=120)
-    return (done.returncode, *json.loads((cwd / "modules.json").read_text()))
+    return (done.returncode, *json.loads((cwd / "modules.json").read_text()), done.stderr)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -1370,7 +1398,7 @@ def _run_in_a_fresh_interpreter(argv, cwd: Path) -> tuple:
     (["gen-k", "--k-target", "10405"], 2), (["mmin", "--beta", "2"], 2),
 ])
 def test_help_version_and_usage_errors_exit_before_numpy_loads(tmp_path, argv, code):
-    exit_code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
+    exit_code, modules, garbage, _ = _run_in_a_fresh_interpreter(argv, tmp_path)
     assert (exit_code, len(garbage)) == (code, 1)
     assert "numpy" not in modules
     assert {name for name in modules if name.startswith("rfda_secrecy.")} == {
@@ -1392,44 +1420,72 @@ def test_the_garbage_a_command_leaves_does_not_grow_with_its_work(tmp_path, argv
     for n in (20, 2_000):
         cwd = tmp_path / str(n)
         cwd.mkdir()
-        code, _, found = _run_in_a_fresh_interpreter(
+        code, _, found, _ = _run_in_a_fresh_interpreter(
             [arg.format(n=n) for arg in [*argv, "--out", "out"]], cwd)
         assert (code, len(found)) == (0, 1)
         garbage += found
     assert garbage[0] == garbage[1]
 
 
-# the package modules of a command that runs on the numpy-free layer alone
+# the package modules that every command running on the numpy-free layer alone loads
 _NUMPY_FREE_MODULES = {"rfda_secrecy.__main__", "rfda_secrecy.cli", "rfda_secrecy.errors",
-                       "rfda_secrecy.schema", "rfda_secrecy.version", "rfda_secrecy.scenario",
-                       "rfda_secrecy.secrecyregion"}
+                       "rfda_secrecy.schema", "rfda_secrecy.version", "rfda_secrecy.scenario"}
+_SECRECYREGION = "rfda_secrecy.secrecyregion"
+_INFEASIBLE = ("error: infeasible rate: every grid point is infeasible for the requested "
+               "scheme(s); raise the transmit power or lower the rate\n")
 
 
 def _numpy_free(argv) -> bool:
-    "Whether the closed-form command ``argv`` runs without numpy: mmin, kmin and sweep rate."
-    return argv[0] in ("mmin", "kmin") or argv[:2] == ["sweep", "rate"]
+    "Whether ``argv`` runs without numpy: mmin, kmin, region, sweep rate and validate-fixtures."
+    return (argv[0] in ("mmin", "kmin", "region", "validate-fixtures")
+            or argv[:2] == ["sweep", "rate"])
 
 
-@pytest.mark.parametrize("argv, svg", [
-    (MMIN_ARGS, False),
+@pytest.mark.parametrize("argv, code, stderr, loads", [
+    (MMIN_ARGS, 0, "", {_SECRECYREGION}),
     (["kmin", "--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45"],
-     False),
+     0, "", {_SECRECYREGION}),
     (["kmin", "--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45",
-      "--f0-hz", "2e9", "--delta-f-hz", "2e6", "--spacing-m", "0.1"], False),
-    (["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "16"], False),
-    (["sweep", "rate", "--pt-dbm", "30", "--out", "out"], False),
-    (["sweep", "rate", "--svg", "--out", "out"], True),
-    (["sweep", "rate", "--config", "config.json", "--out", "out"], False),
+      "--f0-hz", "2e9", "--delta-f-hz", "2e6", "--spacing-m", "0.1"], 0, "", {_SECRECYREGION}),
+    (["kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "16"], 0, "", {_SECRECYREGION}),
+    (["sweep", "rate", "--pt-dbm", "30", "--out", "out"], 0, "", {_SECRECYREGION}),
+    (["sweep", "rate", "--svg", "--out", "out"], 0, "", {_SECRECYREGION, "rfda_secrecy.svgchart"}),
+    (["sweep", "rate", "--config", "config.json", "--out", "out"], 0, "", {_SECRECYREGION}),
+    # rates 1001 and 2001 are gaps (their gain overflows), and a gap loads no numpy
+    (["sweep", "rate", "--rs-min", "1", "--rs-max", "2001", "--rs-step", "1000", "--out", "out"],
+     0, "", {_SECRECYREGION}),
+    (["sweep", "rate", "--pt-dbm", "-200"], 3, _INFEASIBLE, {_SECRECYREGION}),
+    (["region", "--beta", "0.4"], 0, "", {_SECRECYREGION}),
+    (["region", "--beta", "0.4", "--fixture-label", "K15405"], 0, "", {_SECRECYREGION}),
+    (["region", "--beta", "0.4", "--fixture-path", "table.csv"], 0, "", {_SECRECYREGION}),
+    (["region", "--beta", "0.4", "--k-target", "10405"], 0, "", {_SECRECYREGION}),
+    (["region", "--beta", "0.4", "--config", "region.json"], 0, "", {_SECRECYREGION}),
+    (["region", "--beta", "0.4", "--m", "8"], 2,
+     "error: frequency vector has length 16, array has 8 elements\n", {_SECRECYREGION}),
+    (["region", "--beta", "0.4", "--fixture-label", "K99"], 5,
+     "error: fixture: fixture row 'K99' not found\n", {_SECRECYREGION}),
+    (["validate-fixtures"], 0, "", set()),
+    (["validate-fixtures", "--fixture-path", "bad.csv"], 5, "fixture checks FAILED\n", set()),
+    (["validate-fixtures", "--fixture-path", "missing.csv"], 5,
+     "error: fixture: fixture file not found: missing.csv\n", set()),
 ], ids=["mmin", "kmin", "kmin-array", "kmin-m-min", "sweep-rate", "sweep-rate-svg",
-        "sweep-rate-config"])
-def test_the_closed_form_commands_never_load_numpy(tmp_path, argv, svg):
+        "sweep-rate-config", "sweep-rate-gaps", "sweep-rate-infeasible", "region",
+        "region-label", "region-path", "region-k-target", "region-config", "region-m-8",
+        "region-no-row", "validate-fixtures", "validate-fixtures-fail",
+        "validate-fixtures-missing"])
+def test_the_closed_form_commands_never_load_numpy(tmp_path, argv, code, stderr, loads):
     (tmp_path / "config.json").write_text('{"power": {"pt_dbm": 25.0, "delta": 0.5}}')
-    code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
+    (tmp_path / "region.json").write_text(
+        '{"array": {"f0_hz": 2e9}, "k_source": {"type": "fixture", "label": "K12905"}}')
+    table = default_fixture_path().read_text()
+    (tmp_path / "table.csv").write_text(table)
+    (tmp_path / "bad.csv").write_text(table.replace("-15.2,", "-40.0,", 1))
+    exit_code, modules, garbage, err = _run_in_a_fresh_interpreter(argv, tmp_path)
     assert _numpy_free(argv)
-    assert (code, len(garbage)) == (0, 1)
+    assert (exit_code, len(garbage), err) == (code, 1, stderr)
     assert "numpy" not in modules
     assert {name for name in modules if name.startswith("rfda_secrecy.")} == {
-        *_NUMPY_FREE_MODULES, *["rfda_secrecy.svgchart"] * svg}
+        *_NUMPY_FREE_MODULES, *loads}
 
 
 def _benchmark_argvs(out: Path) -> list[list[str]]:
@@ -1455,7 +1511,7 @@ def test_every_benchmark_and_readme_command_exits_0_and_freezes_once(tmp_path):
     assert {_numpy_free(argv) for argv in argvs} == {False, True}
     outcomes, expected = {}, {}
     for argv in argvs:
-        code, modules, garbage = _run_in_a_fresh_interpreter(argv, tmp_path)
+        code, modules, garbage, _ = _run_in_a_fresh_interpreter(argv, tmp_path)
         outcomes[shlex.join(argv)] = (code, len(garbage), "numpy" in modules)
         expected[shlex.join(argv)] = (0, 1, not _numpy_free(argv))
     assert outcomes == expected

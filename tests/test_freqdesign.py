@@ -8,9 +8,10 @@ from rfda_secrecy import freqdesign
 from rfda_secrecy.cli import main
 from rfda_secrecy.errors import ConvergenceError, FixtureError
 from rfda_secrecy.freqdesign import (EigenResult, _feasible_basis, _jacobi, build_design_matrix,
-                                     default_fixture_path, generate_k, load_frequency_table,
-                                     rho1, rho2, symmetric_eigen)
+                                     generate_k, load_frequency_table, rho1, rho2,
+                                     symmetric_eigen)
 from rfda_secrecy.reference import jacobi_rotations
+from rfda_secrecy.scenario import default_fixture_path, read_frequency_table
 from rfda_secrecy.sweep import GeneratedK, beta_for_scenario, default_scenario
 
 
@@ -346,6 +347,41 @@ def test_load_frequency_table_errors(tmp_path):
                          + "\nK10405," + ",".join(["1"] * 15) + ",oops\n")
     with pytest.raises(FixtureError, match="row 2"):
         load_frequency_table(bad_value)
+
+
+def test_the_array_loader_gives_the_rows_of_the_table_reader_bit_for_bit():
+    rows, arrays = read_frequency_table(), load_frequency_table()
+    assert [label for label, _ in arrays] == [label for label, _ in rows]
+    for (_, values), (_, vec) in zip(rows, arrays):
+        assert all(type(value) is float for value in values)
+        assert vec.dtype == np.float64 and vec.shape == (16,)
+        assert vec.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+_TABLE_HEADER = "label," + ",".join(f"m{i}" for i in range(1, 17))
+
+
+# the malformed tables of test_load_frequency_table_errors, each with its whole error text
+@pytest.mark.parametrize("name, text, message", [
+    ("nope.csv", None, "fixture file not found: {path}"),
+    ("empty.csv", "", "{path}: empty fixture file"),
+    ("header.csv", _TABLE_HEADER + "\n", "{path}: no data rows"),
+    ("badheader.csv", "foo,bar\n1,2\n", "{path}: bad header ['foo', 'bar']"),
+    ("short.csv", _TABLE_HEADER + "\nK10405,1,2,3\n", "{path}: row 2 has 4 columns, expected 17"),
+    ("badvalue.csv", _TABLE_HEADER + "\nK10405," + ",".join(["1"] * 15) + ",oops\n",
+     "{path}: row 2: could not convert string to float: 'oops'"),
+])
+def test_both_table_readers_refuse_a_malformed_table_with_one_text(tmp_path, name, text,
+                                                                   message):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    texts = []
+    for read in (read_frequency_table, load_frequency_table):
+        with pytest.raises(FixtureError) as raised:
+            read(path)
+        texts.append(str(raised.value))
+    assert texts == [message.format(path=path)] * 2
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])

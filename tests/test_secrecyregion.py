@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rfda_secrecy.arraymodel import ArrayConfig, Location, SPEED_OF_LIGHT
-from rfda_secrecy.dmsecurity import PowerConfig, eta
+from rfda_secrecy.dmsecurity import PowerConfig, capacity_bob, eta
 from rfda_secrecy.errors import ConvergenceError, InfeasibleRateError
 from rfda_secrecy.freqdesign import generate_k
 from rfda_secrecy.reference import beampattern_taylor, beta_max_no_an, correlation2_pointwise
@@ -175,6 +175,19 @@ def test_beta_max_an_reads_a_rate_whose_gain_overflows_as_infeasible():
     with pytest.raises(InfeasibleRateError, match=r"^rate 1100 bits exceeds the "
                                                   r"intended-channel capacity 9\.2312 bits$"):
         beta_max_an(PowerConfig(30.0), 0.1, 1100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pt_dbm=st.floats(-100.0, 300.0), delta=st.floats(0.0, 1.0))
+def test_an_infeasible_rate_words_bobs_capacity_as_numpy_prints_it(pt_dbm, delta):
+    # the message takes math.log2, so that a gap in a rate sweep loads no numpy; its
+    # four decimals are those of capacity_bob (np.log2), which every capacity prints
+    power = PowerConfig(pt_dbm, 0.0, 0.0, delta)
+    rate = 1100.0  # above any finite capacity
+    with pytest.raises(InfeasibleRateError) as raised:
+        beta_max_an(power, 0.1, rate)
+    assert str(raised.value) == (f"rate {rate} bits exceeds the intended-channel capacity "
+                                 f"{capacity_bob(power):.4f} bits")
 
 
 def test_beta_max_no_an_values():

@@ -14,8 +14,10 @@ from rfda_secrecy.arraymodel import (ArrayConfig, Location, _steering, correlati
 from rfda_secrecy.dmsecurity import (PowerConfig, an_vector, capacity_bob, capacity_eve_an,
                                      complex_from_parts, complex_gaussian, secrecy_capacity)
 from rfda_secrecy.errors import ConfigError, FixtureError, InfeasibleRateError
-from rfda_secrecy.freqdesign import FIXTURES, default_fixture_path, validate_fixtures
+from rfda_secrecy.freqdesign import load_frequency_table
 from rfda_secrecy.reference import c_lb, read_result_csv, trial_capacity, write_result_csv
+from rfda_secrecy.scenario import (FIXTURES, default_fixture_path, k_norm2, read_frequency_table,
+                                   validate_fixtures)
 from rfda_secrecy.secrecyregion import Scheme, SecrecyRegion
 from rfda_secrecy.svgchart import line_chart
 from rfda_secrecy.sweep import (DEFAULT_TRIALS, ESTIMATORS, LB_AT_BETA_READS, READS, _BLOCK,
@@ -678,6 +680,33 @@ def test_validate_fixtures_pass_and_fail(tmp_path):
     assert rep["rows"][0]["reason"] == "unknown label"
     with pytest.raises(FixtureError):
         validate_fixtures(tmp_path / "missing.csv")
+
+
+def test_k_norm2_of_a_fixture_row_is_the_fsum_of_its_squares():
+    for label, values in read_frequency_table():
+        assert k_norm2(default_scenario(k_source=FixtureK(label))) == math.fsum(
+            v * v for v in values)
+    assert k_norm2(default_scenario(k_source=FixtureK("K15405"))) == 15407.4625
+    # one length check, shared with the geometry: a row has an entry per element
+    with pytest.raises(ValueError, match=r"^frequency vector has length 16, array has 8 "
+                                         r"elements$"):
+        k_norm2(default_scenario(array=ArrayConfig.half_wavelength(8, 1e9, 1e6)))
+    # a generated k has norm k_target and is never drawn, but must be feasible
+    assert k_norm2(default_scenario(k_source=GeneratedK(500.0))) == 500.0
+    with pytest.raises(ValueError, match="infeasible for n_elements < 3"):
+        k_norm2(default_scenario(array=ArrayConfig.half_wavelength(2, 1e9, 1e6),
+                                 k_source=GeneratedK(500.0)))
+
+
+def test_validate_fixtures_reports_the_fsum_norm_and_sum_and_numpys_span():
+    report = validate_fixtures()
+    for row, (label, vec) in zip(report["rows"], load_frequency_table()):
+        assert row["label"] == label
+        assert row["k_squared"] == k_norm2(default_scenario(k_source=FixtureK(label)))
+        assert row["sum"] == math.fsum(vec.tolist())
+        assert row["span_mhz"] == float(vec.max() - vec.min())
+    assert [row["sum"] for row in report["rows"]] == [
+        0.029999999999995808, 7.105427357601002e-15, 0.030000000000002025]
 
 
 def test_beampattern_grid_normalization():

@@ -10,7 +10,9 @@ exit code, stdout, stderr and every file that the command writes:
 
 - each ``bench/run.py`` workload command at program seeds 0, 5 and 11;
 - the default ``sweep power``, ``sweep delta``, ``sweep bandwidth`` and
-  ``sweep rate``, ``sweep rate --svg``, ``capacity`` and ``region --beta 0.4``;
+  ``sweep rate``, ``sweep rate --svg``, a ``sweep rate`` with gaps,
+  ``capacity``, ``region --beta 0.4`` and ``region`` at the rows K15405 and
+  K12905 and at 8 elements;
 - the README's ``mmin`` and ``kmin`` lines, ``kmin --m-min 16`` and
   ``validate-fixtures``;
 - ``--help``, ``--version``, ``sweep power --help``, a usage error and one
@@ -48,8 +50,12 @@ DEFAULT_COMMANDS = (
     ("sweep", "bandwidth", "--out", "{out}"),
     ("sweep", "rate", "--out", "{out}"),
     ("sweep", "rate", "--svg", "--out", "{out}"),
+    ("sweep", "rate", "--rs-min", "1", "--rs-max", "2001", "--rs-step", "1000", "--out", "{out}"),
     ("capacity",),
     ("region", "--beta", "0.4"),
+    ("region", "--beta", "0.4", "--fixture-label", "K15405"),
+    ("region", "--beta", "0.1", "--fixture-label", "K12905"),
+    ("region", "--beta", "0.4", "--m", "8"),  # exit 2: a row of 16 for 8 elements
     ("mmin", "--beta", "0.4", "--dtheta-deg", "5", "--bob-theta-deg", "45"),
     ("kmin", "--beta", "0.4", "--dr-m", "8", "--dtheta-deg", "5", "--bob-theta-deg", "45"),
     ("kmin", "--beta", "0.4", "--dr-m", "8", "--m-min", "16"),
